@@ -32,6 +32,14 @@ NOTIONS = (
     "bounded-word-game",
 )
 
+GAME_NOTIONS = ("contrasim", "bounded-word-game")
+
+ORACLES = {
+    "weak-sim": relations.weak_sim_preorder,
+    "weak-bisim": relations.weak_bisimilarity,
+    "strong-bisim": relations.strong_bisimilarity,
+}
+
 
 @dataclass(frozen=True)
 class CheckRequest:
@@ -106,132 +114,87 @@ def _relation_certificate(lts: Lts, pairs) -> Certificate:
     return Certificate(kind="relation", pairs=named)
 
 
-def _run_contrasim(lts: Lts, lhs: int, rhs: int, request: CheckRequest):
-    directions = [(lhs, rhs)]
-    if request.direction == "equivalence":
-        directions.append((rhs, lhs))
-
-    solve_ms = 0.0
-    positions = 0
-    moves = 0
-    results = []
-    games = []
-    for p, q in directions:
-        game = csgame.build_cs_game(lts, p, q)
-        t0 = time.perf_counter()
-        solution = solve(game.graph)
-        solve_ms += (time.perf_counter() - t0) * 1000.0
-        positions += game.graph.position_count
-        moves += game.graph.move_count
-        results.append(solution.winner[game.graph.initial] is Player.DEFENDER)
-        games.append((game, solution))
-
-    certificate = None
-    if request.emit_certificate:
-        if all(results):
-            pairs: set[tuple[int, int]] = set()
-            for game, solution in games:
-                pairs |= csgame.extract_contrasimulation(game, solution)
-            certificate = _relation_certificate(lts, pairs)
-        else:
-            failing = results.index(False)
-            game, solution = games[failing]
-            formula = csgame.extract_distinguishing_formula(
-                game, solution, game.graph.initial
-            )
-            certificate = Certificate(kind="formula", formula=format_formula(formula))
-
-    dot_graph = games[0][0].graph
-    dot_labels = [csgame.format_position(lts, pos) for pos in games[0][0].positions]
-    return results, certificate, (positions, moves, solve_ms), (dot_graph, dot_labels)
-
-
-def _run_oracle_notion(lts: Lts, lhs: int, rhs: int, request: CheckRequest):
-    t0 = time.perf_counter()
-    if request.notion == "weak-sim":
-        oracle = relations.weak_sim_preorder(lts)
-    elif request.notion == "weak-bisim":
-        oracle = relations.weak_bisimilarity(lts)
-    else:
-        oracle = relations.strong_bisimilarity(lts)
-    solve_ms = (time.perf_counter() - t0) * 1000.0
-
-    results = [(lhs, rhs) in oracle]
-    if request.direction == "equivalence":
-        results.append((rhs, lhs) in oracle)
-    certificate = None
-    if request.emit_certificate and all(results):
-        certificate = _relation_certificate(lts, oracle)
-    return results, certificate, (None, None, solve_ms), None
-
-
-def _run_word_game(lts: Lts, lhs: int, rhs: int, request: CheckRequest):
-    if request.word_bound is None:
-        raise UsageError("--word-bound is required for the bounded word game")
-    directions = [(lhs, rhs)]
-    if request.direction == "equivalence":
-        directions.append((rhs, lhs))
-    solve_ms = 0.0
-    positions = 0
-    moves = 0
-    results = []
-    dot = None
-    for p, q in directions:
-        graph, game_positions = csgame.build_word_game(lts, p, q, request.word_bound)
-        if dot is None:
-            labels = [csgame.format_word_position(lts, pos) for pos in game_positions]
-            dot = (graph, labels)
-        t0 = time.perf_counter()
-        solution = solve(graph)
-        solve_ms += (time.perf_counter() - t0) * 1000.0
-        positions += graph.position_count
-        moves += graph.move_count
-        results.append(solution.winner[graph.initial] is Player.DEFENDER)
-    return results, None, (positions, moves, solve_ms), dot
-
-
-def _run_naive(lts: Lts, lhs: int, rhs: int, request: CheckRequest):
-    t0 = time.perf_counter()
-    results = [csgame.naive_single_step_preorder(lts, lhs, rhs)]
-    if request.direction == "equivalence":
-        results.append(csgame.naive_single_step_preorder(lts, rhs, lhs))
-    solve_ms = (time.perf_counter() - t0) * 1000.0
-    return results, None, (None, None, solve_ms), None
-
-
 def run_check(request: CheckRequest) -> CheckReport:
     """Execute a check request; raises UsageError and parse errors for exit 2."""
     started = time.perf_counter()
-    if request.notion not in NOTIONS:
-        raise UsageError(f"unknown notion {request.notion!r}")
+    notion = request.notion
+    if notion not in NOTIONS:
+        raise UsageError(f"unknown notion {notion!r}")
     if request.direction not in ("preorder", "equivalence"):
         raise UsageError(f"unknown direction {request.direction!r}")
     if request.input_format not in ("ccs", "aut"):
         raise UsageError(f"unknown input format {request.input_format!r}")
+    if request.max_states < 1:
+        raise UsageError("--max-states must be at least 1")
+    if notion == "bounded-word-game":
+        if request.word_bound is None:
+            raise UsageError("--word-bound is required for the bounded word game")
+        if request.word_bound < 1:
+            raise UsageError("--word-bound must be at least 1")
+    if request.emit_game_dot is not None and notion not in GAME_NOTIONS:
+        raise UsageError(f"notion {notion!r} builds no game graph to export")
 
     lts, lhs, rhs = _load_model(request)
+    directions = [(lhs, rhs)]
+    if request.direction == "equivalence":
+        directions.append((rhs, lhs))
 
-    if request.notion == "contrasim":
-        results, certificate, stats, dot = _run_contrasim(lts, lhs, rhs, request)
-    elif request.notion == "bounded-word-game":
-        results, certificate, stats, dot = _run_word_game(lts, lhs, rhs, request)
-    elif request.notion == "naive-contrasim-1step":
-        results, certificate, stats, dot = _run_naive(lts, lhs, rhs, request)
+    # One (graph, positions, set game or None, solution) per direction.
+    games = []
+    related = None
+    positions = moves = None
+    if notion in GAME_NOTIONS:
+        solve_ms = 0.0
+        for p, q in directions:
+            if notion == "contrasim":
+                game = csgame.build_cs_game(lts, p, q)
+                graph, game_positions = game.graph, game.positions
+            else:
+                game = None
+                graph, game_positions = csgame.build_word_game(
+                    lts, p, q, request.word_bound
+                )
+            t0 = time.perf_counter()
+            solution = solve(graph)
+            solve_ms += (time.perf_counter() - t0) * 1000.0
+            games.append((graph, game_positions, game, solution))
+        results = [sol.winner[graph.initial] is Player.DEFENDER for graph, _, _, sol in games]
+        positions = sum(g.position_count for g, _, _, _ in games)
+        moves = sum(g.move_count for g, _, _, _ in games)
     else:
-        results, certificate, stats, dot = _run_oracle_notion(lts, lhs, rhs, request)
+        t0 = time.perf_counter()
+        if notion == "naive-contrasim-1step":
+            results = [csgame.naive_single_step_preorder(lts, p, q) for p, q in directions]
+        else:
+            related = ORACLES[notion](lts)
+            results = [pair in related for pair in directions]
+        solve_ms = (time.perf_counter() - t0) * 1000.0
+
+    certificate = None
+    if request.emit_certificate:
+        if notion == "contrasim" and all(results):
+            pairs: set[tuple[int, int]] = set()
+            for _, _, game, solution in games:
+                pairs |= csgame.extract_contrasimulation(game, solution)
+            certificate = _relation_certificate(lts, pairs)
+        elif notion == "contrasim":
+            _, _, game, solution = games[results.index(False)]
+            formula = csgame.extract_distinguishing_formula(
+                game, solution, game.graph.initial
+            )
+            certificate = Certificate(kind="formula", formula=format_formula(formula))
+        elif related is not None and all(results):
+            certificate = _relation_certificate(lts, related)
 
     if request.emit_game_dot is not None:
-        if dot is None:
-            raise UsageError(
-                f"notion {request.notion!r} builds no game graph to export"
-            )
-        graph, labels = dot
+        graph, game_positions, _, _ = games[0]
+        fmt = csgame.format_position if notion == "contrasim" else csgame.format_word_position
+        labels = [fmt(lts, pos) for pos in game_positions]
         Path(request.emit_game_dot).write_text(export_game_dot(graph, labels))
 
-    positions, moves, solve_ms = stats
     report = CheckReport(
         verdict=all(results),
-        notion=request.notion,
+        notion=notion,
         direction=request.direction,
         lhs=lts.name_of(lhs),
         rhs=lts.name_of(rhs),
@@ -240,7 +203,7 @@ def run_check(request: CheckRequest) -> CheckReport:
         certificate=certificate,
         game_positions=positions,
         game_moves=moves,
-        solve_ms=round(solve_ms, 3) if solve_ms is not None else None,
+        solve_ms=round(solve_ms, 3),
     )
     report.total_ms = round((time.perf_counter() - started) * 1000.0, 3)
     return report

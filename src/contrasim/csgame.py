@@ -271,21 +271,6 @@ class _WordChallenge:
     q: int
 
 
-def _feasible_words(lts: Lts, start: int, max_len: int):
-    """Words (including the empty one) with a nonempty delay frontier from ``start``."""
-    frontier = frozenset((start,))
-    stack: list[tuple[Word, StateSet]] = [((), frontier)]
-    while stack:
-        word, states = stack.pop()
-        yield word, states
-        if len(word) == max_len:
-            continue
-        for a in lts.visible_actions:
-            nxt = lts.delay_successors(states, a)
-            if nxt:
-                stack.append((word + (a,), nxt))
-
-
 def build_word_game(
     lts: Lts, p: int, q: int, max_word_length: int
 ) -> tuple[GameGraph, tuple]:
@@ -322,7 +307,7 @@ def build_word_game(
         pos = todo.popleft()
         row = []
         if isinstance(pos, _WordAttacker):
-            for word, frontier in _feasible_words(lts, pos.p, max_word_length):
+            for word, frontier in lts.feasible_words(pos.p, max_word_length):
                 for p2 in sorted(lts.internal_closure(frontier)):
                     row.append(intern(_WordChallenge(word, p2, pos.q)))
         else:

@@ -18,7 +18,7 @@ set-lifted delay step over the letters.
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Optional
+from typing import Iterable, Iterator, Mapping, Optional
 
 StateSet = frozenset[int]
 Word = tuple["Action", ...]
@@ -208,6 +208,24 @@ class Lts:
         """
         self._check_state(state)
         return self.internal_closure(self.word_successors(word, frozenset((state,))))
+
+    def feasible_words(self, start: int, max_len: int) -> Iterator[tuple[Word, StateSet]]:
+        """Words of at most ``max_len`` letters (the empty one included) with a
+        nonempty delay frontier from ``start``, each paired with that frontier.
+
+        Depth-first, so the order is deterministic but not by length.
+        """
+        self._check_state(start)
+        stack: list[tuple[Word, StateSet]] = [((), frozenset((start,)))]
+        while stack:
+            word, frontier = stack.pop()
+            yield word, frontier
+            if len(word) == max_len:
+                continue
+            for a in self.visible_actions:
+                nxt = self.delay_successors(frontier, a)
+                if nxt:
+                    stack.append((word + (a,), nxt))
 
     def is_stable(self, state: int) -> bool:
         """True iff ``state`` has no outgoing internal transition."""

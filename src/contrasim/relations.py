@@ -63,25 +63,12 @@ def is_weak_simulation_words(
     bound reaches the state count)."""
     rel = _as_relation(lts, relation)
     for p, q in rel:
-        for word in _feasible_words(lts, p, max_word_length):
+        for word, _ in lts.feasible_words(p, max_word_length):
             for p2 in lts.weak_word_successors(p, word):
                 answers = lts.weak_word_successors(q, word)
                 if not any((p2, q2) in rel for q2 in answers):
                     return False
     return True
-
-
-def _feasible_words(lts: Lts, start: int, max_len: int):
-    stack: list[tuple[Word, StateSet]] = [((), frozenset((start,)))]
-    while stack:
-        word, frontier = stack.pop()
-        yield word
-        if len(word) == max_len:
-            continue
-        for a in lts.visible_actions:
-            nxt = lts.delay_successors(frontier, a)
-            if nxt:
-                stack.append((word + (a,), nxt))
 
 
 # -- contrasimulation ----------------------------------------------------------

@@ -3,7 +3,10 @@ import re
 
 import pytest
 
+from contrasim import relations
+from contrasim.aut import parse_aut
 from contrasim.cli import (
+    NOTIONS,
     CheckRequest,
     Certificate,
     CheckReport,
@@ -12,12 +15,19 @@ from contrasim.cli import (
     report_json,
     run_check,
 )
-from contrasim.csgame import build_cs_game, format_position
+from contrasim.csgame import (
+    bounded_word_game_preorder,
+    build_cs_game,
+    decide_equivalence,
+    decide_preorder,
+    format_position,
+    naive_single_step_preorder,
+)
 from contrasim.game import GameGraph, Player
 from contrasim.hml import DelayNor, DelayObs, TRUTH, hml_satisfies
 from contrasim.lts import act
 
-from conftest import FIXTURES
+from conftest import FIXTURES, INSTABLE_AUT, PHIL_AUT
 
 JSON_FIELDS = [
     "verdict",
@@ -82,6 +92,12 @@ def test_aut_input_uses_state_indices(capsys):
         ["check", "--lhs", "1", "--rhs", "99", FIXTURES / "phil.aut"],
         ["check", "--lhs", "Pab", "--rhs", "Pb", "--notion", "bounded-word-game",
          FIXTURES / "instable.ccs"],
+        ["check", "--lhs", "Pab", "--rhs", "Pb", "--notion", "bounded-word-game",
+         "--word-bound", "0", FIXTURES / "instable.ccs"],
+        ["check", "--lhs", "Pab", "--rhs", "Pb", "--max-states", "0",
+         FIXTURES / "instable.ccs"],
+        ["check", "--lhs", "1", "--rhs", "2", "--max-states", "-5",
+         FIXTURES / "phil.aut"],
         ["check", "--lhs", "X", "--rhs", "X", "/nonexistent/file.ccs"],
     ],
 )
@@ -111,6 +127,68 @@ def test_unknown_extension_needs_format_flag(tmp_path, capsys):
     model.write_text('des (0,0,1)\n')
     assert run_main(["check", "--lhs", "0", "--rhs", "0", model]) == 2
     assert run_main(["check", "--lhs", "0", "--rhs", "0", "--format", "aut", model]) == 0
+
+
+# -- every notion through the CLI -------------------------------------------------
+
+WORD_BOUND = 2
+GAMELESS = {"weak-sim", "weak-bisim", "strong-bisim", "naive-contrasim-1step"}
+ORACLES = {
+    "weak-sim": relations.weak_sim_preorder,
+    "weak-bisim": relations.weak_bisimilarity,
+    "strong-bisim": relations.strong_bisimilarity,
+}
+
+
+def library_verdict(lts, notion, direction, p, q):
+    if notion == "contrasim":
+        decide = decide_equivalence if direction == "equivalence" else decide_preorder
+        return decide(lts, p, q)
+    pairs = [(p, q), (q, p)] if direction == "equivalence" else [(p, q)]
+    if notion in ORACLES:
+        related = ORACLES[notion](lts)
+        return all(pair in related for pair in pairs)
+    if notion == "naive-contrasim-1step":
+        return all(naive_single_step_preorder(lts, x, y) for x, y in pairs)
+    return all(bounded_word_game_preorder(lts, x, y, WORD_BOUND) for x, y in pairs)
+
+
+@pytest.mark.parametrize("direction", ["preorder", "equivalence"])
+@pytest.mark.parametrize("notion", NOTIONS)
+@pytest.mark.parametrize(
+    "model, lhs, rhs",
+    [
+        ("phil.aut", PHIL_AUT["Pc"], PHIL_AUT["Pp"]),
+        ("instable.aut", INSTABLE_AUT["Pab"], INSTABLE_AUT["Pb"]),
+    ],
+)
+def test_every_notion_matches_library(model, lhs, rhs, notion, direction, tmp_path, capsys):
+    lts, _ = parse_aut((FIXTURES / model).read_text())
+    out_json = tmp_path / "report.json"
+    code = run_main(
+        ["check", "--notion", notion, "--direction", direction,
+         "--lhs", lhs, "--rhs", rhs, "--word-bound", WORD_BOUND,
+         "--emit-certificate", "--emit-json", out_json, FIXTURES / model]
+    )
+    held = library_verdict(lts, notion, direction, lhs, rhs)
+    assert code == (0 if held else 1)
+
+    payload = json.loads(out_json.read_text())
+    assert payload["verdict"] is held
+    gameless = notion in GAMELESS
+    assert (payload["game_positions"] is None) is gameless
+    assert (payload["game_moves"] is None) is gameless
+
+    cert = payload["certificate"]
+    if cert is not None and cert["kind"] == "relation":
+        index = {lts.name_of(s): s for s in range(lts.state_count)}
+        pairs = {(index[p], index[q]) for p, q in cert["pairs"]}
+        assert (lhs, rhs) in pairs
+        check = (
+            relations.is_weak_simulation if notion == "weak-sim"
+            else relations.is_contrasimulation
+        )
+        assert check(lts, pairs)
 
 
 # -- certificates through the CLI --------------------------------------------------
@@ -255,11 +333,12 @@ def test_dot_labels_escape_quotes():
     assert '\\"hi\\"' in text
 
 
-def test_cli_writes_dot_file(tmp_path):
+@pytest.mark.parametrize("notion", ["contrasim", "bounded-word-game"])
+def test_cli_writes_dot_file(notion, tmp_path):
     path = tmp_path / "game.dot"
     run_main(
-        ["check", "--lhs", "Pab", "--rhs", "Pb", "--emit-game-dot", path,
-         FIXTURES / "instable.ccs"]
+        ["check", "--lhs", "Pab", "--rhs", "Pb", "--notion", notion,
+         "--word-bound", "2", "--emit-game-dot", path, FIXTURES / "instable.ccs"]
     )
     lint_dot(path.read_text())
 
