@@ -2,7 +2,9 @@
 certificates.
 
 Exit codes: 0 when the checked relation holds, 1 when it fails, 2 on usage,
-parse, or expansion-budget errors.  Certificates for failing contrasimulation
+parse, file, or expansion-budget errors, and 3 on an internal error (a
+defect), which prints ``internal error: <type>: <message>`` after its
+traceback on stderr.  Certificates for failing contrasimulation
 checks are distinguishing formulas; for holding checks they are relations,
 each independently re-checkable.
 """
@@ -139,7 +141,7 @@ def run_check(request: CheckRequest) -> CheckReport:
     if request.direction == "equivalence":
         directions.append((rhs, lhs))
 
-    # One (graph, positions, set game or None, solution) per direction.
+    # One (graph, set game or word-game positions, solution) per direction.
     games = []
     related = None
     positions = moves = None
@@ -148,19 +150,16 @@ def run_check(request: CheckRequest) -> CheckReport:
         for p, q in directions:
             if notion == "contrasim":
                 game = csgame.build_cs_game(lts, p, q)
-                graph, game_positions = game.graph, game.positions
+                graph = game.graph
             else:
-                game = None
-                graph, game_positions = csgame.build_word_game(
-                    lts, p, q, request.word_bound
-                )
+                graph, game = csgame.build_word_game(lts, p, q, request.word_bound)
             t0 = time.perf_counter()
             solution = solve(graph)
             solve_ms += (time.perf_counter() - t0) * 1000.0
-            games.append((graph, game_positions, game, solution))
-        results = [sol.winner[graph.initial] is Player.DEFENDER for graph, _, _, sol in games]
-        positions = sum(g.position_count for g, _, _, _ in games)
-        moves = sum(g.move_count for g, _, _, _ in games)
+            games.append((graph, game, solution))
+        results = [sol.winner[graph.initial] is Player.DEFENDER for graph, _, sol in games]
+        positions = sum(g.position_count for g, _, _ in games)
+        moves = sum(g.move_count for g, _, _ in games)
     else:
         t0 = time.perf_counter()
         if notion == "naive-contrasim-1step":
@@ -174,11 +173,11 @@ def run_check(request: CheckRequest) -> CheckReport:
     if request.emit_certificate:
         if notion == "contrasim" and all(results):
             pairs: set[tuple[int, int]] = set()
-            for _, _, game, solution in games:
+            for _, game, solution in games:
                 pairs |= csgame.extract_contrasimulation(game, solution)
             certificate = _relation_certificate(lts, pairs)
         elif notion == "contrasim":
-            _, _, game, solution = games[results.index(False)]
+            _, game, solution = games[results.index(False)]
             formula = csgame.extract_distinguishing_formula(
                 game, solution, game.graph.initial
             )
@@ -187,9 +186,11 @@ def run_check(request: CheckRequest) -> CheckReport:
             certificate = _relation_certificate(lts, related)
 
     if request.emit_game_dot is not None:
-        graph, game_positions, _, _ = games[0]
-        fmt = csgame.format_position if notion == "contrasim" else csgame.format_word_position
-        labels = [fmt(lts, pos) for pos in game_positions]
+        graph, game, _ = games[0]
+        if notion == "contrasim":
+            labels = [csgame.format_position(lts, pos) for pos in game.positions]
+        else:
+            labels = [csgame.format_word_position(lts, pos) for pos in game]
         Path(request.emit_game_dot).write_text(export_game_dot(graph, labels))
 
     report = CheckReport(
@@ -356,12 +357,21 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         request = _request_from_args(args)
         report = run_check(request)
+        _print_report(report, sys.stdout)
+        if request.emit_json is not None:
+            Path(request.emit_json).write_text(report_json(report))
     except (UsageError, ParseError, StateBudgetError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    _print_report(report, sys.stdout)
-    if request.emit_json is not None:
-        Path(request.emit_json).write_text(report_json(report))
+    except Exception as exc:
+        # A defect, never a verdict: exit 1 would read as "relation fails".
+        # Imported here because only this path needs it, and importing it
+        # up front would add milliseconds to every start.
+        import traceback
+
+        traceback.print_exc(file=sys.stderr)
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 3
     return 0 if report.verdict else 1
 
 

@@ -20,6 +20,11 @@ preorder, and the certificate extractors below turn winning strategies into
 either a checkable relation (defender) or a distinguishing formula
 (attacker).
 
+The game builder never allocates these position values: it keys positions
+by ints over interned defender sets and records them in parallel lists of
+:class:`CsGame`, which decodes them into the dataclasses above on demand.
+The certificate extractors read the lists directly.
+
 The module also carries two deliberately weaker procedures kept for
 comparison: a single-step fixed point that is unsound for the preorder, and
 a word game whose challenges are cut off at a given length.
@@ -27,6 +32,7 @@ a word game whose challenges are cut off at a given length.
 
 from collections import deque
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Mapping, Union
 
 from .game import GameGraph, GameSolution, Player, PositionalStrategy, solve
@@ -58,17 +64,14 @@ CsPosition = Union[AttackerPos, SimPos, SwapPos]
 Relation = frozenset[tuple[int, int]]
 
 
-def owner_of(pos: CsPosition) -> Player:
-    return Player.ATTACKER if isinstance(pos, AttackerPos) else Player.DEFENDER
-
-
 def cs_successors(lts: Lts, pos: CsPosition) -> list[CsPosition]:
     """Legal moves from a position, in a fixed deterministic order.
 
     Challenges use delay steps (leading internal behavior, then the action);
     swap answers apply internal closure to the defender's set.  An attacker
     position always has at least the reflexive swap challenge; a swap over
-    the empty set has no answers.
+    the empty set has no answers.  This is the executable specification that
+    :func:`build_cs_game` follows move for move.
     """
     if isinstance(pos, AttackerPos):
         here = frozenset((pos.p,))
@@ -87,14 +90,50 @@ def cs_successors(lts: Lts, pos: CsPosition) -> list[CsPosition]:
     raise TypeError(f"unknown position {pos!r}")
 
 
+# Position kinds, as stored in CsGame.kinds.
+ATTACKER, SIM, SWAP = 0, 1, 2
+
+_OWNER = (Player.ATTACKER, Player.DEFENDER, Player.DEFENDER)
+
+
 @dataclass(frozen=True)
 class CsGame:
-    """The reachable part of the set game, index-aligned with its GameGraph."""
+    """The reachable part of the set game, index-aligned with its GameGraph.
+
+    Position ``i`` is stored in parallel lists: its kind ``kinds[i]``
+    (``ATTACKER``, ``SIM`` or ``SWAP``), the attacker's state ``states[i]``,
+    the defender's set ``q_sets[q_ids[i]]`` and, for a simulation challenge,
+    the index ``actions[i]`` into ``lts.visible_actions`` (-1 otherwise).
+    Every distinct set is stored once.  ``positions`` and ``index`` decode
+    the lists into ``AttackerPos``/``SimPos``/``SwapPos`` values on first
+    use.  The lists must not be mutated.
+    """
 
     lts: Lts
     graph: GameGraph
-    positions: tuple[CsPosition, ...]
-    index: Mapping[CsPosition, int]
+    kinds: list[int]
+    states: list[int]
+    q_ids: list[int]
+    actions: list[int]
+    q_sets: list[StateSet]
+
+    @cached_property
+    def positions(self) -> tuple[CsPosition, ...]:
+        visible = self.lts.visible_actions
+        out: list[CsPosition] = []
+        for kind, p, qid, ai in zip(self.kinds, self.states, self.q_ids, self.actions):
+            q_set = self.q_sets[qid]
+            if kind == ATTACKER:
+                out.append(AttackerPos(p, q_set))
+            elif kind == SIM:
+                out.append(SimPos(visible[ai], p, q_set))
+            else:
+                out.append(SwapPos(p, q_set))
+        return tuple(out)
+
+    @cached_property
+    def index(self) -> Mapping[CsPosition, int]:
+        return {pos: idx for idx, pos in enumerate(self.positions)}
 
     @property
     def initial_position(self) -> CsPosition:
@@ -104,30 +143,124 @@ class CsGame:
 def build_cs_game(lts: Lts, p: int, q: int) -> CsGame:
     """Breadth-first closure of the move relation from ``AttackerPos(p, {q})``.
 
-    Positions are deduplicated by structural identity; the construction is
-    finite because there are at most (|actions|+2) * |S| * 2^|S| positions.
+    Produces the positions and moves of a breadth-first search over
+    :func:`cs_successors`, in the same order.  The construction is finite
+    because there are at most (|actions|+2) * |S| * 2^|S| positions.
+
+    A position is keyed by one int, ``((q_id * width + a) * n + s) * 3 + kind``.
+    Each distinct set is interned once; its internal closure and its delay
+    successor per action are computed on first use and then looked up, and
+    each state's challenges are listed once.
     """
     lts._check_state(p)
     lts._check_state(q)
-    initial = AttackerPos(p, frozenset((q,)))
-    index: dict[CsPosition, int] = {initial: 0}
-    positions: list[CsPosition] = [initial]
+    n = lts.state_count
+    visible = lts.visible_actions
+    width = max(len(visible), 1)
+    stride = width * n * 3  # key distance between consecutive set ids
+    closure = lts._closure
+    empty: StateSet = frozenset()
+    # step[a][s]: the Lts's own strong successor set of s by visible[a].
+    step = [[lts._strong[s].get(a, empty) for s in range(n)] for a in visible]
+
+    q_sets: list[StateSet] = []
+    q_index: dict[StateSet, int] = {}
+    answers: list[list[int] | None] = []  # sorted internal closure per set id
+    delay: list[int] = []  # delay[q_id * width + a]: set id of the a-step, -1 if not yet known
+    singleton = [-1] * n  # set id of {s}, -1 if not yet known
+    challenges: list[list[tuple[int, int, int, int]] | None] = [None] * n
+
+    def intern(q_set: StateSet) -> int:
+        qid = q_index.get(q_set)
+        if qid is None:
+            qid = len(q_sets)
+            q_index[q_set] = qid
+            q_sets.append(q_set)
+            answers.append(None)
+            delay.extend([-1] * width)
+        return qid
+
+    def closed(qid: int) -> list[int]:
+        reached = answers[qid]
+        if reached is None:
+            reached = answers[qid] = sorted(empty.union(*map(closure.__getitem__, q_sets[qid])))
+        return reached
+
+    def single(s: int) -> int:
+        qid = singleton[s]
+        if qid < 0:
+            # A state without internal steps is its own closure: reuse that set.
+            qid = singleton[s] = intern(closure[s] if len(closure[s]) == 1 else frozenset((s,)))
+        return qid
+
+    def challenges_of(s: int) -> list[tuple[int, int, int, int]]:
+        """(key offset, kind, state, action index) of each challenge from ``s``."""
+        out = []
+        for ai, a in enumerate(visible):
+            for s2 in sorted(lts.delay_successors((s,), a)):
+                out.append(((ai * n + s2) * 3 + SIM, SIM, s2, ai))
+        out += [(s2 * 3 + SWAP, SWAP, s2, -1) for s2 in sorted(closure[s])]
+        challenges[s] = out
+        return out
+
+    def delay_of(qid: int, ai: int) -> int:
+        here = closed(qid)
+        if len(here) == 1:
+            target = step[ai][here[0]]  # a lone stable state: no new set
+        else:
+            target = empty.union(*map(step[ai].__getitem__, here))
+        delay[qid * width + ai] = target_id = intern(target)
+        return target_id
+
+    kinds: list[int] = []
+    states: list[int] = []
+    q_ids: list[int] = []
+    actions: list[int] = []
+    index: dict[int, int] = {}  # position key -> position index
+
+    def add(key: int, kind: int, s: int, qid: int, ai: int) -> int:
+        idx = index[key] = len(kinds)
+        kinds.append(kind)
+        states.append(s)
+        q_ids.append(qid)
+        actions.append(ai)
+        return idx
+
+    initial = single(q)
+    add(initial * stride + p * 3 + ATTACKER, ATTACKER, p, initial, -1)
     moves: list[list[int]] = []
-    todo: deque[CsPosition] = deque((initial,))
-    while todo:
-        pos = todo.popleft()
+    # Positions are appended in discovery order, so walking the lists in
+    # index order is the breadth-first queue.
+    at = 0
+    while at < len(kinds):
+        kind, s, qid = kinds[at], states[at], q_ids[at]
         row = []
-        for succ in cs_successors(lts, pos):
-            idx = index.get(succ)
-            if idx is None:
-                idx = len(positions)
-                index[succ] = idx
-                positions.append(succ)
-                todo.append(succ)
-            row.append(idx)
+        if kind == ATTACKER:
+            base = qid * stride
+            for offset, kind2, s2, ai in challenges[s] or challenges_of(s):
+                key = base + offset
+                idx = index.get(key)
+                row.append(add(key, kind2, s2, qid, ai) if idx is None else idx)
+        elif kind == SIM:
+            ai = actions[at]
+            target = delay[qid * width + ai]
+            if target < 0:
+                target = delay_of(qid, ai)
+            key = target * stride + s * 3 + ATTACKER
+            idx = index.get(key)
+            row.append(add(key, ATTACKER, s, target, -1) if idx is None else idx)
+        else:
+            swapped = single(s)
+            base = swapped * stride
+            for s2 in closed(qid):
+                key = base + s2 * 3 + ATTACKER
+                idx = index.get(key)
+                row.append(add(key, ATTACKER, s2, swapped, -1) if idx is None else idx)
         moves.append(row)
-    graph = GameGraph((owner_of(pos) for pos in positions), moves, initial=0)
-    return CsGame(lts=lts, graph=graph, positions=tuple(positions), index=index)
+        at += 1
+
+    graph = GameGraph(map(_OWNER.__getitem__, kinds), moves, initial=0)
+    return CsGame(lts, graph, kinds, states, q_ids, actions, q_sets)
 
 
 def decide_preorder(lts: Lts, p: int, q: int) -> bool:
@@ -155,28 +288,24 @@ def extract_contrasimulation(game: CsGame, solution: GameSolution) -> Relation:
     initial = game.graph.initial
     if solution.winner[initial] is not Player.DEFENDER:
         raise ValueError("no contrasimulation to extract: the attacker wins")
-    root = game.positions[initial]
-    assert isinstance(root, AttackerPos)
-    (q0,) = root.q_set
-    pairs = {(root.p, q0)}
+    kinds, states = game.kinds, game.states
+    (q0,) = game.q_sets[game.q_ids[initial]]
+    pairs = {(states[initial], q0)}
 
     reached = {initial}
     todo = deque((initial,))
     while todo:
         idx = todo.popleft()
-        pos = game.positions[idx]
-        if isinstance(pos, AttackerPos):
+        if kinds[idx] == ATTACKER:
             targets: Iterable[int] = game.graph.moves[idx]
         else:
             chosen = solution.defender_strategy.move_from(idx)
             if chosen is None:
                 # Unreachable for a winning strategy from a won position.
-                raise ValueError(f"defender strategy undefined at {pos!r}")
+                raise ValueError(f"defender strategy undefined at {game.positions[idx]!r}")
             targets = (chosen,)
-            if isinstance(pos, SwapPos):
-                answer = game.positions[chosen]
-                assert isinstance(answer, AttackerPos)
-                pairs.add((answer.p, pos.p))
+            if kinds[idx] == SWAP:
+                pairs.add((states[chosen], states[idx]))
         for t in targets:
             if t not in reached:
                 reached.add(t)
@@ -191,35 +320,40 @@ def extract_distinguishing_formula(
 
     A simulation challenge becomes a delayed observation over the unique
     defender answer; a swap challenge becomes a delayed nor over all defender
-    answers (all of them attacker-won).  Recursion terminates because the
-    attacker rank strictly decreases.  The result is satisfied by the
-    position's process and refuted by every member of its set.
+    answers (all of them attacker-won).  The attacker rank strictly
+    decreases from a position to each answer of its challenge, so the
+    explicit stack below never revisits a position it is still building.
+    The result is satisfied by the position's process and refuted by every
+    member of its set.
     """
     idx = pos if isinstance(pos, int) else game.index[pos]
-    if not isinstance(game.positions[idx], AttackerPos):
+    if game.kinds[idx] != ATTACKER:
         raise ValueError("formulas are extracted at attacker positions")
     if solution.winner[idx] is not Player.ATTACKER:
         raise ValueError("no distinguishing formula: the defender wins here")
 
+    visible = game.lts.visible_actions
     memo: dict[int, HmlFormula] = {}
-
-    def build(at: int) -> HmlFormula:
-        cached = memo.get(at)
-        if cached is not None:
-            return cached
+    stack = [idx]
+    while stack:
+        at = stack[-1]
+        if at in memo:
+            stack.pop()
+            continue
         challenge = solution.attacker_strategy.move_from(at)
         assert challenge is not None
-        target = game.positions[challenge]
-        if isinstance(target, SimPos):
-            (answer,) = game.graph.moves[challenge]
-            result: HmlFormula = DelayObs(target.action, build(answer))
+        answers = game.graph.moves[challenge]
+        missing = [t for t in answers if t not in memo]
+        if missing:
+            stack.extend(missing)
+            continue
+        stack.pop()
+        if game.kinds[challenge] == SIM:
+            (answer,) = answers
+            memo[at] = DelayObs(visible[game.actions[challenge]], memo[answer])
         else:
-            assert isinstance(target, SwapPos)
-            result = DelayNor(tuple(build(t) for t in game.graph.moves[challenge]))
-        memo[at] = result
-        return result
-
-    return build(idx)
+            memo[at] = DelayNor(tuple(memo[t] for t in answers))
+    return memo[idx]
 
 
 # -- deliberately weaker procedures -------------------------------------------

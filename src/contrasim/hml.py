@@ -50,43 +50,74 @@ def hml_satisfies(lts: Lts, state: int, formula: HmlFormula) -> bool:
     """Decide whether ``state`` satisfies ``formula``.
 
     Subformulas may be shared between branches; results are memoized per
-    (state, subformula) pair.
+    (state, subformula) pair.  Each pending pair is a generator on an
+    explicit stack, so formula depth is not bounded by the recursion limit;
+    the disjunctions still stop at their first deciding branch.
     """
-    memo: dict[tuple[int, int], bool] = {}
 
-    def sat(s: int, phi: HmlFormula) -> bool:
-        key = (s, id(phi))
-        cached = memo.get(key)
-        if cached is not None:
-            return cached
+    def evaluate(s: int, phi: HmlFormula):
+        """Yield the (state, subformula) pairs ``phi`` at ``s`` depends on,
+        receive each one's truth value, and return the result."""
         if isinstance(phi, Truth):
-            result = True
-        elif isinstance(phi, DelayObs):
-            result = any(
-                sat(s2, phi.body)
-                for s2 in lts.delay_successors(frozenset((s,)), phi.action)
-            )
-        elif isinstance(phi, DelayNor):
-            result = any(
-                not any(sat(s2, b) for b in phi.branches)
-                for s2 in lts.internal_closure(frozenset((s,)))
-            )
-        else:
-            raise TypeError(f"unknown formula {phi!r}")
-        memo[key] = result
-        return result
+            return True
+        if isinstance(phi, DelayObs):
+            for s2 in lts.delay_successors((s,), phi.action):
+                if (yield s2, phi.body):
+                    return True
+            return False
+        if isinstance(phi, DelayNor):
+            for s2 in lts.internal_closure((s,)):
+                for branch in phi.branches:
+                    if (yield s2, branch):
+                        break
+                else:
+                    return True
+            return False
+        raise TypeError(f"unknown formula {phi!r}")
 
     lts._check_state(state)
-    return sat(state, formula)
+    memo: dict[tuple[int, int], bool] = {}
+    stack = [((state, id(formula)), evaluate(state, formula))]
+    value = None
+    while True:
+        key, pending = stack[-1]
+        try:
+            s2, phi = pending.send(value)
+        except StopIteration as done:
+            value = memo[key] = done.value
+            stack.pop()
+            if not stack:
+                return value
+            continue
+        value = memo.get((s2, id(phi)))
+        if value is None:
+            stack.append(((s2, id(phi)), evaluate(s2, phi)))
 
 
 def format_formula(formula: HmlFormula) -> str:
-    """Serialize a formula: ``T``, ``<e><a>...`` and ``<e>~(...|...)``."""
-    if isinstance(formula, Truth):
-        return "T"
-    if isinstance(formula, DelayObs):
-        return f"<e><{formula.action}>{format_formula(formula.body)}"
-    if isinstance(formula, DelayNor):
-        inner = "|".join(format_formula(b) for b in formula.branches)
-        return f"<e>~({inner})"
-    raise TypeError(f"unknown formula {formula!r}")
+    """Serialize a formula: ``T``, ``<e><a>...`` and ``<e>~(...|...)``.
+
+    Works from an explicit stack of formulas and literal text, so formula
+    depth is not bounded by the recursion limit.
+    """
+    out: list[str] = []
+    stack: list[HmlFormula | str] = [formula]
+    while stack:
+        item = stack.pop()
+        if isinstance(item, str):
+            out.append(item)
+        elif isinstance(item, Truth):
+            out.append("T")
+        elif isinstance(item, DelayObs):
+            out.append(f"<e><{item.action}>")
+            stack.append(item.body)
+        elif isinstance(item, DelayNor):
+            out.append("<e>~(")
+            stack.append(")")
+            for i, branch in enumerate(reversed(item.branches)):
+                if i:
+                    stack.append("|")
+                stack.append(branch)
+        else:
+            raise TypeError(f"unknown formula {item!r}")
+    return "".join(out)

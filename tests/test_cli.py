@@ -20,11 +20,12 @@ from contrasim.csgame import (
     build_cs_game,
     decide_equivalence,
     decide_preorder,
+    extract_distinguishing_formula,
     format_position,
     naive_single_step_preorder,
 )
-from contrasim.game import GameGraph, Player
-from contrasim.hml import DelayNor, DelayObs, TRUTH, hml_satisfies
+from contrasim.game import GameGraph, Player, solve
+from contrasim.hml import DelayNor, DelayObs, TRUTH, format_formula, hml_satisfies
 from contrasim.lts import act
 
 from conftest import FIXTURES, INSTABLE_AUT, PHIL_AUT
@@ -122,6 +123,19 @@ def test_budget_error_exits_two(tmp_path, capsys):
     assert "budget" in capsys.readouterr().err
 
 
+def test_internal_error_exits_three(monkeypatch, capsys):
+    def broken(request):
+        raise RuntimeError("broken invariant")
+
+    monkeypatch.setattr("contrasim.cli.run_check", broken)
+    code = run_main(["check", "--lhs", "1", "--rhs", "2", FIXTURES / "phil.aut"])
+    assert code == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "Traceback" in captured.err
+    assert captured.err.endswith("internal error: RuntimeError: broken invariant\n")
+
+
 def test_unknown_extension_needs_format_flag(tmp_path, capsys):
     model = tmp_path / "model.txt"
     model.write_text('des (0,0,1)\n')
@@ -209,6 +223,32 @@ def test_failing_certificate_formula_separates_processes(locked, tmp_path, capsy
     specific = DelayNor((DelayObs(act("op"), DelayObs(act("aEats"), TRUTH)),))
     assert hml_satisfies(lts, pc, specific) and not hml_satisfies(lts, pl, specific)
     assert rendered.startswith("<e>~(")
+
+
+def test_deep_chain_certificate(tmp_path, capsys):
+    """A 3,000-step a-chain ending in b against one ending in c: the formula
+    is 3,000 observations deep, far past the recursion limit."""
+    n = 3000
+    records = [f'({i},"a",{i + 1})' for i in range(n)]
+    records += [f'({n + 1 + i},"a",{n + 2 + i})' for i in range(n)]
+    records += [f'({n},"b",{2 * n + 2})', f'({2 * n + 1},"c",{2 * n + 2})']
+    chain = tmp_path / "chain.aut"
+    chain.write_text("\n".join([f"des (0,{len(records)},{2 * n + 3})", *records]) + "\n")
+    lhs, rhs = 0, n + 1
+
+    code = run_main(
+        ["check", "--lhs", lhs, "--rhs", rhs, "--emit-certificate", chain]
+    )
+    assert code == 1
+    match = re.search(r"^formula: (.+)$", capsys.readouterr().out, re.MULTILINE)
+    assert match is not None
+
+    lts, _ = parse_aut(chain.read_text())
+    game = build_cs_game(lts, lhs, rhs)
+    phi = extract_distinguishing_formula(game, solve(game.graph), game.graph.initial)
+    assert format_formula(phi) == match.group(1)
+    assert hml_satisfies(lts, lhs, phi)
+    assert not hml_satisfies(lts, rhs, phi)
 
 
 def test_holding_certificate_is_sorted_relation(tmp_path):

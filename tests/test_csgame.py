@@ -135,6 +135,51 @@ def test_position_kinds_partition_ownership(phil):
             assert len(game.graph.moves[idx]) == 1
 
 
+def reference_game(lts, p, q):
+    """Positions and move rows of a plain breadth-first search over
+    ``cs_successors`` from ``AttackerPos(p, {q})``."""
+    initial = AttackerPos(p, frozenset({q}))
+    index = {initial: 0}
+    positions = [initial]
+    moves = []
+    for pos in positions:  # grows while it is walked: the BFS queue
+        row = []
+        for succ in cs_successors(lts, pos):
+            if succ not in index:
+                index[succ] = len(positions)
+                positions.append(succ)
+            row.append(index[succ])
+        moves.append(tuple(row))
+    return positions, moves
+
+
+@given(random_lts_strategy(), st.data())
+@settings(max_examples=60, deadline=None)
+def test_builder_matches_reference_bfs(lts, data):
+    p = data.draw(st.integers(0, lts.state_count - 1))
+    q = data.draw(st.integers(0, lts.state_count - 1))
+    game = build_cs_game(lts, p, q)
+    positions, moves = reference_game(lts, p, q)
+    assert list(game.positions) == positions
+    assert list(game.graph.moves) == moves
+    assert game.graph.initial == 0
+    assert game.initial_position == AttackerPos(p, frozenset({q}))
+    for idx, pos in enumerate(game.positions):
+        assert game.index[pos] == idx
+
+
+def test_blow_twelve_game_size():
+    """blow(12): a state looping on a and b against the NFA that loops on a
+    and b and guesses "b, then 11 more letters"."""
+    a, b = act("a"), act("b")
+    k = 12
+    edges = [(0, a, 0), (0, b, 0), (1, a, 1), (1, b, 1), (1, b, 2)]
+    edges += [(i, x, i + 1) for i in range(2, k + 1) for x in (a, b)]
+    game = build_cs_game(Lts(k + 2, edges), 0, 1)
+    assert game.graph.position_count == 16_487
+    assert game.graph.move_count == 49_305
+
+
 @given(random_lts_strategy())
 @settings(max_examples=40, deadline=None)
 def test_reachable_positions_within_exponential_bound(lts):
