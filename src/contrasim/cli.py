@@ -1,12 +1,17 @@
 """Command-line front end: load a model, run a check, emit verdicts and
 certificates.
 
+Each query builds one game or computes one relation: under ``--direction
+equivalence`` the backward verdict is read off the lhs-vs-rhs game at its
+reverse root, and ``game_positions``, ``game_moves``, ``solve_ms`` and
+``--emit-game-dot`` describe that one game.
+
 Exit codes: 0 when the checked relation holds, 1 when it fails, 2 on usage,
 parse, file, or expansion-budget errors, and 3 on an internal error (a
 defect), which prints ``internal error: <type>: <message>`` after its
-traceback on stderr.  Certificates for failing contrasimulation
-checks are distinguishing formulas; for holding checks they are relations,
-each independently re-checkable.
+traceback on stderr.  A failing contrasimulation check is certified by a
+formula that the first failing direction's left side satisfies and its
+right side refutes, a holding one by a relation; both are re-checkable.
 """
 
 import argparse
@@ -86,7 +91,10 @@ class UsageError(ValueError):
 
 
 def _load_model(request: CheckRequest) -> tuple[Lts, int, int]:
-    text = Path(request.input_path).read_text()
+    try:
+        text = Path(request.input_path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"input is not UTF-8 text: {exc}") from None
     if request.input_format == "aut":
         lts, _initial = parse_aut(text)
         try:
@@ -137,56 +145,44 @@ def run_check(request: CheckRequest) -> CheckReport:
         raise UsageError(f"notion {notion!r} builds no game graph to export")
 
     lts, lhs, rhs = _load_model(request)
-    directions = [(lhs, rhs)]
-    if request.direction == "equivalence":
-        directions.append((rhs, lhs))
-
-    # One (graph, set game or word-game positions, solution) per direction.
-    games = []
-    related = None
+    equivalence = request.direction == "equivalence"
     positions = moves = None
     if notion in GAME_NOTIONS:
-        solve_ms = 0.0
-        for p, q in directions:
-            if notion == "contrasim":
-                game = csgame.build_cs_game(lts, p, q)
-                graph = game.graph
-            else:
-                graph, game = csgame.build_word_game(lts, p, q, request.word_bound)
-            t0 = time.perf_counter()
-            solution = solve(graph)
-            solve_ms += (time.perf_counter() - t0) * 1000.0
-            games.append((graph, game, solution))
-        results = [sol.winner[graph.initial] is Player.DEFENDER for graph, _, sol in games]
-        positions = sum(g.position_count for g, _, _ in games)
-        moves = sum(g.move_count for g, _, _ in games)
+        if notion == "contrasim":
+            game = csgame.build_cs_game(lts, lhs, rhs)
+            graph = game.graph
+        else:
+            graph, game = csgame.build_word_game(lts, lhs, rhs, request.word_bound)
+        roots = [graph.initial]
+        if equivalence and notion == "contrasim":
+            roots.append(game.swapped_initial)
+        elif equivalence:
+            roots.append(game.index(csgame._WordAttacker(rhs, lhs)))
+        t0 = time.perf_counter()
+        solution = solve(graph)
+        solve_ms = (time.perf_counter() - t0) * 1000.0
+        results = [solution.winner[root] is Player.DEFENDER for root in roots]
+        positions, moves = graph.position_count, graph.move_count
     else:
         t0 = time.perf_counter()
-        if notion == "naive-contrasim-1step":
-            results = [csgame.naive_single_step_preorder(lts, p, q) for p, q in directions]
-        else:
-            related = ORACLES[notion](lts)
-            results = [pair in related for pair in directions]
+        related = ORACLES.get(notion, csgame.naive_single_step_relation)(lts)
         solve_ms = (time.perf_counter() - t0) * 1000.0
+        directions = [(lhs, rhs), (rhs, lhs)] if equivalence else [(lhs, rhs)]
+        results = [pair in related for pair in directions]
 
     certificate = None
     if request.emit_certificate:
         if notion == "contrasim" and all(results):
-            pairs: set[tuple[int, int]] = set()
-            for _, game, solution in games:
-                pairs |= csgame.extract_contrasimulation(game, solution)
+            pairs = csgame.extract_contrasimulation(game, solution, roots)
             certificate = _relation_certificate(lts, pairs)
         elif notion == "contrasim":
-            _, game, solution = games[results.index(False)]
-            formula = csgame.extract_distinguishing_formula(
-                game, solution, game.graph.initial
-            )
+            first_lost = roots[results.index(False)]
+            formula = csgame.extract_distinguishing_formula(game, solution, first_lost)
             certificate = Certificate(kind="formula", formula=format_formula(formula))
-        elif related is not None and all(results):
+        elif notion in ORACLES and all(results):
             certificate = _relation_certificate(lts, related)
 
     if request.emit_game_dot is not None:
-        graph, game, _ = games[0]
         if notion == "contrasim":
             labels = [csgame.format_position(lts, pos) for pos in game.positions]
         else:

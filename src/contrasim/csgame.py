@@ -18,7 +18,9 @@ The defender wins exactly from the positions of the backward-attractor
 complement; a defender win at ``AttackerPos(p, {q})`` certifies the
 preorder, and the certificate extractors below turn winning strategies into
 either a checkable relation (defender) or a distinguishing formula
-(attacker).
+(attacker).  The attacker's reflexive swap leads from ``AttackerPos(p, {q})``
+to ``AttackerPos(q, {p})``, so one game decides both directions of an
+equivalence: the reverse one at :attr:`CsGame.swapped_initial`.
 
 The game builder never allocates these position values: it keys positions
 by ints over interned defender sets and records them in parallel lists of
@@ -138,6 +140,18 @@ class CsGame:
     @property
     def initial_position(self) -> CsPosition:
         return self.positions[self.graph.initial]
+
+    @property
+    def swapped_initial(self) -> int:
+        """Index of ``AttackerPos(q, {p})``, the answer ``q`` to the reflexive
+        swap ``SwapPos(p, {q})`` from the initial ``AttackerPos(p, {q})``; its
+        winner decides ``q`` below ``p``."""
+        moves, kinds, states = self.graph.moves, self.kinds, self.states
+        initial = self.graph.initial
+        p = states[initial]
+        (q,) = self.q_sets[self.q_ids[initial]]
+        swap = next(i for i in moves[initial] if kinds[i] == SWAP and states[i] == p)
+        return next(i for i in moves[swap] if states[i] == q)
 
 
 def build_cs_game(lts: Lts, p: int, q: int) -> CsGame:
@@ -271,29 +285,43 @@ def decide_preorder(lts: Lts, p: int, q: int) -> bool:
 
 
 def decide_equivalence(lts: Lts, p: int, q: int) -> bool:
-    return decide_preorder(lts, p, q) and decide_preorder(lts, q, p)
+    """Both preorders, read off one game at its two roots."""
+    game = build_cs_game(lts, p, q)
+    winner = solve(game.graph).winner
+    return all(
+        winner[root] is Player.DEFENDER
+        for root in (game.graph.initial, game.swapped_initial)
+    )
 
 
 # -- certificates -------------------------------------------------------------
 
 
-def extract_contrasimulation(game: CsGame, solution: GameSolution) -> Relation:
+def extract_contrasimulation(
+    game: CsGame, solution: GameSolution, roots: Iterable[int] | None = None
+) -> Relation:
     """Read a relation off the defender's winning strategy.
 
-    The result contains the initial pair plus, for every swap answer inside
-    the play subgraph (all attacker moves, only the strategy's defender
-    moves), the swapped pair it commits to.  It always passes the
-    independent contrasimulation check.
+    ``roots`` are attacker positions over a single defender state, by
+    default the initial position.  The result contains the pair of each
+    root plus, for every swap answer inside the play subgraph from the
+    roots (all attacker moves, only the strategy's defender moves), the
+    swapped pair it commits to.  It always passes the independent
+    contrasimulation check.
     """
-    initial = game.graph.initial
-    if solution.winner[initial] is not Player.DEFENDER:
-        raise ValueError("no contrasimulation to extract: the attacker wins")
+    roots = (game.graph.initial,) if roots is None else tuple(roots)
     kinds, states = game.kinds, game.states
-    (q0,) = game.q_sets[game.q_ids[initial]]
-    pairs = {(states[initial], q0)}
+    pairs = set()
+    for root in roots:
+        if solution.winner[root] is not Player.DEFENDER:
+            raise ValueError("no contrasimulation to extract: the attacker wins")
+        q_set = game.q_sets[game.q_ids[root]]
+        if kinds[root] != ATTACKER or len(q_set) != 1:
+            raise ValueError("relations are extracted at attacker positions over one state")
+        pairs.add((states[root], *q_set))
 
-    reached = {initial}
-    todo = deque((initial,))
+    reached = set(roots)
+    todo = deque(roots)
     while todo:
         idx = todo.popleft()
         if kinds[idx] == ATTACKER:
@@ -359,7 +387,7 @@ def extract_distinguishing_formula(
 # -- deliberately weaker procedures -------------------------------------------
 
 
-def naive_single_step_preorder(lts: Lts, p: int, q: int) -> bool:
+def naive_single_step_relation(lts: Lts) -> Relation:
     """Greatest fixed point of the single-step swap condition.
 
     Every weak single step of the left state must be answered by a weak step
@@ -369,8 +397,6 @@ def naive_single_step_preorder(lts: Lts, p: int, q: int) -> bool:
     executable counterexample and for the tau-free case, where it agrees
     with the game.
     """
-    lts._check_state(p)
-    lts._check_state(q)
     n = lts.state_count
     alphabet = lts.visible_actions + (TAU,)
     weak = {
@@ -389,7 +415,14 @@ def naive_single_step_preorder(lts: Lts, p: int, q: int) -> bool:
             if not ok:
                 rel.discard((x, y))
                 changed = True
-    return (p, q) in rel
+    return frozenset(rel)
+
+
+def naive_single_step_preorder(lts: Lts, p: int, q: int) -> bool:
+    """Whether ``(p, q)`` lies in :func:`naive_single_step_relation`."""
+    lts._check_state(p)
+    lts._check_state(q)
+    return (p, q) in naive_single_step_relation(lts)
 
 
 @dataclass(frozen=True, slots=True)
@@ -415,7 +448,8 @@ def build_word_game(
     word length only removes attacker options, so the solved verdict
     over-approximates the preorder; it is exact on acyclic systems once the
     bound reaches the state count.  Returns the graph and its index-aligned
-    positions.
+    positions.  The empty-word challenge leads from ``_WordAttacker(p, q)``
+    to ``_WordAttacker(q, p)``, whose winner decides the reverse preorder.
     """
     if max_word_length < 1:
         raise ValueError("max_word_length must be at least 1")

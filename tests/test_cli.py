@@ -1,9 +1,10 @@
 import json
 import re
+from pathlib import Path
 
 import pytest
 
-from contrasim import relations
+from contrasim import csgame, relations
 from contrasim.aut import parse_aut
 from contrasim.cli import (
     NOTIONS,
@@ -29,6 +30,8 @@ from contrasim.hml import DelayNor, DelayObs, TRUTH, format_formula, hml_satisfi
 from contrasim.lts import act
 
 from conftest import FIXTURES, INSTABLE_AUT, PHIL_AUT
+
+TESTS = Path(__file__).resolve().parent
 
 JSON_FIELDS = [
     "verdict",
@@ -100,6 +103,7 @@ def test_aut_input_uses_state_indices(capsys):
         ["check", "--lhs", "1", "--rhs", "2", "--max-states", "-5",
          FIXTURES / "phil.aut"],
         ["check", "--lhs", "X", "--rhs", "X", "/nonexistent/file.ccs"],
+        ["check", "--lhs", "0", "--rhs", "1", TESTS / "data" / "not_utf8.aut"],
     ],
 )
 def test_usage_errors_exit_two(args, capsys):
@@ -174,6 +178,8 @@ def library_verdict(lts, notion, direction, p, q):
     [
         ("phil.aut", PHIL_AUT["Pc"], PHIL_AUT["Pp"]),
         ("instable.aut", INSTABLE_AUT["Pab"], INSTABLE_AUT["Pb"]),
+        # the forward check holds and the backward one fails
+        ("instable.aut", INSTABLE_AUT["bE"], INSTABLE_AUT["AB"]),
     ],
 )
 def test_every_notion_matches_library(model, lhs, rhs, notion, direction, tmp_path, capsys):
@@ -194,15 +200,58 @@ def test_every_notion_matches_library(model, lhs, rhs, notion, direction, tmp_pa
     assert (payload["game_moves"] is None) is gameless
 
     cert = payload["certificate"]
+    if notion == "contrasim":
+        assert cert["kind"] == ("relation" if held else "formula")
     if cert is not None and cert["kind"] == "relation":
         index = {lts.name_of(s): s for s in range(lts.state_count)}
         pairs = {(index[p], index[q]) for p, q in cert["pairs"]}
         assert (lhs, rhs) in pairs
+        if notion == "contrasim" and direction == "equivalence":
+            assert (rhs, lhs) in pairs
         check = (
             relations.is_weak_simulation if notion == "weak-sim"
             else relations.is_contrasimulation
         )
         assert check(lts, pairs)
+    if cert is not None and cert["kind"] == "formula":
+        # The formula comes from the lhs-vs-rhs game, at the root of the
+        # first failing direction.
+        game = build_cs_game(lts, lhs, rhs)
+        solution = solve(game.graph)
+        forward = solution.winner[game.graph.initial] is Player.DEFENDER
+        root, left, right = (
+            (game.swapped_initial, rhs, lhs) if forward else (game.graph.initial, lhs, rhs)
+        )
+        phi = extract_distinguishing_formula(game, solution, root)
+        assert format_formula(phi) == cert["formula"]
+        assert hml_satisfies(lts, left, phi)
+        assert not hml_satisfies(lts, right, phi)
+
+
+@pytest.mark.parametrize(
+    "notion, work",
+    [
+        ("contrasim", "build_cs_game"),
+        ("bounded-word-game", "build_word_game"),
+        ("naive-contrasim-1step", "naive_single_step_relation"),
+    ],
+)
+def test_equivalence_does_the_work_once(notion, work, monkeypatch, capsys):
+    """Both directions are read off one game or one relation."""
+    calls = []
+    original = getattr(csgame, work)
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(csgame, work, counted)
+    run_main(
+        ["check", "--notion", notion, "--direction", "equivalence",
+         "--lhs", INSTABLE_AUT["bE"], "--rhs", INSTABLE_AUT["AB"], "--word-bound", 2,
+         "--emit-certificate", FIXTURES / "instable.aut"]
+    )
+    assert len(calls) == 1
 
 
 # -- certificates through the CLI --------------------------------------------------

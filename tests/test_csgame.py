@@ -7,8 +7,10 @@ from contrasim.csgame import (
     AttackerPos,
     SimPos,
     SwapPos,
+    _WordAttacker,
     bounded_word_game_preorder,
     build_cs_game,
+    build_word_game,
     cs_successors,
     decide_equivalence,
     decide_preorder,
@@ -16,6 +18,7 @@ from contrasim.csgame import (
     extract_distinguishing_formula,
     fc_membership,
     naive_single_step_preorder,
+    naive_single_step_relation,
     strategy_from_fc,
 )
 from contrasim.game import Player, PlayOutcome, simulate_play, solve, validate_play
@@ -192,11 +195,17 @@ def test_reachable_positions_within_exponential_bound(lts):
 # -- deciding the preorder ----------------------------------------------------------
 
 
-def test_phil_equivalence(phil):
+def test_phil_equivalence(phil, monkeypatch):
     lts, pc, pp = phil
     assert decide_preorder(lts, pc, pp)
     assert decide_preorder(lts, pp, pc)
+    builds = []
+    monkeypatch.setattr(
+        "contrasim.csgame.build_cs_game",
+        lambda *args: builds.append(args) or build_cs_game(*args),
+    )
     assert decide_equivalence(lts, pc, pp)
+    assert builds == [(lts, pc, pp)]
 
 
 def test_locked_fails_one_direction(locked):
@@ -232,6 +241,8 @@ def test_extraction_on_deadlock_self_pair():
     game = build_cs_game(lts, 0, 0)
     solution = solve(game.graph)
     assert extract_contrasimulation(game, solution) == {(0, 0)}
+    with pytest.raises(ValueError):  # position 1 is the swap, not a pair
+        extract_contrasimulation(game, solution, (1,))
 
 
 def test_extraction_refuses_attacker_won_instances(locked):
@@ -286,6 +297,44 @@ def test_certificates_sound_on_random_instances(lts):
         phi = extract_distinguishing_formula(game, solution, game.graph.initial)
         assert hml_satisfies(lts, p, phi)
         assert not hml_satisfies(lts, q, phi)
+
+
+@given(random_lts_strategy(), st.data())
+@settings(max_examples=60, deadline=None)
+def test_one_game_decides_both_directions(lts, data):
+    """The reflexive swap (set game) and the empty-word challenge (word game)
+    lead from the root of the lhs-vs-rhs game to the rhs-vs-lhs root, whose
+    winner and certificates are those of the reverse check."""
+    p = data.draw(st.integers(0, lts.state_count - 1))
+    q = data.draw(st.integers(0, lts.state_count - 1))
+    game = build_cs_game(lts, p, q)
+    solution = solve(game.graph)
+    initial, back = game.graph.initial, game.swapped_initial
+    assert game.positions[back] == AttackerPos(q, frozenset({p}))
+    holds = solution.winner[back] is Player.DEFENDER
+    assert holds == decide_preorder(lts, q, p)
+    if holds:
+        relation = extract_contrasimulation(game, solution, (back,))
+        assert (q, p) in relation and is_contrasimulation(lts, relation)
+        if solution.winner[initial] is Player.DEFENDER:
+            both = extract_contrasimulation(game, solution, (initial, back))
+            assert both == relation | extract_contrasimulation(game, solution)
+            assert is_contrasimulation(lts, both)
+    else:
+        phi = extract_distinguishing_formula(game, solution, back)
+        assert hml_satisfies(lts, q, phi) and not hml_satisfies(lts, p, phi)
+
+    for bound in (1, 2, 3):
+        graph, positions = build_word_game(lts, p, q, bound)
+        back = positions.index(_WordAttacker(q, p))
+        assert (solve(graph).winner[back] is Player.DEFENDER) == bounded_word_game_preorder(
+            lts, q, p, bound
+        )
+
+    naive = naive_single_step_relation(lts)
+    for x in range(lts.state_count):
+        for y in range(lts.state_count):
+            assert ((x, y) in naive) == naive_single_step_preorder(lts, x, y)
 
 
 # -- agreement with the independent oracle --------------------------------------------
