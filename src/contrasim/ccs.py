@@ -11,6 +11,17 @@ The surface syntax::
 of the line.  Prefix binds tighter than restriction, restriction tighter
 than parallel, parallel tighter than choice; ``+`` and ``|`` associate left.
 
+Terms are interned (hash-consed): every constructor, whether the parser,
+the SOS rules or a caller invokes it, looks its kind and children up in one
+cons table, so structurally equal terms are the same object.  Equality and
+hashing are by identity and cost O(1) at any depth.  Expansion derives each
+reachable term's steps once, so it is linear in the reachable terms and
+their steps, plus the length of the state names, which are the full terms.
+A term keeps its text once printed, and printing copies that text whole
+wherever the term occurs inside another, so the names of a prefix chain
+cost one concatenation each.  Parsing, step derivation and printing are
+loops over explicit stacks, so terms of any depth are accepted.
+
 Expansion states are reachable terms compared structurally (no structural
 congruence, no merging of distinct deadlocked terms).  Parallel components
 interleave, and an action synchronizes with its co-action into an internal
@@ -20,8 +31,9 @@ LTS level a surviving co-action ``'a`` is rendered as the visible name
 """
 
 import re
-from collections import deque
+import weakref
 from dataclasses import dataclass
+from functools import lru_cache, partial
 
 from .errors import ParseError, StateBudgetError
 from .lts import Action, Lts, TAU
@@ -43,6 +55,7 @@ def base_name(action: Action) -> str:
     return action.name.removesuffix(_CO_SUFFIX)
 
 
+@lru_cache(maxsize=4096)  # one Action per name, not one per synchronization check
 def complement(action: Action) -> Action:
     if action.is_tau:
         raise ValueError("the internal action has no complement")
@@ -51,47 +64,95 @@ def complement(action: Action) -> Action:
     return Action(action.name + _CO_SUFFIX)
 
 
-class CcsTerm:
-    """Base class of the term variants below."""
+# -- terms -------------------------------------------------------------------
 
-    __slots__ = ()
+# The cons table: (kind, fields with children by identity) -> a weak
+# reference to the one live term with them.  A child's id() is a sound key,
+# since the term holding the entry keeps its children alive, and an entry
+# goes when its term dies.
+_CONS: dict[tuple, weakref.ref] = {}
+
+
+def _uncons(key: tuple, ref: weakref.ref) -> None:
+    if _CONS.get(key) is ref:
+        del _CONS[key]
+
+
+class CcsTerm:
+    """Base class of the immutable, interned term variants below."""
+
+    __slots__ = ("_text", "__weakref__")
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} terms are immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"{type(self).__name__} terms are immutable")
 
     def __str__(self) -> str:
-        return _render(self, 0)
+        return self._text if self._text is not None else _render(self)
+
+    def __repr__(self) -> str:
+        return f"<{type(self).__name__} {self}>"
+
+    def __reduce__(self):
+        # copy and pickle rebuild through the constructor, so through the table
+        return type(self), tuple(getattr(self, slot) for slot in type(self).__slots__)
 
 
-@dataclass(frozen=True, slots=True)
+def _cons(cls, key: tuple, fields: tuple) -> CcsTerm:
+    ref = _CONS.get(key)
+    term = ref() if ref is not None else None
+    if term is None:
+        term = object.__new__(cls)
+        for slot, value in zip(cls.__slots__, fields):
+            object.__setattr__(term, slot, value)
+        object.__setattr__(term, "_text", None)
+        _CONS[key] = weakref.ref(term, partial(_uncons, key))
+    return term
+
+
 class Nil(CcsTerm):
-    pass
+    __slots__ = ()
+
+    def __new__(cls):
+        return _cons(cls, (cls,), ())
 
 
-@dataclass(frozen=True, slots=True)
 class Prefix(CcsTerm):
-    action: Action
-    continuation: CcsTerm
+    __slots__ = ("action", "continuation")
+
+    def __new__(cls, action: Action, continuation: CcsTerm):
+        return _cons(cls, (cls, action, id(continuation)), (action, continuation))
 
 
-@dataclass(frozen=True, slots=True)
 class Choice(CcsTerm):
-    left: CcsTerm
-    right: CcsTerm
+    __slots__ = ("left", "right")
+
+    def __new__(cls, left: CcsTerm, right: CcsTerm):
+        return _cons(cls, (cls, id(left), id(right)), (left, right))
 
 
-@dataclass(frozen=True, slots=True)
 class Parallel(CcsTerm):
-    left: CcsTerm
-    right: CcsTerm
+    __slots__ = ("left", "right")
+
+    def __new__(cls, left: CcsTerm, right: CcsTerm):
+        return _cons(cls, (cls, id(left), id(right)), (left, right))
 
 
-@dataclass(frozen=True, slots=True)
 class Restrict(CcsTerm):
-    body: CcsTerm
-    names: frozenset[str]
+    __slots__ = ("body", "names")
+
+    def __new__(cls, body: CcsTerm, names: frozenset[str]):
+        names = frozenset(names)
+        return _cons(cls, (cls, id(body), names), (body, names))
 
 
-@dataclass(frozen=True, slots=True)
 class Ident(CcsTerm):
-    name: str
+    __slots__ = ("name",)
+
+    def __new__(cls, name: str):
+        return _cons(cls, (cls, name), (name,))
 
 
 NIL = Nil()
@@ -108,24 +169,45 @@ def _act_str(action: Action) -> str:
     return action.name
 
 
-def _render(term: CcsTerm, context: int) -> str:
-    prec = _PREC[type(term)]
-    if isinstance(term, Nil):
-        body = "0"
-    elif isinstance(term, Ident):
-        body = term.name
-    elif isinstance(term, Prefix):
-        body = f"{_act_str(term.action)}.{_render(term.continuation, prec)}"
-    elif isinstance(term, Restrict):
-        names = ", ".join(sorted(term.names))
-        body = f"{_render(term.body, prec + 1)} \\ {{{names}}}"
-    elif isinstance(term, Parallel):
-        body = f"{_render(term.left, prec)} | {_render(term.right, prec + 1)}"
-    elif isinstance(term, Choice):
-        body = f"{_render(term.left, prec)} + {_render(term.right, prec + 1)}"
-    else:  # pragma: no cover
-        raise TypeError(f"unknown term {term!r}")
-    return f"({body})" if prec < context else body
+def _render(term: CcsTerm) -> str:
+    """The text of ``term``, memoised on ``term`` alone.
+
+    A walk over an explicit stack of fragments and (subterm, context
+    precedence) pairs, joined once at the end.  A subterm whose text is
+    already memoised is copied in whole instead of walked.  Only the terms
+    asked for keep their text: memoising every subterm of a term n deep
+    would hold O(n^2) characters.
+    """
+    parts: list[str] = []
+    stack: list = [(term, 0)]
+    while stack:
+        item = stack.pop()
+        if type(item) is str:
+            parts.append(item)
+            continue
+        t, context = item
+        kind = type(t)
+        if _PREC[kind] < context:
+            stack += [")", (t, 0)]
+            parts.append("(")
+        elif t._text is not None:
+            parts.append(t._text)
+        elif kind is Nil:
+            parts.append("0")
+        elif kind is Ident:
+            parts.append(t.name)
+        elif kind is Prefix:
+            stack.append((t.continuation, 3))
+            parts.append(_act_str(t.action) + ".")
+        elif kind is Restrict:
+            stack += [f" \\ {{{', '.join(sorted(t.names))}}}", (t.body, 3)]
+        elif kind is Parallel:
+            stack += [(t.right, 2), " | ", (t.left, 1)]
+        else:
+            stack += [(t.right, 1), " + ", (t.left, 0)]
+    text = "".join(parts)
+    object.__setattr__(term, "_text", text)
+    return text
 
 
 @dataclass(frozen=True)
@@ -236,23 +318,67 @@ class _Parser:
                 )
         return CcsProgram(definitions)
 
-    # choice level (lowest precedence), left associative
     def parse_proc(self) -> CcsTerm:
-        term = self.parse_parallel()
-        while self.at_sym("+"):
-            self.advance()
-            term = Choice(term, self.parse_parallel())
-        return term
+        """One ``Proc``, left to right without recursion.
 
-    def parse_parallel(self) -> CcsTerm:
-        term = self.parse_restrict()
-        while self.at_sym("|"):
+        Each open parenthesis pushes the enclosing level's state: its choice
+        so far, its parallel chain so far and the prefixes waiting for the
+        operand the parenthesis opens.
+        """
+        levels: list[tuple] = []
+        choice = parallel = None
+        while True:
+            prefixes = self.parse_prefixes()
+            if self.at_sym("("):
+                self.advance()
+                levels.append((choice, parallel, prefixes))
+                choice = parallel = None
+                continue
+            term = self.parse_atom()
+            # The operand is complete: fold it into its level, and close
+            # every parenthesis that ends right after it.
+            while True:
+                for action in reversed(prefixes):
+                    term = Prefix(action, term)
+                term = self.parse_restrictions(term)
+                parallel = term if parallel is None else Parallel(parallel, term)
+                if self.at_sym("|"):
+                    break
+                choice = parallel if choice is None else Choice(choice, parallel)
+                parallel = None
+                if self.at_sym("+") or not levels:
+                    break
+                self.expect(")")
+                term = choice
+                choice, parallel, prefixes = levels.pop()
+            if not (self.at_sym("|") or self.at_sym("+")):
+                return choice
             self.advance()
-            term = Parallel(term, self.parse_restrict())
-        return term
 
-    def parse_restrict(self) -> CcsTerm:
-        term = self.parse_prefixed()
+    def parse_prefixes(self) -> list[Action]:
+        """The actions of a run of prefixes ``a.``, ``'a.`` and ``tau.``."""
+        prefixes = []
+        while True:
+            tok = self.peek()
+            if tok.kind == "sym" and tok.text == "'":
+                self.advance()
+                name = self.parse_plain_name()
+                self.expect(".")
+                prefixes.append(Action(co_name(name)))
+            elif tok.kind == "name" and tok.text == "tau":
+                if not (self.peek(1).kind == "sym" and self.peek(1).text == "."):
+                    raise self.fail("'tau' must prefix a process, as in tau.P")
+                self.advance()
+                self.advance()
+                prefixes.append(TAU)
+            elif tok.kind == "name" and self.peek(1).kind == "sym" and self.peek(1).text == ".":
+                self.advance()
+                self.advance()
+                prefixes.append(Action(tok.text))
+            else:
+                return prefixes
+
+    def parse_restrictions(self, term: CcsTerm) -> CcsTerm:
         while self.at_sym("\\"):
             self.advance()
             self.expect("{")
@@ -271,26 +397,8 @@ class _Parser:
         self.advance()
         return tok.text
 
-    def parse_prefixed(self) -> CcsTerm:
-        tok = self.peek()
-        if tok.kind == "sym" and tok.text == "'":
-            self.advance()
-            name = self.parse_plain_name()
-            self.expect(".")
-            return Prefix(Action(co_name(name)), self.parse_prefixed())
-        if tok.kind == "name" and tok.text == "tau":
-            if not (self.peek(1).kind == "sym" and self.peek(1).text == "."):
-                raise self.fail("'tau' must prefix a process, as in tau.P")
-            self.advance()
-            self.advance()
-            return Prefix(TAU, self.parse_prefixed())
-        if tok.kind == "name" and self.peek(1).kind == "sym" and self.peek(1).text == ".":
-            self.advance()
-            self.advance()
-            return Prefix(Action(tok.text), self.parse_prefixed())
-        return self.parse_atom()
-
     def parse_atom(self) -> CcsTerm:
+        """``0`` or an identifier; parentheses are handled by :meth:`parse_proc`."""
         tok = self.peek()
         if tok.kind == "zero":
             self.advance()
@@ -299,11 +407,6 @@ class _Parser:
             self.advance()
             self.ident_refs.append(tok)
             return Ident(tok.text)
-        if tok.kind == "sym" and tok.text == "(":
-            self.advance()
-            term = self.parse_proc()
-            self.expect(")")
-            return term
         raise self.fail(f"expected a process but found {tok.text or 'end of input'!r}")
 
 
@@ -315,42 +418,59 @@ def parse_ccs(text: str) -> CcsProgram:
 # -- expansion ---------------------------------------------------------------
 
 
-def _steps(term: CcsTerm, defs: dict[str, CcsTerm], unfolding: frozenset[str]):
+def _steps(term: CcsTerm, defs: dict[str, CcsTerm]) -> list[tuple[Action, CcsTerm]]:
     """Outgoing transitions of a term, in canonical derivation order.
 
     An identifier re-entered during its own unfolding contributes nothing:
     every derivable transition has a finite derivation, so this computes the
     least fixed point without looping on unguarded recursion.
+
+    A post-order walk over an explicit stack: ``todo`` holds subterms to
+    derive, each with the identifiers being unfolded around it, and the
+    operators waiting for their operands' steps, which ``done`` holds.
     """
-    if isinstance(term, Nil):
-        return []
-    if isinstance(term, Prefix):
-        return [(term.action, term.continuation)]
-    if isinstance(term, Choice):
-        return _steps(term.left, defs, unfolding) + _steps(term.right, defs, unfolding)
-    if isinstance(term, Parallel):
-        left_steps = _steps(term.left, defs, unfolding)
-        right_steps = _steps(term.right, defs, unfolding)
-        out = [(a, Parallel(l2, term.right)) for a, l2 in left_steps]
-        out += [(a, Parallel(term.left, r2)) for a, r2 in right_steps]
-        for a, l2 in left_steps:
-            if a.is_visible:
-                partner = complement(a)
-                for b, r2 in right_steps:
-                    if b == partner:
-                        out.append((TAU, Parallel(l2, r2)))
-        return out
-    if isinstance(term, Restrict):
-        return [
-            (a, Restrict(k, term.names))
-            for a, k in _steps(term.body, defs, unfolding)
-            if a.is_tau or base_name(a) not in term.names
-        ]
-    if isinstance(term, Ident):
-        if term.name in unfolding:
-            return []
-        return _steps(defs[term.name], defs, unfolding | {term.name})
-    raise TypeError(f"unknown term {term!r}")  # pragma: no cover
+    done: list[list[tuple[Action, CcsTerm]]] = []
+    todo: list[tuple[bool, CcsTerm, frozenset[str]]] = [(False, term, frozenset())]
+    while todo:
+        combine, t, unfolding = todo.pop()
+        kind = type(t)
+        if combine:
+            if kind is Restrict:
+                done.append([
+                    (a, Restrict(k, t.names))
+                    for a, k in done.pop()
+                    if a.is_tau or base_name(a) not in t.names
+                ])
+                continue
+            right_steps = done.pop()
+            left_steps = done[-1]
+            if kind is Choice:
+                left_steps.extend(right_steps)  # each list is built for this call
+                continue
+            out = [(a, Parallel(l2, t.right)) for a, l2 in left_steps]
+            out += [(a, Parallel(t.left, r2)) for a, r2 in right_steps]
+            for a, l2 in left_steps:
+                if a.is_visible:
+                    partner = complement(a)
+                    for b, r2 in right_steps:
+                        if b == partner:
+                            out.append((TAU, Parallel(l2, r2)))
+            done[-1] = out
+        elif kind is Prefix:
+            done.append([(t.action, t.continuation)])
+        elif kind is Nil:
+            done.append([])
+        elif kind is Ident:
+            if t.name in unfolding:
+                done.append([])
+            else:
+                todo.append((False, defs[t.name], unfolding | {t.name}))
+        elif kind is Restrict:
+            todo += [(True, t, unfolding), (False, t.body, unfolding)]
+        else:  # Choice and Parallel: the left operand is derived first
+            todo += [(True, t, unfolding), (False, t.right, unfolding),
+                     (False, t.left, unfolding)]
+    return done[0]
 
 
 def expand_ccs_roots(
@@ -360,38 +480,41 @@ def expand_ccs_roots(
 
     Structurally identical reachable terms are shared between the roots, so
     the result is suitable for comparing two processes of one program.
+    States are numbered in breadth-first order.
     """
     for root in roots:
         if root not in program.definitions:
             raise KeyError(f"no definition named {root!r}")
 
     index: dict[CcsTerm, int] = {}
-    queue: deque[CcsTerm] = deque()
+    states: list[CcsTerm] = []
 
     def intern(term: CcsTerm) -> int:
         idx = index.get(term)
         if idx is None:
-            if len(index) >= max_states:
+            if len(states) >= max_states:
                 raise StateBudgetError(max_states)
-            idx = len(index)
-            index[term] = idx
-            queue.append(term)
+            idx = index[term] = len(states)
+            states.append(term)
         return idx
 
     initials = [intern(Ident(root)) for root in roots]
     edges = []
-    while queue:
-        term = queue.popleft()
-        src = index[term]
+    src = 0
+    while src < len(states):
         emitted = set()
-        for action, target in _steps(term, program.definitions, frozenset()):
-            if (action, target) in emitted:
-                continue
-            emitted.add((action, target))
-            edges.append((src, action, intern(target)))
+        for step in _steps(states[src], program.definitions):
+            if step not in emitted:
+                emitted.add(step)
+                edges.append((src, step[0], intern(step[1])))
+        src += 1
 
-    names = {idx: str(term) for term, idx in index.items()}
-    return Lts(len(index), edges, names), initials
+    # Render the states last-found first, so that a state whose successor
+    # is its own subterm (a prefix chain) copies that successor's text.
+    for term in reversed(states):
+        str(term)
+    names = {idx: str(term) for idx, term in enumerate(states)}
+    return Lts(len(states), edges, names), initials
 
 
 def expand_ccs(

@@ -1,18 +1,27 @@
+import copy
+import pickle
+from collections import deque
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from contrasim.ccs import (
     Choice,
+    CcsProgram,
     Ident,
+    Nil,
     NIL,
     Parallel,
     Prefix,
     Restrict,
+    base_name,
+    complement,
     expand_ccs,
     expand_ccs_roots,
     parse_ccs,
 )
 from contrasim.errors import ParseError, StateBudgetError
-from contrasim.lts import TAU, act
+from contrasim.lts import TAU, Lts, act
 
 from conftest import fixture_text
 
@@ -213,3 +222,219 @@ def test_sos_rule_replay_sync_under_restriction():
     }
     assert {(s, str(a), d) for s, a, d in lts.transitions} == expected
     assert lts.state_count == 3
+
+
+# -- interning ------------------------------------------------------------------
+
+
+def test_equal_terms_are_one_object():
+    built = Choice(Prefix(act("a"), NIL), Restrict(Ident("X"), frozenset({"a"})))
+    parsed = defs("X = a.0 + X \\ {a};")["X"]
+    assert parsed is built
+    assert Nil() is NIL
+    assert Parallel(NIL, NIL) is not Choice(NIL, NIL)
+    assert len({built, parsed, Prefix(act("a"), NIL)}) == 2
+
+
+def test_terms_are_immutable():
+    term = Prefix(act("a"), NIL)
+    with pytest.raises(AttributeError):
+        term.continuation = Ident("X")
+    assert term.continuation is NIL
+
+
+def test_copies_and_pickles_are_the_interned_term():
+    term = Restrict(Parallel(Prefix(act("a"), NIL), Ident("X")), frozenset({"a"}))
+    assert copy.deepcopy(term) is term
+    assert pickle.loads(pickle.dumps(term)) is term
+
+
+# -- deep terms, far past the recursion limit -------------------------------------
+
+DEEP = 3000
+
+
+def test_deep_choice_chain():
+    program = parse_ccs("X = " + " + ".join(["a.0"] * DEEP) + ";")
+    term = program.definitions["X"]
+    assert str(term) == " + ".join(["a.0"] * DEEP)
+    lts, x = expand_ccs(program, "X")
+    assert lts.state_count == 2
+    assert lts.transitions == ((x, act("a"), 1),)
+    assert lts.name_of(1) == "0"
+
+
+def test_deep_parallel_chain_interleaves_and_synchronizes():
+    # ((a.0 | 'a.0) | 0) | ... | 0: every step rebuilds the whole spine
+    program = parse_ccs("X = " + " | ".join(["a.0", "'a.0"] + ["0"] * (DEEP - 2)) + ";")
+    lts, x = expand_ccs(program, "X")
+    by_name = {lts.name_of(s): s for s in range(lts.state_count)}
+    tail = " | 0" * (DEEP - 2)
+    after_a, after_co = by_name["0 | 'a.0" + tail], by_name["a.0 | 0" + tail]
+    done = by_name["0 | 0" + tail]
+    assert lts.state_count == 4
+    assert lts.transitions == (
+        (x, act("a"), after_a),
+        (x, act("a!"), after_co),
+        (x, TAU, done),
+        (after_a, act("a!"), done),
+        (after_co, act("a"), done),
+    )
+
+
+def test_deep_parentheses():
+    program = parse_ccs(
+        "X = " + "(" * 1000 + "a.0" + ")" * 1000 + ";\n"
+        "Y = " + "a.(" * 1000 + "0" + ")" * 1000 + ";\n"
+    )
+    assert program.definitions["X"] is Prefix(act("a"), NIL)
+    chain = program.definitions["Y"]
+    assert str(chain) == "a." * 1000 + "0"
+    lts, y = expand_ccs(program, "Y")
+    assert lts.state_count == 1001
+    assert lts.name_of(1000) == "0"
+
+
+def test_deep_prefix_chain_built_directly():
+    chain = NIL
+    for i in range(DEEP):
+        chain = Prefix(act("ab"[i % 2]), chain)
+    lts, x = expand_ccs(CcsProgram({"X": chain}), "X")
+    assert lts.state_count == DEEP + 1
+    assert [(s, str(a), d) for s, a, d in lts.transitions[:2]] == [
+        (x, "b", 1), (1, "a", 2)
+    ]
+    assert lts.name_of(1) == "a.b." * ((DEEP - 1) // 2) + "a.0"
+    assert lts.name_of(DEEP) == "0"
+
+
+# -- equivalence with a plain recursive SOS expander ---------------------------------
+
+_PREC = {Choice: 0, Parallel: 1, Restrict: 2, Prefix: 3, Nil: 4, Ident: 4}
+
+
+def reference_render(term, context=0):
+    prec = _PREC[type(term)]
+    if isinstance(term, Nil):
+        body = "0"
+    elif isinstance(term, Ident):
+        body = term.name
+    elif isinstance(term, Prefix):
+        a = term.action
+        name = "tau" if a.is_tau else ("'" + a.name[:-1] if a.name.endswith("!") else a.name)
+        body = f"{name}.{reference_render(term.continuation, prec)}"
+    elif isinstance(term, Restrict):
+        names = ", ".join(sorted(term.names))
+        body = f"{reference_render(term.body, prec + 1)} \\ {{{names}}}"
+    elif isinstance(term, Parallel):
+        body = f"{reference_render(term.left, prec)} | {reference_render(term.right, prec + 1)}"
+    else:
+        body = f"{reference_render(term.left, prec)} + {reference_render(term.right, prec + 1)}"
+    return f"({body})" if prec < context else body
+
+
+def reference_steps(term, defs, unfolding):
+    if isinstance(term, Nil):
+        return []
+    if isinstance(term, Prefix):
+        return [(term.action, term.continuation)]
+    if isinstance(term, Choice):
+        return reference_steps(term.left, defs, unfolding) + reference_steps(
+            term.right, defs, unfolding
+        )
+    if isinstance(term, Parallel):
+        left_steps = reference_steps(term.left, defs, unfolding)
+        right_steps = reference_steps(term.right, defs, unfolding)
+        out = [(a, Parallel(l2, term.right)) for a, l2 in left_steps]
+        out += [(a, Parallel(term.left, r2)) for a, r2 in right_steps]
+        for a, l2 in left_steps:
+            if a.is_visible:
+                for b, r2 in right_steps:
+                    if b == complement(a):
+                        out.append((TAU, Parallel(l2, r2)))
+        return out
+    if isinstance(term, Restrict):
+        return [
+            (a, Restrict(k, term.names))
+            for a, k in reference_steps(term.body, defs, unfolding)
+            if a.is_tau or base_name(a) not in term.names
+        ]
+    if term.name in unfolding:
+        return []
+    return reference_steps(defs[term.name], defs, unfolding | {term.name})
+
+
+def reference_expand(program, roots, max_states):
+    index, queue, edges = {}, deque(), []
+
+    def intern(term):
+        if term not in index:
+            if len(index) >= max_states:
+                raise StateBudgetError(max_states)
+            index[term] = len(index)
+            queue.append(term)
+        return index[term]
+
+    initials = [intern(Ident(root)) for root in roots]
+    while queue:
+        term = queue.popleft()
+        emitted = set()
+        for action, target in reference_steps(term, program.definitions, frozenset()):
+            if (action, target) not in emitted:
+                emitted.add((action, target))
+                edges.append((index[term], action, intern(target)))
+    names = {idx: reference_render(term) for term, idx in index.items()}
+    return Lts(len(index), edges, names), initials
+
+
+DEF_NAMES = ("X", "Y", "Z")
+ACTIONS = (act("a"), act("a!"), act("b"), act("b!"), TAU)
+
+
+def ccs_terms():
+    leaves = st.one_of(st.just(NIL), st.sampled_from(DEF_NAMES).map(Ident))
+    return st.recursive(
+        leaves,
+        lambda inner: st.one_of(
+            st.builds(Prefix, st.sampled_from(ACTIONS), inner),
+            st.builds(Choice, inner, inner),
+            st.builds(Parallel, inner, inner),
+            st.builds(Restrict, inner, st.frozensets(st.sampled_from("ab"), min_size=1)),
+        ),
+        max_leaves=8,
+    )
+
+
+ccs_programs = st.builds(
+    lambda terms: CcsProgram(dict(zip(DEF_NAMES, terms))),
+    st.tuples(*(ccs_terms() for _ in DEF_NAMES)),
+)
+
+
+@given(ccs_programs, st.lists(st.sampled_from(DEF_NAMES), min_size=1, max_size=2))
+@settings(max_examples=300, deadline=None)
+def test_expansion_matches_recursive_reference(program, roots):
+    try:
+        expected = reference_expand(program, roots, max_states=40)
+    except StateBudgetError:
+        with pytest.raises(StateBudgetError):
+            expand_ccs_roots(program, roots, max_states=40)
+        return
+    lts, initials = expand_ccs_roots(program, roots, max_states=40)
+    assert initials == expected[1]
+    assert lts.state_count == expected[0].state_count
+    assert lts.transitions == expected[0].transitions
+    assert lts.state_names == expected[0].state_names
+
+
+@given(ccs_programs)
+@settings(max_examples=200, deadline=None)
+def test_rendered_program_parses_back(program):
+    text = "".join(f"{name} = {term};\n" for name, term in program.definitions.items())
+    assert all(
+        parsed is program.definitions[name]
+        for name, parsed in parse_ccs(text).definitions.items()
+    )
+    assert all(
+        str(term) == reference_render(term) for term in program.definitions.values()
+    )

@@ -6,6 +6,7 @@ import pytest
 
 from contrasim import csgame, relations
 from contrasim.aut import parse_aut
+from contrasim.ccs import expand_ccs_roots, parse_ccs
 from contrasim.cli import (
     NOTIONS,
     CheckRequest,
@@ -293,6 +294,27 @@ def test_deep_chain_certificate(tmp_path, capsys):
     assert match is not None
 
     lts, _ = parse_aut(chain.read_text())
+    game = build_cs_game(lts, lhs, rhs)
+    phi = extract_distinguishing_formula(game, solve(game.graph), game.graph.initial)
+    assert format_formula(phi) == match.group(1)
+    assert hml_satisfies(lts, lhs, phi)
+    assert not hml_satisfies(lts, rhs, phi)
+
+
+def test_deep_ccs_chain_certificate(tmp_path, capsys):
+    """The CCS twin of the 3,000-step chain: parsing, expansion and state
+    names take no recursion either."""
+    n = 3000
+    chain = tmp_path / "chain.ccs"
+    chain.write_text(f"L = {'a.' * n}b.0;\nR = {'a.' * n}c.0;\n")
+
+    code = run_main(["check", "--lhs", "L", "--rhs", "R", "--emit-certificate", chain])
+    assert code == 1
+    match = re.search(r"^formula: (.+)$", capsys.readouterr().out, re.MULTILINE)
+    assert match is not None
+
+    lts, (lhs, rhs) = expand_ccs_roots(parse_ccs(chain.read_text()), ["L", "R"])
+    assert lts.state_count == 2 * n + 3
     game = build_cs_game(lts, lhs, rhs)
     phi = extract_distinguishing_formula(game, solve(game.graph), game.graph.initial)
     assert format_formula(phi) == match.group(1)
