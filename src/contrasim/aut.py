@@ -8,8 +8,9 @@ the internal action as ``tau``.
 """
 
 import re
+from typing import Optional
 
-from .errors import ParseError
+from .errors import ParseError, StateBudgetError
 from .lts import Action, Lts, TAU
 
 _HEADER_RE = re.compile(r"^des\s*\(\s*(\d+)\s*,\s*(\d+)\s*,\s*(\d+)\s*\)\s*$")
@@ -18,8 +19,12 @@ _EDGE_RE = re.compile(r'^\(\s*(\d+)\s*,\s*"([^"]*)"\s*,\s*(\d+)\s*\)\s*$')
 _INTERNAL_LABELS = ("tau", "i")
 
 
-def parse_aut(text: str) -> tuple[Lts, int]:
-    """Parse `.aut` text into an LTS plus its declared initial state."""
+def parse_aut(text: str, max_states: Optional[int] = None) -> tuple[Lts, int]:
+    """Parse `.aut` text into an LTS plus its declared initial state.
+
+    A header declaring more than ``max_states`` states raises
+    :class:`StateBudgetError` before any transition is read.
+    """
     lines = text.splitlines()
     header_idx = None
     for i, line in enumerate(lines):
@@ -42,6 +47,8 @@ def parse_aut(text: str) -> tuple[Lts, int]:
             f"initial state {initial} not below state count {n_states}",
             line=header_idx + 1,
         )
+    if max_states is not None and n_states > max_states:
+        raise StateBudgetError(max_states, declared=n_states)
 
     transitions = []
     for lineno, raw in enumerate(lines[header_idx + 1 :], start=header_idx + 2):

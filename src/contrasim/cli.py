@@ -96,7 +96,7 @@ def _load_model(request: CheckRequest) -> tuple[Lts, int, int]:
     except UnicodeDecodeError as exc:
         raise ParseError(f"input is not UTF-8 text: {exc}") from None
     if request.input_format == "aut":
-        lts, _initial = parse_aut(text)
+        lts, _initial = parse_aut(text, request.max_states)
         try:
             lhs, rhs = int(request.lhs), int(request.rhs)
         except ValueError:
@@ -306,7 +306,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--max-states",
         type=int,
         default=DEFAULT_MAX_STATES,
-        help="state budget for CCS expansion",
+        help="state budget for CCS expansion and for the states an .aut header declares",
     )
     check.add_argument(
         "--word-bound",

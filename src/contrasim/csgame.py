@@ -37,9 +37,10 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Mapping, Union
 
+from . import relations
 from .game import GameGraph, GameSolution, Player, PositionalStrategy, solve
 from .hml import DelayNor, DelayObs, HmlFormula
-from .lts import Action, Lts, StateSet, TAU, Word
+from .lts import Action, Lts, StateSet, Word
 
 
 @dataclass(frozen=True, slots=True)
@@ -397,25 +398,8 @@ def naive_single_step_relation(lts: Lts) -> Relation:
     executable counterexample and for the tau-free case, where it agrees
     with the game.
     """
-    n = lts.state_count
-    alphabet = lts.visible_actions + (TAU,)
-    weak = {
-        (s, a): lts.weak_successors(s, a) for s in range(n) for a in alphabet
-    }
-    rel = {(x, y) for x in range(n) for y in range(n)}
-    changed = True
-    while changed:
-        changed = False
-        for x, y in sorted(rel):
-            ok = all(
-                any((y2, x2) in rel for y2 in weak[(y, a)])
-                for a in alphabet
-                for x2 in weak[(x, a)]
-            )
-            if not ok:
-                rel.discard((x, y))
-                changed = True
-    return frozenset(rel)
+    weak = relations._step_tables(lts, weak=True)
+    return relations._greatest_fixed_point(weak, weak, swapped=True)
 
 
 def naive_single_step_preorder(lts: Lts, p: int, q: int) -> bool:

@@ -18,11 +18,16 @@ class ParseError(ValueError):
 
 
 class StateBudgetError(RuntimeError):
-    """Raised when a state-space expansion exceeds its state budget."""
+    """Raised when a state-space expansion, or the state count an `.aut`
+    header declares, exceeds the state budget."""
 
-    def __init__(self, budget: int):
+    def __init__(self, budget: int, declared: int | None = None):
         self.budget = budget
+        if declared is None:
+            where = "during expansion"
+        else:
+            where = f"by an .aut header declaring {declared} states"
         super().__init__(
-            f"state budget of {budget} states exceeded during expansion; "
+            f"state budget of {budget} states exceeded {where}; "
             f"raise max_states if the system really is this large"
         )

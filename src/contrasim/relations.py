@@ -1,13 +1,21 @@
 """Coinductive relation checkers and fixed-point oracles.
 
-These are the desk-scale ground truth the game procedures are checked
-against: straightforward pair-deletion loops and exhaustive configuration
-enumeration, optimized for auditability rather than speed.  All checkers
-treat relations as plain sets of ordered state-index pairs over one LTS.
+The checkers (``is_weak_simulation``, ``is_contrasimulation``,
+``check_coupling``) and ``contrasim_preorder`` are the ground truth the
+game procedures are checked against: exhaustive configuration enumeration
+and a pair-deletion fixed point, written to be audited.  All of them treat
+relations as plain sets of ordered state-index pairs over one LTS.
+
+Weak similarity and both bisimilarities, and the naive single-step fixed
+point of :mod:`contrasim.csgame`, answer queries of the command line, so
+they share one counter-based refinement, :func:`_greatest_fixed_point`,
+which handles each deleted pair once.  The pair-deletion loops it replaced
+are kept in the tests as its reference.
 """
 
 from collections import deque
 from dataclasses import dataclass
+from itertools import compress, repeat
 from typing import Iterable, Optional
 
 from .lts import Action, Lts, StateSet, TAU, Word
@@ -182,52 +190,144 @@ def contrasim_preorder(lts: Lts) -> frozenset[Pair]:
     return frozenset(rel)
 
 
-def _gfp_simulation(lts: Lts, match_weak: bool, symmetric: bool) -> frozenset[Pair]:
-    n = lts.state_count
-    alphabet = lts.visible_actions + (TAU,)
-    strong = {(s, a): sorted(lts.strong_successors(s, a)) for s in range(n) for a in alphabet}
-    if match_weak:
-        answer = {(s, a): lts.weak_successors(s, a) for s in range(n) for a in alphabet}
-    else:
-        answer = strong
+def _step_tables(lts: Lts, *, weak: bool) -> list[list[StateSet]]:
+    """Per action of ``visible_actions + (TAU,)``, every state's strong
+    successors, or its weak ones (for tau, its internal closure)."""
+    strong, closure = lts._strong, lts._closure
+    empty: StateSet = frozenset()
+    tables = []
+    for action in lts.visible_actions + (TAU,):
+        if not weak:
+            tables.append([steps.get(action, empty) for steps in strong])
+        elif action.is_tau:
+            tables.append(list(closure))
+        else:
+            row = []
+            for reach in closure:
+                delay: set[int] = set()
+                for s in reach:
+                    delay |= strong[s].get(action, empty)
+                out: set[int] = set()
+                for s in delay:
+                    out |= closure[s]
+                row.append(frozenset(out))
+            tables.append(row)
+    return tables
 
-    def simulates(p: int, q: int, rel: set[Pair]) -> bool:
-        return all(
-            any((p2, q2) in rel for q2 in answer[(q, a)])
-            for a in alphabet
-            for p2 in strong[(p, a)]
-        )
 
-    rel = {(p, q) for p in range(n) for q in range(n)}
-    changed = True
-    while changed:
-        changed = False
-        for p, q in sorted(rel):
-            ok = simulates(p, q, rel)
-            if ok and symmetric:
-                ok = simulates(q, p, rel)
-            if not ok:
-                rel.discard((p, q))
-                if symmetric:
-                    rel.discard((q, p))
-                changed = True
-    return frozenset(rel)
+_FLIP = bytes.maketrans(b"\0\1", b"\1\0")
+
+
+def _flags(bits: Iterable[bool]) -> int:
+    """Booleans as one byte each, packed little-endian into an int."""
+    return int.from_bytes(bytes(bits), "little")
+
+
+def _greatest_fixed_point(
+    left: list[list[StateSet]],
+    right: list[list[StateSet]],
+    swapped: bool = False,
+    symmetric: bool = False,
+) -> frozenset[Pair]:
+    """The greatest relation ``R`` in which, for every ``(x, y)`` in ``R``,
+    every action ``a`` and every ``x2`` in ``left[a][x]``, some ``y2`` in
+    ``right[a][y]`` has ``(x2, y2)`` in ``R`` (``(y2, x2)`` if ``swapped``);
+    with ``symmetric``, the greatest such relation closed under mirroring.
+
+    Counter-based refinement (Henzinger, Henzinger & Kopke, FOCS 1995):
+    ``count[t][a*n + q]`` is the number of q's right ``a``-answers still
+    related to ``t``.  Every pair leaves the relation once and is then
+    popped from the worklist once, decrementing the counters of the right
+    predecessors of its answer side; a counter that reaches zero deletes the
+    left predecessors of ``t`` paired with ``q``.  Cost is O(n * m) for n
+    states and m table entries.
+    """
+    n = len(left[0])
+    actions = range(len(left))
+    left_pred = [[[] for _ in range(n)] for _ in actions]
+    # right_pred[y2]: (counter index a*n + q, q, left_pred[a]) for each q
+    # that answers an a-step with y2.
+    right_pred: list[list[tuple[int, int, list[list[int]]]]] = [[] for _ in range(n)]
+    degree = [0] * (len(left) * n)
+    left_mask = [0] * n
+    right_mask = [0] * n
+    for a in actions:
+        bit = 1 << a
+        for x, succ in enumerate(left[a]):
+            if succ:
+                left_mask[x] |= bit
+                for t in succ:
+                    left_pred[a][t].append(x)
+        for q, succ in enumerate(right[a]):
+            if succ:
+                right_mask[q] |= bit
+                degree[a * n + q] = len(succ)
+                for y2 in succ:
+                    right_pred[y2].append((a * n + q, q, left_pred[a]))
+
+    # Start from the pairs whose right side answers every action the left
+    # side can take (both ways if symmetric).
+    states = range(n)
+    covers = {m: _flags(not m & ~r for r in right_mask) for m in set(left_mask)}
+    if symmetric:
+        covered = {r: _flags(not m & ~r for m in left_mask) for r in set(right_mask)}
+    rel: list[bytearray] = []
+    for x in states:
+        bits = covers[left_mask[x]]
+        if symmetric:
+            bits &= covered[right_mask[x]]
+        rel.append(bytearray(bits.to_bytes(n, "little")))
+    initially_gone = [row.translate(_FLIP) for row in rel]
+
+    # The worklist holds each deleted pair as (t, y2): the left successor
+    # and the right answer it no longer relates.  The pairs missing from
+    # the start are fed in one row at a time, which keeps the list short.
+    count: list[Optional[list[int]]] = [None] * n
+    work: list[Pair] = []
+    for x in states:
+        gone = compress(states, initially_gone[x])
+        work.extend(zip(gone, repeat(x)) if swapped else zip(repeat(x), gone))
+        while work:
+            t, y2 = work.pop()
+            preds = right_pred[y2]
+            if not preds:
+                continue
+            counts = count[t]
+            if counts is None:
+                counts = count[t] = degree[:]
+            for c, q, left_pred_a in preds:
+                remaining = counts[c] - 1
+                counts[c] = remaining
+                if remaining:
+                    continue
+                for p in left_pred_a[t]:
+                    row = rel[p]
+                    if row[q]:
+                        row[q] = 0
+                        work.append((q, p) if swapped else (p, q))
+                        if symmetric and p != q:
+                            rel[q][p] = 0
+                            work.append((p, q) if swapped else (q, p))
+    return frozenset((x, y) for x in states for y in compress(states, rel[x]))
 
 
 def weak_sim_preorder(lts: Lts) -> frozenset[Pair]:
     """The weak simulation preorder (the greatest weak simulation)."""
-    return _gfp_simulation(lts, match_weak=True, symmetric=False)
+    return _greatest_fixed_point(_step_tables(lts, weak=False), _step_tables(lts, weak=True))
 
 
 def weak_bisimilarity(lts: Lts) -> frozenset[Pair]:
     """The greatest symmetric relation that is a weak simulation both ways."""
-    return _gfp_simulation(lts, match_weak=True, symmetric=True)
+    return _greatest_fixed_point(
+        _step_tables(lts, weak=False), _step_tables(lts, weak=True), symmetric=True
+    )
 
 
 def strong_bisimilarity(lts: Lts) -> frozenset[Pair]:
     """The greatest symmetric relation matching every strong step (internal
     ones included) by exactly one strong step."""
-    return _gfp_simulation(lts, match_weak=False, symmetric=True)
+    strong = _step_tables(lts, weak=False)
+    return _greatest_fixed_point(strong, strong, symmetric=True)
 
 
 def interleaved_compose(r1: Iterable[Pair], r2: Iterable[Pair]) -> frozenset[Pair]:

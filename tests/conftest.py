@@ -68,7 +68,7 @@ def make_random_lts(
     """
     actions = [Action(chr(ord("a") + i)) for i in range(n_actions)]
     wanted = max(2, round(rng.uniform(*density) * n_states * n_states))
-    min_tau = max(1, -(-wanted * 3 // 10))  # ceil(0.3 * wanted)
+    min_tau = max(1, -(-wanted * round(tau_share * 100) // 100))  # ceil(tau_share * wanted)
     edges: set[tuple[int, Action, int]] = set()
     tau_edges = 0
     attempts = 0

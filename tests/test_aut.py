@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from contrasim.aut import parse_aut, write_aut
-from contrasim.errors import ParseError
+from contrasim.errors import ParseError, StateBudgetError
 from contrasim.lts import Lts, TAU, act
 
 from conftest import fixture_text, make_random_lts
@@ -64,6 +64,18 @@ def test_parse_errors(text, fragment):
     with pytest.raises(ParseError) as err:
         parse_aut(text)
     assert fragment in str(err.value)
+
+
+def test_declared_state_count_is_budgeted():
+    """The budget applies to the header's count, before any record is read:
+    the malformed record after it is never reached."""
+    text = 'des (0,1,1000000)\n(0,broken,1)\n'
+    with pytest.raises(StateBudgetError) as err:
+        parse_aut(text, max_states=10_000)
+    assert err.value.budget == 10_000
+    assert "1000000" in str(err.value)
+    lts, _ = parse_aut('des (0,1,2)\n(0,"a",1)\n', max_states=2)
+    assert lts.state_count == 2
 
 
 def test_parse_error_carries_line_number():

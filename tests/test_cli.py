@@ -105,6 +105,7 @@ def test_aut_input_uses_state_indices(capsys):
          FIXTURES / "phil.aut"],
         ["check", "--lhs", "X", "--rhs", "X", "/nonexistent/file.ccs"],
         ["check", "--lhs", "0", "--rhs", "1", TESTS / "data" / "not_utf8.aut"],
+        ["check", "--lhs", "0", "--rhs", "1", TESTS / "data" / "huge_header.aut"],
     ],
 )
 def test_usage_errors_exit_two(args, capsys):
@@ -320,6 +321,43 @@ def test_deep_ccs_chain_certificate(tmp_path, capsys):
     assert format_formula(phi) == match.group(1)
     assert hml_satisfies(lts, lhs, phi)
     assert not hml_satisfies(lts, rhs, phi)
+
+
+def test_gameless_notions_on_long_chain(tmp_path, capsys):
+    """300-step chains (603 states) under the four fixed-point notions: each
+    deleted pair is handled once, where re-sweeping every remaining pair
+    after each deletion took minutes."""
+    n = 300
+
+    def chain_file(name: str, ends: tuple[str, str]) -> Path:
+        records = [f'({i},"a",{i + 1})' for i in range(n)]
+        records += [f'({n + 1 + i},"a",{n + 2 + i})' for i in range(n)]
+        records += [f'({n},"{ends[0]}",{2 * n + 2})', f'({2 * n + 1},"{ends[1]}",{2 * n + 2})']
+        path = tmp_path / name
+        path.write_text("\n".join([f"des (0,{len(records)},{2 * n + 3})", *records]) + "\n")
+        return path
+
+    chain = chain_file("chain.aut", ("b", "c"))
+    for notion in ("weak-sim", "weak-bisim", "strong-bisim", "naive-contrasim-1step"):
+        code = run_main(
+            ["check", "--lhs", 0, "--rhs", n + 1, "--notion", notion,
+             "--direction", "equivalence", chain]
+        )
+        assert code == 1, notion
+
+    twins = chain_file("twins.aut", ("b", "b"))
+    capsys.readouterr()
+    code = run_main(
+        ["check", "--lhs", 0, "--rhs", n + 1, "--notion", "weak-sim",
+         "--emit-certificate", twins]
+    )
+    assert code == 0
+    line = re.search(r"^relation: (.+)$", capsys.readouterr().out, re.MULTILINE)
+    assert line is not None
+    pairs = {(int(p), int(q)) for p, q in re.findall(r"\((\d+), (\d+)\)", line.group(1))}
+    assert (0, n + 1) in pairs
+    lts, _ = parse_aut(twins.read_text())
+    assert relations.is_weak_simulation(lts, pairs)
 
 
 def test_holding_certificate_is_sorted_relation(tmp_path):

@@ -4,7 +4,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from contrasim.aut import parse_aut
-from contrasim.lts import Lts, act
+from contrasim.csgame import naive_single_step_relation
+from contrasim.lts import Lts, TAU, act
 from contrasim.relations import (
     check_coupling,
     contrasim_preorder,
@@ -240,3 +241,90 @@ def test_preorder_implies_bounded_weak_trace_inclusion(lts):
         for w in words:
             if lts.weak_word_successors(p, w):
                 assert lts.weak_word_successors(q, w), (p, q, w)
+
+
+# -- the fixed-point engine against the pair-deletion loops it replaced ----------------
+
+
+def reference_gfp_simulation(lts: Lts, match_weak: bool, symmetric: bool):
+    """Delete every pair that fails the (bi)simulation condition, re-sweeping
+    all remaining pairs until none fails."""
+    n = lts.state_count
+    alphabet = lts.visible_actions + (TAU,)
+    strong = {(s, a): sorted(lts.strong_successors(s, a)) for s in range(n) for a in alphabet}
+    if match_weak:
+        answer = {(s, a): lts.weak_successors(s, a) for s in range(n) for a in alphabet}
+    else:
+        answer = strong
+
+    def simulates(p: int, q: int, rel: set) -> bool:
+        return all(
+            any((p2, q2) in rel for q2 in answer[(q, a)])
+            for a in alphabet
+            for p2 in strong[(p, a)]
+        )
+
+    rel = {(p, q) for p in range(n) for q in range(n)}
+    changed = True
+    while changed:
+        changed = False
+        for p, q in sorted(rel):
+            ok = simulates(p, q, rel)
+            if ok and symmetric:
+                ok = simulates(q, p, rel)
+            if not ok:
+                rel.discard((p, q))
+                if symmetric:
+                    rel.discard((q, p))
+                changed = True
+    return frozenset(rel)
+
+
+def reference_naive_relation(lts: Lts):
+    """The single-step swap condition by the same pair-deletion sweeps."""
+    n = lts.state_count
+    alphabet = lts.visible_actions + (TAU,)
+    weak = {(s, a): lts.weak_successors(s, a) for s in range(n) for a in alphabet}
+    rel = {(x, y) for x in range(n) for y in range(n)}
+    changed = True
+    while changed:
+        changed = False
+        for x, y in sorted(rel):
+            ok = all(
+                any((y2, x2) in rel for y2 in weak[(y, a)])
+                for a in alphabet
+                for x2 in weak[(x, a)]
+            )
+            if not ok:
+                rel.discard((x, y))
+                changed = True
+    return frozenset(rel)
+
+
+def assert_engine_matches_reference(lts: Lts) -> None:
+    assert weak_sim_preorder(lts) == reference_gfp_simulation(lts, True, False)
+    assert weak_bisimilarity(lts) == reference_gfp_simulation(lts, True, True)
+    assert strong_bisimilarity(lts) == reference_gfp_simulation(lts, False, True)
+    assert naive_single_step_relation(lts) == reference_naive_relation(lts)
+
+
+@given(random_lts_strategy(max_states=7))
+@settings(max_examples=100, deadline=None)
+def test_fixed_points_match_reference_loops(lts):
+    assert_engine_matches_reference(lts)
+
+
+@pytest.mark.parametrize("tau_share", [0.3, 0.6])
+def test_fixed_points_match_reference_on_cyclic_corpus(tau_share):
+    """Dense, internal-heavy and cyclic systems, where answers run through
+    long tau paths and deletions cascade."""
+    rng = random.Random(6)
+    for _ in range(60):
+        lts = make_random_lts(
+            rng,
+            n_states=rng.randint(2, 9),
+            n_actions=rng.randint(1, 3),
+            density=(0.1, 0.6),
+            tau_share=tau_share,
+        )
+        assert_engine_matches_reference(lts)
