@@ -36,9 +36,10 @@ from .csgame import (
     extract_distinguishing_formula,
     fc_membership,
     naive_single_step_preorder,
+    solve_cs_game_locally,
     strategy_from_fc,
 )
-from .errors import ParseError, StateBudgetError
+from .errors import ParseError, PositionBudgetError, StateBudgetError
 from .game import (
     GameGraph,
     GameSolution,

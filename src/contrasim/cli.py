@@ -3,15 +3,19 @@ certificates.
 
 Each query builds one game or computes one relation: under ``--direction
 equivalence`` the backward verdict is read off the lhs-vs-rhs game at its
-reverse root, and ``game_positions``, ``game_moves``, ``solve_ms`` and
-``--emit-game-dot`` describe that one game.
+reverse root, and ``game_positions``, ``game_moves`` and ``solve_ms``
+describe that one game.  A ``contrasim`` query explores its game locally
+and stops once the attacker wins every queried root, so the counts are
+those of the explored part; with ``--emit-game-dot`` it builds, counts and
+writes the whole reachable game.
 
 Exit codes: 0 when the checked relation holds, 1 when it fails, 2 on usage,
-parse, file, or expansion-budget errors, and 3 on an internal error (a
-defect), which prints ``internal error: <type>: <message>`` after its
-traceback on stderr.  A failing contrasimulation check is certified by a
-formula that the first failing direction's left side satisfies and its
-right side refutes, a holding one by a relation; both are re-checkable.
+parse, file, or budget errors (states or game positions), and 3 on an
+internal error (a defect), which prints ``internal error: <type>:
+<message>`` after its traceback on stderr.  A failing contrasimulation
+check is certified by a formula that the first failing direction's left
+side satisfies and its right side refutes, a holding one by a relation;
+both are re-checkable.
 """
 
 import argparse
@@ -25,7 +29,7 @@ from typing import Optional, Sequence
 from . import csgame, relations
 from .aut import parse_aut
 from .ccs import DEFAULT_MAX_STATES, expand_ccs_roots, parse_ccs
-from .errors import ParseError, StateBudgetError
+from .errors import ParseError, PositionBudgetError, StateBudgetError
 from .game import GameGraph, Player, solve
 from .hml import format_formula
 from .lts import Lts
@@ -57,6 +61,7 @@ class CheckRequest:
     notion: str = "contrasim"
     direction: str = "preorder"  # "preorder" | "equivalence"
     max_states: int = DEFAULT_MAX_STATES
+    max_positions: int = csgame.DEFAULT_MAX_POSITIONS
     word_bound: Optional[int] = None
     emit_certificate: bool = False
     emit_game_dot: Optional[str] = None
@@ -136,6 +141,8 @@ def run_check(request: CheckRequest) -> CheckReport:
         raise UsageError(f"unknown input format {request.input_format!r}")
     if request.max_states < 1:
         raise UsageError("--max-states must be at least 1")
+    if request.max_positions < 1:
+        raise UsageError("--max-positions must be at least 1")
     if notion == "bounded-word-game":
         if request.word_bound is None:
             raise UsageError("--word-bound is required for the bounded word game")
@@ -147,12 +154,22 @@ def run_check(request: CheckRequest) -> CheckReport:
     lts, lhs, rhs = _load_model(request)
     equivalence = request.direction == "equivalence"
     positions = moves = None
-    if notion in GAME_NOTIONS:
+    if notion == "contrasim" and request.emit_game_dot is None:
+        # Expansion and solving interleave, so solve_ms times both.
+        t0 = time.perf_counter()
+        game, solution, roots = csgame.solve_cs_game_locally(
+            lts, lhs, rhs, swapped=equivalence, max_positions=request.max_positions
+        )
+        solve_ms = (time.perf_counter() - t0) * 1000.0
+        graph = game.graph
+    elif notion in GAME_NOTIONS:
         if notion == "contrasim":
-            game = csgame.build_cs_game(lts, lhs, rhs)
+            game = csgame.build_cs_game(lts, lhs, rhs, request.max_positions)
             graph = game.graph
         else:
-            graph, game = csgame.build_word_game(lts, lhs, rhs, request.word_bound)
+            graph, game = csgame.build_word_game(
+                lts, lhs, rhs, request.word_bound, request.max_positions
+            )
         roots = [graph.initial]
         if equivalence and notion == "contrasim":
             roots.append(game.swapped_initial)
@@ -161,14 +178,16 @@ def run_check(request: CheckRequest) -> CheckReport:
         t0 = time.perf_counter()
         solution = solve(graph)
         solve_ms = (time.perf_counter() - t0) * 1000.0
-        results = [solution.winner[root] is Player.DEFENDER for root in roots]
-        positions, moves = graph.position_count, graph.move_count
     else:
         t0 = time.perf_counter()
         related = ORACLES.get(notion, csgame.naive_single_step_relation)(lts)
         solve_ms = (time.perf_counter() - t0) * 1000.0
         directions = [(lhs, rhs), (rhs, lhs)] if equivalence else [(lhs, rhs)]
         results = [pair in related for pair in directions]
+    if notion in GAME_NOTIONS:
+        results = [solution.winner[root] is Player.DEFENDER for root in roots]
+        positions = graph.position_count
+        moves = game.move_count if notion == "contrasim" else graph.move_count
 
     certificate = None
     if request.emit_certificate:
@@ -309,6 +328,12 @@ def _build_parser() -> argparse.ArgumentParser:
         help="state budget for CCS expansion and for the states an .aut header declares",
     )
     check.add_argument(
+        "--max-positions",
+        type=int,
+        default=csgame.DEFAULT_MAX_POSITIONS,
+        help="position budget for the game a query builds",
+    )
+    check.add_argument(
         "--word-bound",
         type=int,
         default=None,
@@ -340,6 +365,7 @@ def _request_from_args(args: argparse.Namespace) -> CheckRequest:
         notion=args.notion,
         direction=args.direction,
         max_states=args.max_states,
+        max_positions=args.max_positions,
         word_bound=args.word_bound,
         emit_certificate=args.emit_certificate,
         emit_game_dot=args.emit_game_dot,
@@ -356,7 +382,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         _print_report(report, sys.stdout)
         if request.emit_json is not None:
             Path(request.emit_json).write_text(report_json(report))
-    except (UsageError, ParseError, StateBudgetError, OSError) as exc:
+    except (UsageError, ParseError, StateBudgetError, PositionBudgetError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:

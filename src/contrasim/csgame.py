@@ -20,12 +20,19 @@ preorder, and the certificate extractors below turn winning strategies into
 either a checkable relation (defender) or a distinguishing formula
 (attacker).  The attacker's reflexive swap leads from ``AttackerPos(p, {q})``
 to ``AttackerPos(q, {p})``, so one game decides both directions of an
-equivalence: the reverse one at :attr:`CsGame.swapped_initial`.
+equivalence: the reverse one at :attr:`CsGame.swapped_initial`, or at the
+second root of :func:`solve_cs_game_locally`.
 
-The game builder never allocates these position values: it keys positions
-by ints over interned defender sets and records them in parallel lists of
-:class:`CsGame`, which decodes them into the dataclasses above on demand.
-The certificate extractors read the lists directly.
+One expander does the per-position work: it keys positions by ints over
+interned defender sets, generates each position's moves, and records the
+positions in the parallel lists of :class:`CsGame`, which decodes them into
+the dataclasses above on demand.  Two searches run it.
+:func:`build_cs_game` expands the whole reachable game breadth-first, for
+:func:`solve` and the DOT export.  :func:`solve_cs_game_locally` expands
+positions over the smallest defender sets first, propagates attacker wins
+as soon as a position's moves are known, and stops once the attacker wins
+every queried root; a holding check still expands the whole game.  The
+certificate extractors read the lists directly.
 
 The module also carries two deliberately weaker procedures kept for
 comparison: a single-step fixed point that is unsound for the preorder, and
@@ -35,10 +42,19 @@ a word game whose challenges are cut off at a given length.
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
+from types import SimpleNamespace
 from typing import Iterable, Mapping, Union
 
 from . import relations
-from .game import GameGraph, GameSolution, Player, PositionalStrategy, solve
+from .errors import PositionBudgetError
+from .game import (
+    GameGraph,
+    GameSolution,
+    Player,
+    PositionalStrategy,
+    solution_from_attractor,
+    solve,
+)
 from .hml import DelayNor, DelayObs, HmlFormula
 from .lts import Action, Lts, StateSet, Word
 
@@ -74,7 +90,7 @@ def cs_successors(lts: Lts, pos: CsPosition) -> list[CsPosition]:
     swap answers apply internal closure to the defender's set.  An attacker
     position always has at least the reflexive swap challenge; a swap over
     the empty set has no answers.  This is the executable specification that
-    :func:`build_cs_game` follows move for move.
+    the set-game expander follows move for move.
     """
     if isinstance(pos, AttackerPos):
         here = frozenset((pos.p,))
@@ -110,6 +126,11 @@ class CsGame:
     Every distinct set is stored once.  ``positions`` and ``index`` decode
     the lists into ``AttackerPos``/``SimPos``/``SwapPos`` values on first
     use.  The lists must not be mutated.
+
+    A game explored by :func:`solve_cs_game_locally` may stop short of the
+    reachable game: ``frontier`` lists the positions whose moves were never
+    generated, and in ``graph`` each of them is a defender position whose
+    only move leads to itself.
     """
 
     lts: Lts
@@ -119,6 +140,7 @@ class CsGame:
     q_ids: list[int]
     actions: list[int]
     q_sets: list[StateSet]
+    frontier: tuple[int, ...] = ()
 
     @cached_property
     def positions(self) -> tuple[CsPosition, ...]:
@@ -143,10 +165,16 @@ class CsGame:
         return self.positions[self.graph.initial]
 
     @property
+    def move_count(self) -> int:
+        """Moves of the expanded positions: the frontier's loops not counted."""
+        return self.graph.move_count - len(self.frontier)
+
+    @property
     def swapped_initial(self) -> int:
         """Index of ``AttackerPos(q, {p})``, the answer ``q`` to the reflexive
         swap ``SwapPos(p, {q})`` from the initial ``AttackerPos(p, {q})``; its
-        winner decides ``q`` below ``p``."""
+        winner decides ``q`` below ``p``.  Needs the initial position and its
+        reflexive swap expanded, as in :func:`build_cs_game`."""
         moves, kinds, states = self.graph.moves, self.kinds, self.states
         initial = self.graph.initial
         p = states[initial]
@@ -155,20 +183,26 @@ class CsGame:
         return next(i for i in moves[swap] if states[i] == q)
 
 
-def build_cs_game(lts: Lts, p: int, q: int) -> CsGame:
-    """Breadth-first closure of the move relation from ``AttackerPos(p, {q})``.
+DEFAULT_MAX_POSITIONS = 1_000_000
 
-    Produces the positions and moves of a breadth-first search over
-    :func:`cs_successors`, in the same order.  The construction is finite
-    because there are at most (|actions|+2) * |S| * 2^|S| positions.
 
-    A position is keyed by one int, ``((q_id * width + a) * n + s) * 3 + kind``.
-    Each distinct set is interned once; its internal closure and its delay
-    successor per action are computed on first use and then looked up, and
-    each state's challenges are listed once.
+def _expander(lts: Lts, max_positions: int) -> SimpleNamespace:
+    """The per-position work of the set game, shared by its two searches.
+
+    Returns the lists that :class:`CsGame` keeps, as far as the game is
+    expanded, and three functions.  ``row(i)`` lists the moves of position
+    ``i`` in :func:`cs_successors` order and adds the positions they reach
+    if they are new; ``attacker(p, q)`` is the index of
+    ``AttackerPos(p, {q})``, added if it is new; ``game(owner, moves,
+    frontier)`` wraps the lists and the given rows into a :class:`CsGame`.
+
+    A position is keyed by one int, ``((q_id * width + a) * n + s) * 3 +
+    kind``.  Each distinct set is interned once; its internal closure and
+    its delay successor per action are computed on first use and then
+    looked up, and each state's challenges are listed once.  ``add`` is the
+    one place where positions are created, so it enforces the position
+    budget.
     """
-    lts._check_state(p)
-    lts._check_state(q)
     n = lts.state_count
     visible = lts.visible_actions
     width = max(len(visible), 1)
@@ -234,28 +268,31 @@ def build_cs_game(lts: Lts, p: int, q: int) -> CsGame:
     index: dict[int, int] = {}  # position key -> position index
 
     def add(key: int, kind: int, s: int, qid: int, ai: int) -> int:
-        idx = index[key] = len(kinds)
+        idx = len(kinds)
+        if idx == max_positions:
+            raise PositionBudgetError(max_positions)
+        index[key] = idx
         kinds.append(kind)
         states.append(s)
         q_ids.append(qid)
         actions.append(ai)
         return idx
 
-    initial = single(q)
-    add(initial * stride + p * 3 + ATTACKER, ATTACKER, p, initial, -1)
-    moves: list[list[int]] = []
-    # Positions are appended in discovery order, so walking the lists in
-    # index order is the breadth-first queue.
-    at = 0
-    while at < len(kinds):
+    def attacker(p: int, q: int) -> int:
+        qid = single(q)
+        key = qid * stride + p * 3 + ATTACKER
+        idx = index.get(key)
+        return add(key, ATTACKER, p, qid, -1) if idx is None else idx
+
+    def row(at: int) -> tuple[int, ...]:
         kind, s, qid = kinds[at], states[at], q_ids[at]
-        row = []
+        out = []
         if kind == ATTACKER:
             base = qid * stride
             for offset, kind2, s2, ai in challenges[s] or challenges_of(s):
                 key = base + offset
                 idx = index.get(key)
-                row.append(add(key, kind2, s2, qid, ai) if idx is None else idx)
+                out.append(add(key, kind2, s2, qid, ai) if idx is None else idx)
         elif kind == SIM:
             ai = actions[at]
             target = delay[qid * width + ai]
@@ -263,36 +300,197 @@ def build_cs_game(lts: Lts, p: int, q: int) -> CsGame:
                 target = delay_of(qid, ai)
             key = target * stride + s * 3 + ATTACKER
             idx = index.get(key)
-            row.append(add(key, ATTACKER, s, target, -1) if idx is None else idx)
+            out.append(add(key, ATTACKER, s, target, -1) if idx is None else idx)
         else:
             swapped = single(s)
             base = swapped * stride
             for s2 in closed(qid):
                 key = base + s2 * 3 + ATTACKER
                 idx = index.get(key)
-                row.append(add(key, ATTACKER, s2, swapped, -1) if idx is None else idx)
-        moves.append(row)
-        at += 1
+                out.append(add(key, ATTACKER, s2, swapped, -1) if idx is None else idx)
+        return tuple(out)
 
-    graph = GameGraph(map(_OWNER.__getitem__, kinds), moves, initial=0)
-    return CsGame(lts, graph, kinds, states, q_ids, actions, q_sets)
+    def game(owner: Iterable[Player], moves: Iterable[Iterable[int]],
+             frontier: tuple[int, ...] = ()) -> CsGame:
+        # Each move is generated once, so no row holds a duplicate.
+        graph = GameGraph.from_unique_rows(owner, moves)
+        return CsGame(lts, graph, kinds, states, q_ids, actions, q_sets, frontier)
+
+    return SimpleNamespace(
+        kinds=kinds, states=states, q_ids=q_ids, q_sets=q_sets,
+        row=row, attacker=attacker, game=game,
+    )
+
+
+def build_cs_game(
+    lts: Lts, p: int, q: int, max_positions: int = DEFAULT_MAX_POSITIONS
+) -> CsGame:
+    """Breadth-first closure of the move relation from ``AttackerPos(p, {q})``.
+
+    Produces the positions and moves of a breadth-first search over
+    :func:`cs_successors`, in the same order.  The construction is finite
+    because there are at most (|actions|+2) * |S| * 2^|S| positions; more
+    than ``max_positions`` raise :class:`PositionBudgetError`.
+    """
+    lts._check_state(p)
+    lts._check_state(q)
+    expander = _expander(lts, max_positions)
+    expander.attacker(p, q)
+    kinds, row = expander.kinds, expander.row
+    # Positions are appended in discovery order, so walking the lists in
+    # index order is the breadth-first queue.
+    moves = []
+    while len(moves) < len(kinds):
+        moves.append(row(len(moves)))
+    return expander.game(map(_OWNER.__getitem__, kinds), moves)
+
+
+def solve_cs_game_locally(
+    lts: Lts, p: int, q: int, swapped: bool = False,
+    max_positions: int = DEFAULT_MAX_POSITIONS,
+) -> tuple[CsGame, GameSolution, tuple[int, ...]]:
+    """Decide the set game at ``AttackerPos(p, {q})`` (with ``swapped``, also
+    at ``AttackerPos(q, {p})``), expanding only the positions it needs.
+
+    Returns the explored game, its solution and the indices of the roots.
+    This is the local algorithm of Liu & Smolka (ICALP 1998): once a
+    position's moves are known, attacker wins propagate backward over the
+    known edges, with one pending counter per defender position as in
+    :func:`solve`.  The next position to expand is one over the smallest
+    defender set; among those the last one queued, where a row's new
+    positions are queued so that its first move comes first.  A smaller set
+    only helps the attacker, and at the empty set the reflexive swap wins at
+    once, so it is expanded next.  Exploration stops when the attacker has
+    won every root, or when no unexpanded position is left.
+
+    When the defender wins every root, the reachable game is expanded whole
+    and the propagated region is its exact attractor, so the solution is
+    completed from it: the defender strategy, and with it the extracted
+    relation, is the one ``solve(build_cs_game(...).graph)`` gives.
+    Otherwise :func:`solve` runs on the explored game, in which every
+    unexpanded position, listed in :attr:`CsGame.frontier`, becomes a
+    defender position whose only move leads to itself, so no attacker win
+    is claimed through it; the attacker's strategy then has minimum rank on
+    what was explored.
+    """
+    lts._check_state(p)
+    lts._check_state(q)
+    expander = _expander(lts, max_positions)
+    roots = (expander.attacker(p, q),)
+    if swapped:
+        roots += (expander.attacker(q, p),)
+    kinds, states, q_ids, q_sets = expander.kinds, expander.states, expander.q_ids, expander.q_sets
+    row_of = expander.row
+    count = len(kinds)
+    moves: list[tuple[int, ...] | None] = [None] * count  # None until expanded
+    preds: list[list[int] | None] = [[] for _ in range(count)]  # expanded predecessors
+    pending = [0] * count  # moves not yet won, per expanded defender position
+    won = [False] * count
+    order: list[int] = []  # won positions, each after the successors it was won by
+    choice: dict[int, int] = {}
+    # buckets[k]: positions over a set of k states, to be expanded last in, first out.
+    buckets: list[list[int]] = [[] for _ in range(lts.state_count + 1)]
+    buckets[1] += reversed(roots)
+    lowest = 1
+    undecided = set(roots)
+
+    while undecided:
+        bucket = buckets[lowest]
+        if not bucket:
+            if lowest == lts.state_count:
+                break
+            lowest += 1
+            continue
+        at = bucket.pop()
+        if moves[at] is not None:
+            continue
+        row = moves[at] = row_of(at)
+        kind = kinds[at]
+        if len(kinds) > count:
+            # The new positions share one set: the attacker's own, the
+            # delay step's, or a swap answer's single state.
+            k = 1 if kind == SWAP else len(q_sets[q_ids[row[0] if kind == SIM else at]])
+            if k < lowest:
+                lowest = k
+            bucket = buckets[k]
+            for i in range(len(kinds) - 1, count - 1, -1):
+                bucket.append(i)
+                moves.append(None)
+                preds.append([])
+                pending.append(0)
+                won.append(False)
+            count = len(kinds)
+        if kind == ATTACKER:
+            for t in row:
+                if won[t]:
+                    won[at] = True
+                    choice[at] = t
+                    break
+                preds[t].append(at)  # left behind if ``at`` is won: then skipped
+            else:
+                if not q_sets[q_ids[at]]:
+                    s = states[at]
+                    buckets[0].append(next(t for t in row if kinds[t] == SWAP and states[t] == s))
+                continue
+        else:
+            left = 0
+            for t in row:
+                if not won[t]:
+                    left += 1
+                    preds[t].append(at)
+            if left:
+                pending[at] = left
+                continue
+            won[at] = True
+        # Pass the new win back over the known edges.
+        stack = [at]
+        while stack:
+            w = stack.pop()
+            order.append(w)
+            undecided.discard(w)
+            for u in preds[w]:
+                if won[u]:
+                    continue
+                if kinds[u] == ATTACKER:
+                    won[u] = True
+                    choice[u] = w
+                    stack.append(u)
+                else:
+                    pending[u] -= 1
+                    if not pending[u]:
+                        won[u] = True
+                        stack.append(u)
+            preds[w] = None  # a won position gains no predecessors
+
+    del preds, pending, buckets
+    frontier = tuple(i for i, row in enumerate(moves) if row is None)
+    owner = [_OWNER[k] for k in kinds]
+    for i in frontier:
+        owner[i] = Player.DEFENDER
+        moves[i] = (i,)
+    game = expander.game(owner, moves, frontier)
+    del expander, row_of  # frees the position index before solving
+    if len(undecided) < len(set(roots)):
+        return game, solve(game.graph), roots
+    rank: list[int | None] = [None] * count
+    for w in order:
+        if kinds[w] == ATTACKER:
+            rank[w] = rank[choice[w]] + 1
+        else:
+            rank[w] = max(map(rank.__getitem__, moves[w]), default=-1) + 1
+    return game, solution_from_attractor(game.graph, won, rank, choice), roots
 
 
 def decide_preorder(lts: Lts, p: int, q: int) -> bool:
     """True iff the defender wins the set game started at ``(p, {q})``."""
-    game = build_cs_game(lts, p, q)
-    solution = solve(game.graph)
-    return solution.winner[game.graph.initial] is Player.DEFENDER
+    _, solution, (root,) = solve_cs_game_locally(lts, p, q)
+    return solution.winner[root] is Player.DEFENDER
 
 
 def decide_equivalence(lts: Lts, p: int, q: int) -> bool:
     """Both preorders, read off one game at its two roots."""
-    game = build_cs_game(lts, p, q)
-    winner = solve(game.graph).winner
-    return all(
-        winner[root] is Player.DEFENDER
-        for root in (game.graph.initial, game.swapped_initial)
-    )
+    _, solution, roots = solve_cs_game_locally(lts, p, q, swapped=True)
+    return all(solution.winner[root] is Player.DEFENDER for root in roots)
 
 
 # -- certificates -------------------------------------------------------------
@@ -423,7 +621,8 @@ class _WordChallenge:
 
 
 def build_word_game(
-    lts: Lts, p: int, q: int, max_word_length: int
+    lts: Lts, p: int, q: int, max_word_length: int,
+    max_positions: int = DEFAULT_MAX_POSITIONS,
 ) -> tuple[GameGraph, tuple]:
     """The word-challenge game with attacker words cut off at ``max_word_length``.
 
@@ -434,45 +633,79 @@ def build_word_game(
     bound reaches the state count.  Returns the graph and its index-aligned
     positions.  The empty-word challenge leads from ``_WordAttacker(p, q)``
     to ``_WordAttacker(q, p)``, whose winner decides the reverse preorder.
+    More than ``max_positions`` positions raise :class:`PositionBudgetError`.
+
+    The challenges of each attacker state and the answers to each word from
+    each defender state are computed once and shared by every position that
+    needs them.
     """
     if max_word_length < 1:
         raise ValueError("max_word_length must be at least 1")
     lts._check_state(p)
     lts._check_state(q)
 
-    initial = _WordAttacker(p, q)
-    index: dict[object, int] = {initial: 0}
-    positions: list = [initial]
-    moves: list[list[int]] = []
-    todo: deque = deque((initial,))
+    n = lts.state_count
+    # A position is keyed by one int: (p * n + q) * 2 for _WordAttacker(p, q),
+    # ((word id * n + p) * n + q) * 2 + 1 for _WordChallenge(word, p, q).
+    index: dict[int, int] = {}
+    keys: list[int] = []
+    word_ids: dict[Word, int] = {}
+    words: list[Word] = []
+    challenges: dict[int, list[tuple[int, int]]] = {}  # p -> (word id, state after it)
+    answers: dict[tuple[int, int], tuple[int, ...]] = {}  # (word id, q) -> states after it
 
-    def intern(pos) -> int:
-        idx = index.get(pos)
+    def intern(key: int) -> int:
+        idx = index.get(key)
         if idx is None:
-            idx = len(positions)
-            index[pos] = idx
-            positions.append(pos)
-            todo.append(pos)
+            idx = len(keys)
+            if idx == max_positions:
+                raise PositionBudgetError(max_positions)
+            index[key] = idx
+            keys.append(key)
         return idx
 
-    while todo:
-        pos = todo.popleft()
-        row = []
-        if isinstance(pos, _WordAttacker):
-            for word, frontier in lts.feasible_words(pos.p, max_word_length):
-                for p2 in sorted(lts.internal_closure(frontier)):
-                    row.append(intern(_WordChallenge(word, p2, pos.q)))
-        else:
-            assert isinstance(pos, _WordChallenge)
-            for q2 in sorted(lts.weak_word_successors(pos.q, pos.word)):
-                row.append(intern(_WordAttacker(q2, pos.p)))
-        moves.append(row)
+    def word_id(word: Word) -> int:
+        wid = word_ids.get(word)
+        if wid is None:
+            wid = word_ids[word] = len(words)
+            words.append(word)
+        return wid
 
-    owner = (
-        Player.ATTACKER if isinstance(pos, _WordAttacker) else Player.DEFENDER
-        for pos in positions
-    )
-    return GameGraph(owner, moves, initial=0), tuple(positions)
+    intern((p * n + q) * 2)
+    moves: list[tuple[int, ...]] = []
+    # Keys are appended in discovery order: walking them is the breadth-first queue.
+    while len(moves) < len(keys):
+        key = keys[len(moves)]
+        rest, other = divmod(key >> 1, n)
+        if not key & 1:
+            steps = challenges.get(rest)
+            if steps is None:
+                steps = challenges[rest] = [
+                    (word_id(word), s2)
+                    for word, frontier in lts.feasible_words(rest, max_word_length)
+                    for s2 in sorted(lts.internal_closure(frontier))
+                ]
+            moves.append(tuple([intern(((wid * n + s2) * n + other) * 2 + 1) for wid, s2 in steps]))
+        else:
+            wid, s = divmod(rest, n)
+            reached = answers.get((wid, other))
+            if reached is None:
+                reached = answers[wid, other] = tuple(
+                    sorted(lts.weak_word_successors(other, words[wid]))
+                )
+            moves.append(tuple([intern((s2 * n + s) * 2) for s2 in reached]))
+
+    positions = []
+    for key in keys:
+        rest, other = divmod(key >> 1, n)
+        if key & 1:
+            wid, s = divmod(rest, n)
+            positions.append(_WordChallenge(words[wid], s, other))
+        else:
+            positions.append(_WordAttacker(rest, other))
+    owner = (Player.DEFENDER if key & 1 else Player.ATTACKER for key in keys)
+    # Words are distinct and answers are sets, so no row holds a duplicate.
+    return GameGraph.from_unique_rows(owner, moves), tuple(positions)
 
 
 def bounded_word_game_preorder(lts: Lts, p: int, q: int, max_word_length: int) -> bool:

@@ -31,3 +31,14 @@ class StateBudgetError(RuntimeError):
             f"state budget of {budget} states exceeded {where}; "
             f"raise max_states if the system really is this large"
         )
+
+
+class PositionBudgetError(RuntimeError):
+    """Raised when a game grows past the position budget."""
+
+    def __init__(self, budget: int):
+        self.budget = budget
+        super().__init__(
+            f"position budget of {budget} game positions exceeded; "
+            f"raise max_positions if the game really is this large"
+        )

@@ -49,6 +49,19 @@ class GameGraph:
             raise IndexError(f"initial position {initial} outside 0..{n - 1}")
         self.initial = initial
 
+    @classmethod
+    def from_unique_rows(
+        cls, owner: Iterable[Player], moves: Iterable[Iterable[int]], initial: int = 0
+    ) -> "GameGraph":
+        """A graph whose rows are already in range and free of duplicates,
+        as the set game and the word game generate them: the rows are taken
+        without the constructor's checks."""
+        graph = cls.__new__(cls)
+        graph.owner = tuple(owner)
+        graph.moves = tuple(map(tuple, moves))
+        graph.initial = initial
+        return graph
+
     @property
     def position_count(self) -> int:
         return len(self.owner)
@@ -74,9 +87,11 @@ class GameSolution:
     winner: tuple[Player, ...]
     attacker_strategy: PositionalStrategy
     defender_strategy: PositionalStrategy
-    # Attractor level per position: 0 on stuck defender positions, one more
-    # than the chosen successor along attacker wins, None (infinity) on
-    # defender-won positions.
+    # Per position: 0 on stuck defender positions, one more than the chosen
+    # successor along attacker wins, one more than the highest-ranked
+    # successor on other won defender positions, None (infinity) on
+    # defender-won positions.  solve() gives the least such ranks, the
+    # attractor levels.
     attacker_rank: tuple[Optional[int], ...]
 
 
@@ -124,15 +139,32 @@ def solve(graph: GameGraph) -> GameSolution:
                     rank[u] = rank[w] + 1
                     queue.append(u)
 
+    return solution_from_attractor(graph, won, rank, attacker_choice)
+
+
+def solution_from_attractor(
+    graph: GameGraph,
+    won: Sequence[bool],
+    rank: Sequence[Optional[int]],
+    attacker_choice: dict[int, int],
+) -> GameSolution:
+    """Complete an attacker-won region into a :class:`GameSolution`.
+
+    ``won`` must be the exact attractor of ``graph``, with ``attacker_choice``
+    a won successor of every won attacker position and ``rank`` strictly
+    decreasing along those choices and along every move out of a won
+    defender position.  The defender takes its first move that is not won.
+    """
+    attacker, defender = Player.ATTACKER, Player.DEFENDER
     defender_choice: dict[int, int] = {}
-    for g in range(n):
-        if graph.owner[g] is Player.DEFENDER and not won[g]:
-            for t in graph.moves[g]:
+    for g, (owner, row) in enumerate(zip(graph.owner, graph.moves)):
+        if owner is defender and not won[g]:
+            for t in row:
                 if not won[t]:
                     defender_choice[g] = t
                     break
 
-    winner = tuple(Player.ATTACKER if w else Player.DEFENDER for w in won)
+    winner = tuple([attacker if w else defender for w in won])
     return GameSolution(
         winner=winner,
         attacker_strategy=PositionalStrategy(Player.ATTACKER, attacker_choice),

@@ -25,6 +25,7 @@ from contrasim.csgame import (
     extract_distinguishing_formula,
     format_position,
     naive_single_step_preorder,
+    solve_cs_game_locally,
 )
 from contrasim.game import GameGraph, Player, solve
 from contrasim.hml import DelayNor, DelayObs, TRUTH, format_formula, hml_satisfies
@@ -103,6 +104,15 @@ def test_aut_input_uses_state_indices(capsys):
          FIXTURES / "instable.ccs"],
         ["check", "--lhs", "1", "--rhs", "2", "--max-states", "-5",
          FIXTURES / "phil.aut"],
+        ["check", "--lhs", "1", "--rhs", "2", "--max-positions", "0",
+         FIXTURES / "phil.aut"],
+        # the game has 119 positions
+        ["check", "--lhs", "1", "--rhs", "2", "--max-positions", "100",
+         FIXTURES / "phil.aut"],
+        ["check", "--lhs", "1", "--rhs", "2", "--max-positions", "100",
+         "--emit-game-dot", "/dev/null", FIXTURES / "phil.aut"],
+        ["check", "--lhs", "1", "--rhs", "2", "--max-positions", "100",
+         "--notion", "bounded-word-game", "--word-bound", "3", FIXTURES / "phil.aut"],
         ["check", "--lhs", "X", "--rhs", "X", "/nonexistent/file.ccs"],
         ["check", "--lhs", "0", "--rhs", "1", TESTS / "data" / "not_utf8.aut"],
         ["check", "--lhs", "0", "--rhs", "1", TESTS / "data" / "huge_header.aut"],
@@ -218,12 +228,11 @@ def test_every_notion_matches_library(model, lhs, rhs, notion, direction, tmp_pa
     if cert is not None and cert["kind"] == "formula":
         # The formula comes from the lhs-vs-rhs game, at the root of the
         # first failing direction.
-        game = build_cs_game(lts, lhs, rhs)
-        solution = solve(game.graph)
-        forward = solution.winner[game.graph.initial] is Player.DEFENDER
-        root, left, right = (
-            (game.swapped_initial, rhs, lhs) if forward else (game.graph.initial, lhs, rhs)
+        game, solution, roots = solve_cs_game_locally(
+            lts, lhs, rhs, swapped=direction == "equivalence"
         )
+        forward = solution.winner[roots[0]] is Player.DEFENDER
+        root, left, right = (roots[1], rhs, lhs) if forward else (roots[0], lhs, rhs)
         phi = extract_distinguishing_formula(game, solution, root)
         assert format_formula(phi) == cert["formula"]
         assert hml_satisfies(lts, left, phi)
@@ -233,7 +242,7 @@ def test_every_notion_matches_library(model, lhs, rhs, notion, direction, tmp_pa
 @pytest.mark.parametrize(
     "notion, work",
     [
-        ("contrasim", "build_cs_game"),
+        ("contrasim", "solve_cs_game_locally"),
         ("bounded-word-game", "build_word_game"),
         ("naive-contrasim-1step", "naive_single_step_relation"),
     ],
@@ -243,9 +252,9 @@ def test_equivalence_does_the_work_once(notion, work, monkeypatch, capsys):
     calls = []
     original = getattr(csgame, work)
 
-    def counted(*args):
+    def counted(*args, **kwargs):
         calls.append(args)
-        return original(*args)
+        return original(*args, **kwargs)
 
     monkeypatch.setattr(csgame, work, counted)
     run_main(
@@ -295,8 +304,8 @@ def test_deep_chain_certificate(tmp_path, capsys):
     assert match is not None
 
     lts, _ = parse_aut(chain.read_text())
-    game = build_cs_game(lts, lhs, rhs)
-    phi = extract_distinguishing_formula(game, solve(game.graph), game.graph.initial)
+    game, solution, (root,) = solve_cs_game_locally(lts, lhs, rhs)
+    phi = extract_distinguishing_formula(game, solution, root)
     assert format_formula(phi) == match.group(1)
     assert hml_satisfies(lts, lhs, phi)
     assert not hml_satisfies(lts, rhs, phi)
@@ -316,8 +325,8 @@ def test_deep_ccs_chain_certificate(tmp_path, capsys):
 
     lts, (lhs, rhs) = expand_ccs_roots(parse_ccs(chain.read_text()), ["L", "R"])
     assert lts.state_count == 2 * n + 3
-    game = build_cs_game(lts, lhs, rhs)
-    phi = extract_distinguishing_formula(game, solve(game.graph), game.graph.initial)
+    game, solution, (root,) = solve_cs_game_locally(lts, lhs, rhs)
+    phi = extract_distinguishing_formula(game, solution, root)
     assert format_formula(phi) == match.group(1)
     assert hml_satisfies(lts, lhs, phi)
     assert not hml_satisfies(lts, rhs, phi)
@@ -490,6 +499,22 @@ def test_cli_writes_dot_file(notion, tmp_path):
          "--word-bound", "2", "--emit-game-dot", path, FIXTURES / "instable.ccs"]
     )
     lint_dot(path.read_text())
+
+
+def test_game_counts_local_and_full(locked, tmp_path):
+    """A failing check counts the part of the game it explored; with
+    --emit-game-dot it builds, counts and writes the whole game."""
+    lts, pc, pl = locked
+    full = build_cs_game(lts, pc, pl).graph
+    args = ["check", "--lhs", "Pc", "--rhs", "Pl", "--emit-certificate", FIXTURES / "locked.ccs"]
+    local_json, full_json, dot = tmp_path / "local.json", tmp_path / "full.json", tmp_path / "g.dot"
+    assert run_main(args + ["--emit-json", local_json]) == 1
+    assert run_main(args + ["--emit-json", full_json, "--emit-game-dot", dot]) == 1
+    local, whole = json.loads(local_json.read_text()), json.loads(full_json.read_text())
+    assert (whole["game_positions"], whole["game_moves"]) == (full.position_count, full.move_count)
+    assert lint_dot(dot.read_text()) == (full.position_count, full.move_count)
+    assert local["game_positions"] < full.position_count
+    assert local["game_moves"] < full.move_count
 
 
 def test_dot_export_rejected_for_gameless_notions(tmp_path, capsys):

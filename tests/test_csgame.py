@@ -1,4 +1,5 @@
 import random
+from collections import deque
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -8,6 +9,7 @@ from contrasim.csgame import (
     SimPos,
     SwapPos,
     _WordAttacker,
+    _WordChallenge,
     bounded_word_game_preorder,
     build_cs_game,
     build_word_game,
@@ -19,9 +21,11 @@ from contrasim.csgame import (
     fc_membership,
     naive_single_step_preorder,
     naive_single_step_relation,
+    solve_cs_game_locally,
     strategy_from_fc,
 )
-from contrasim.game import Player, PlayOutcome, simulate_play, solve, validate_play
+from contrasim.errors import PositionBudgetError
+from contrasim.game import GameGraph, Player, PlayOutcome, simulate_play, solve, validate_play
 from contrasim.hml import DelayNor, hml_satisfies
 from contrasim.lts import Lts, act
 from contrasim.relations import contrasim_preorder, is_contrasimulation
@@ -171,16 +175,32 @@ def test_builder_matches_reference_bfs(lts, data):
         assert game.index[pos] == idx
 
 
-def test_blow_twelve_game_size():
-    """blow(12): a state looping on a and b against the NFA that loops on a
-    and b and guesses "b, then 11 more letters"."""
+def blow(k: int) -> Lts:
+    """blow(k): state 0 loops on a and b; state 1 is the NFA that loops on a
+    and b and guesses "b, then k - 1 more letters"."""
     a, b = act("a"), act("b")
-    k = 12
     edges = [(0, a, 0), (0, b, 0), (1, a, 1), (1, b, 1), (1, b, 2)]
     edges += [(i, x, i + 1) for i in range(2, k + 1) for x in (a, b)]
-    game = build_cs_game(Lts(k + 2, edges), 0, 1)
+    return Lts(k + 2, edges)
+
+
+def test_blow_twelve_game_size():
+    game = build_cs_game(blow(12), 0, 1)
     assert game.graph.position_count == 16_487
     assert game.graph.move_count == 49_305
+
+
+def test_position_budget():
+    lts = blow(4)
+    size = build_cs_game(lts, 0, 1).graph.position_count
+    assert build_cs_game(lts, 0, 1, max_positions=size).graph.position_count == size
+    with pytest.raises(PositionBudgetError, match=f"budget of {size - 1} "):
+        build_cs_game(lts, 0, 1, max_positions=size - 1)
+    with pytest.raises(PositionBudgetError):
+        solve_cs_game_locally(lts, 0, 1, max_positions=10)
+    words, _ = build_word_game(lts, 0, 1, 2)
+    with pytest.raises(PositionBudgetError):
+        build_word_game(lts, 0, 1, 2, max_positions=words.position_count - 1)
 
 
 @given(random_lts_strategy())
@@ -192,6 +212,125 @@ def test_reachable_positions_within_exponential_bound(lts):
     assert game.graph.position_count <= bound
 
 
+# -- local solving -------------------------------------------------------------------
+
+
+def assert_solution_sound(graph, solution) -> None:
+    """Ranks fall along the attacker's choices and along every move out of
+    an attacker-won defender position; the defender's choices stay won."""
+    for g, owner in enumerate(graph.owner):
+        rank = solution.attacker_rank[g]
+        if solution.winner[g] is Player.DEFENDER:
+            assert rank is None
+            if owner is Player.DEFENDER:
+                chosen = solution.defender_strategy.move_from(g)
+                assert chosen in graph.moves[g]
+                assert solution.winner[chosen] is Player.DEFENDER
+        elif owner is Player.ATTACKER:
+            chosen = solution.attacker_strategy.move_from(g)
+            assert chosen in graph.moves[g]
+            assert solution.attacker_rank[chosen] == rank - 1
+        else:
+            assert all(solution.attacker_rank[t] < rank for t in graph.moves[g])
+
+
+def check_local_against_eager(lts: Lts, p: int, q: int) -> None:
+    """Local solving at both roots agrees with the solved full game: the
+    same verdicts, the same relations, sound formulas, and no more
+    positions or moves than the full game."""
+    eager = build_cs_game(lts, p, q)
+    eager_solution = solve(eager.graph)
+    eager_roots = (eager.graph.initial, eager.swapped_initial)
+    expected = [eager_solution.winner[r] is Player.DEFENDER for r in eager_roots]
+    for swapped in (False, True):
+        game, solution, roots = solve_cs_game_locally(lts, p, q, swapped=swapped)
+        assert len(roots) == 1 + swapped
+        assert game.positions[roots[0]] == AttackerPos(p, frozenset({q}))
+        assert game.graph.position_count <= eager.graph.position_count
+        assert game.move_count <= eager.graph.move_count
+        for i in game.frontier:
+            assert game.graph.moves[i] == (i,)
+            assert solution.winner[i] is Player.DEFENDER
+        assert_solution_sound(game.graph, solution)
+        sides = ((p, q), (q, p))
+        for root, eager_root, (left, right), holds in zip(roots, eager_roots, sides, expected):
+            assert (solution.winner[root] is Player.DEFENDER) == holds
+            if holds:
+                relation = extract_contrasimulation(game, solution, (root,))
+                assert is_contrasimulation(lts, relation)
+                assert relation == extract_contrasimulation(eager, eager_solution, (eager_root,))
+            else:
+                phi = extract_distinguishing_formula(game, solution, root)
+                assert hml_satisfies(lts, left, phi)
+                assert not hml_satisfies(lts, right, phi)
+
+
+@given(random_lts_strategy(), st.data())
+@settings(max_examples=80, deadline=None)
+def test_local_solving_matches_eager(lts, data):
+    p = data.draw(st.integers(0, lts.state_count - 1))
+    q = data.draw(st.integers(0, lts.state_count - 1))
+    check_local_against_eager(lts, p, q)
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_local_solving_on_cyclic_corpus(seed):
+    """Larger cyclic systems with tau loops, every ordered pair of a sample."""
+    rng = random.Random(seed)
+    for _ in range(5):
+        lts = make_random_lts(rng, n_states=rng.randint(2, 7), n_actions=2)
+        for _ in range(4):
+            p, q = rng.randrange(lts.state_count), rng.randrange(lts.state_count)
+            check_local_against_eager(lts, p, q)
+
+
+def test_local_solving_decides_blow_twelve_early():
+    """The full blow(12) game has 16,487 positions.  Smallest sets first,
+    the attacker's win is found among 59 to 64, in both directions (a plain
+    last-in-first-out search finds it among 155), and the attacker's
+    strategy on them is as short as on the full game."""
+    lts = blow(12)
+    eager = build_cs_game(lts, 0, 1)
+    eager_rank = solve(eager.graph).attacker_rank
+    full_ranks = (eager_rank[eager.graph.initial], eager_rank[eager.swapped_initial])
+    for (p, q), full_rank in zip(((0, 1), (1, 0)), full_ranks):
+        game, solution, (root,) = solve_cs_game_locally(lts, p, q)
+        assert solution.winner[root] is Player.ATTACKER
+        assert game.graph.position_count <= 100
+        assert solution.attacker_rank[root] == full_rank
+        phi = extract_distinguishing_formula(game, solution, root)
+        assert hml_satisfies(lts, p, phi) and not hml_satisfies(lts, q, phi)
+
+
+def test_local_formula_on_chain_as_short_as_on_full_game():
+    """An a-chain of 300 steps ending in b against one ending in c: the
+    attacker's strategy on the explored part is no longer than on the full
+    game, so neither is the formula."""
+    n = 300
+    a = act("a")
+    edges = [(i, a, i + 1) for i in range(n)] + [(n + 1 + i, a, n + 2 + i) for i in range(n)]
+    edges += [(n, act("b"), 2 * n + 2), (2 * n + 1, act("c"), 2 * n + 2)]
+    lts = Lts(2 * n + 3, edges)
+    eager = build_cs_game(lts, 0, n + 1)
+    eager_solution = solve(eager.graph)
+    game, solution, (root,) = solve_cs_game_locally(lts, 0, n + 1)
+    assert game.graph.position_count < eager.graph.position_count
+    assert solution.attacker_rank[root] == eager_solution.attacker_rank[0]
+    phi = extract_distinguishing_formula(game, solution, root)
+    assert phi == extract_distinguishing_formula(eager, eager_solution, 0)
+
+
+def test_local_solving_expands_holding_games_whole(phil):
+    lts, pc, pp = phil
+    eager = build_cs_game(lts, pc, pp)
+    game, solution, roots = solve_cs_game_locally(lts, pc, pp, swapped=True)
+    assert game.frontier == ()
+    assert game.graph.position_count == eager.graph.position_count
+    assert game.move_count == eager.graph.move_count
+    assert set(game.positions) == set(eager.positions)
+    assert all(solution.winner[r] is Player.DEFENDER for r in roots)
+
+
 # -- deciding the preorder ----------------------------------------------------------
 
 
@@ -201,8 +340,8 @@ def test_phil_equivalence(phil, monkeypatch):
     assert decide_preorder(lts, pp, pc)
     builds = []
     monkeypatch.setattr(
-        "contrasim.csgame.build_cs_game",
-        lambda *args: builds.append(args) or build_cs_game(*args),
+        "contrasim.csgame.solve_cs_game_locally",
+        lambda *args, **kwargs: builds.append(args) or solve_cs_game_locally(*args, **kwargs),
     )
     assert decide_equivalence(lts, pc, pp)
     assert builds == [(lts, pc, pp)]
@@ -375,6 +514,61 @@ def test_naive_shortcut_exact_without_internal_steps(seed):
 
 
 # -- the bounded word game ---------------------------------------------------------------
+
+
+def reference_word_game(lts, p, q, max_word_length):
+    """The word game by a plain breadth-first search that recomputes every
+    row anew."""
+    initial = _WordAttacker(p, q)
+    index = {initial: 0}
+    positions = [initial]
+    moves = []
+    todo = deque((initial,))
+
+    def intern(pos):
+        if pos not in index:
+            index[pos] = len(positions)
+            positions.append(pos)
+            todo.append(pos)
+        return index[pos]
+
+    while todo:
+        pos = todo.popleft()
+        row = []
+        if isinstance(pos, _WordAttacker):
+            for word, frontier in lts.feasible_words(pos.p, max_word_length):
+                for p2 in sorted(lts.internal_closure(frontier)):
+                    row.append(intern(_WordChallenge(word, p2, pos.q)))
+        else:
+            for q2 in sorted(lts.weak_word_successors(pos.q, pos.word)):
+                row.append(intern(_WordAttacker(q2, pos.p)))
+        moves.append(tuple(row))
+    owner = [
+        Player.ATTACKER if isinstance(pos, _WordAttacker) else Player.DEFENDER
+        for pos in positions
+    ]
+    return GameGraph(owner, moves), tuple(positions)
+
+
+@given(random_lts_strategy(), st.data())
+@settings(max_examples=40, deadline=None)
+def test_word_game_matches_reference(lts, data):
+    p = data.draw(st.integers(0, lts.state_count - 1))
+    q = data.draw(st.integers(0, lts.state_count - 1))
+    for bound in (1, 2, 3):
+        graph, positions = build_word_game(lts, p, q, bound)
+        expected_graph, expected_positions = reference_word_game(lts, p, q, bound)
+        assert positions == expected_positions
+        assert graph.owner == expected_graph.owner
+        assert graph.moves == expected_graph.moves
+
+
+def test_word_game_matches_reference_on_phil(phil):
+    lts, pc, pp = phil
+    graph, positions = build_word_game(lts, pc, pp, 3)
+    expected_graph, expected_positions = reference_word_game(lts, pc, pp, 3)
+    assert positions == expected_positions
+    assert graph.moves == expected_graph.moves
 
 
 def test_bound_one_misses_bound_two_catches(instable):

@@ -145,6 +145,13 @@ def test_strategies_and_ranks_sound(graph):
 
 
 @given(small_game())
+def test_unique_rows_taken_as_they_are(graph):
+    fast = GameGraph.from_unique_rows(graph.owner, graph.moves, graph.initial)
+    assert (fast.owner, fast.moves, fast.initial) == (graph.owner, graph.moves, graph.initial)
+    assert fast.move_count == graph.move_count
+
+
+@given(small_game())
 def test_determinacy(graph):
     winners = set(solve(graph).winner)
     assert winners <= {A, D}
