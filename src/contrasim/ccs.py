@@ -219,103 +219,79 @@ class CcsProgram:
 
 # -- parsing ---------------------------------------------------------------
 
+# One match per token: the blanks and comments before it, then the token,
+# an unexpected character, or the end of the input.
 _TOKEN_RE = re.compile(
-    r"(?P<ws>\s+)|(?P<comment>#[^\n]*)|(?P<name>[A-Za-z_][A-Za-z0-9_]*)"
-    r"|(?P<zero>0)|(?P<sym>[=.;+|\\{},()'])"
+    r"(?:\s+|#[^\n]*)*(?:(?P<name>[A-Za-z_][A-Za-z0-9_]*)|(?P<zero>0)"
+    r"|(?P<sym>[=.;+|\\{},()'])|(?P<eof>\Z)|(?P<bad>.))",
+    re.DOTALL,
 )
 
 _RESERVED = {"tau"}
 
-
-@dataclass(frozen=True, slots=True)
-class _Token:
-    kind: str  # "name", "zero", "sym", "eof"
-    text: str
-    line: int
-    column: int
+# A token is (kind, text, offset): its kind ("name", "zero", "sym" or
+# "eof"), its text and where it starts in the source.  Only symbols have
+# the texts of symbols, so comparing the text alone tells a symbol.
+_Token = tuple[str, str, int]
 
 
 def _tokenize(text: str) -> list[_Token]:
     tokens = []
-    line, col = 1, 1
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            raise ParseError(f"unexpected character {text[pos]!r}", line, col)
-        lexeme = m.group(0)
+    for m in _TOKEN_RE.finditer(text):
         kind = m.lastgroup
-        if kind not in ("ws", "comment"):
-            tokens.append(_Token(kind, lexeme, line, col))
-        newlines = lexeme.count("\n")
-        if newlines:
-            line += newlines
-            col = len(lexeme) - lexeme.rfind("\n")
-        else:
-            col += len(lexeme)
-        pos = m.end()
-    tokens.append(_Token("eof", "", line, col))
-    return tokens
+        start = m.start(kind)
+        if kind == "bad":
+            raise ParseError(f"unexpected character {text[start]!r}", *_line_column(text, start))
+        tokens.append((kind, m.group(kind), start))
+    return tokens  # the last match is the end of the input
+
+
+def _line_column(text: str, offset: int) -> tuple[int, int]:
+    """The 1-based line and column of ``offset`` in ``text``."""
+    return text.count("\n", 0, offset) + 1, offset - text.rfind("\n", 0, offset)
 
 
 class _Parser:
-    def __init__(self, tokens: list[_Token]):
-        self.tokens = tokens
-        self.pos = 0
+    def __init__(self, text: str):
+        self.text = text
+        self.tokens = _tokenize(text)
+        self.pos = 0  # never past the final "eof" token
         self.ident_refs: list[_Token] = []
 
-    def peek(self, ahead: int = 0) -> _Token:
-        return self.tokens[min(self.pos + ahead, len(self.tokens) - 1)]
-
-    def advance(self) -> _Token:
-        tok = self.tokens[self.pos]
-        if tok.kind != "eof":
-            self.pos += 1
-        return tok
-
-    def expect(self, text: str) -> _Token:
-        tok = self.peek()
-        if tok.kind == "sym" and tok.text == text:
-            return self.advance()
-        raise ParseError(
-            f"expected {text!r} but found {tok.text or 'end of input'!r}",
-            tok.line,
-            tok.column,
-        )
+    def error(self, message: str, tok: _Token) -> ParseError:
+        return ParseError(message, *_line_column(self.text, tok[2]))
 
     def fail(self, message: str) -> ParseError:
-        tok = self.peek()
-        return ParseError(message, tok.line, tok.column)
+        return self.error(message, self.tokens[self.pos])
+
+    def expect(self, text: str) -> None:
+        tok = self.tokens[self.pos]
+        if tok[1] != text:
+            raise self.error(f"expected {text!r} but found {tok[1] or 'end of input'!r}", tok)
+        self.pos += 1
 
     def at_sym(self, text: str) -> bool:
-        tok = self.peek()
-        return tok.kind == "sym" and tok.text == text
+        return self.tokens[self.pos][1] == text
 
     # Program ::= Def*
     def parse_program(self) -> CcsProgram:
         definitions: dict[str, CcsTerm] = {}
-        while self.peek().kind != "eof":
-            name_tok = self.peek()
-            if name_tok.kind != "name":
+        while self.tokens[self.pos][0] != "eof":
+            name_tok = kind, name, _ = self.tokens[self.pos]
+            if kind != "name":
                 raise self.fail("expected a definition name")
-            if name_tok.text in _RESERVED:
-                raise self.fail(f"{name_tok.text!r} is reserved and cannot be defined")
-            if name_tok.text in definitions:
-                raise ParseError(
-                    f"duplicate definition of {name_tok.text!r}",
-                    name_tok.line,
-                    name_tok.column,
-                )
-            self.advance()
+            if name in _RESERVED:
+                raise self.fail(f"{name!r} is reserved and cannot be defined")
+            if name in definitions:
+                raise self.error(f"duplicate definition of {name!r}", name_tok)
+            self.pos += 1
             self.expect("=")
             term = self.parse_proc()
             self.expect(";")
-            definitions[name_tok.text] = term
+            definitions[name] = term
         for ref in self.ident_refs:
-            if ref.text not in definitions:
-                raise ParseError(
-                    f"unresolved identifier {ref.text!r}", ref.line, ref.column
-                )
+            if ref[1] not in definitions:
+                raise self.error(f"unresolved identifier {ref[1]!r}", ref)
         return CcsProgram(definitions)
 
     def parse_proc(self) -> CcsTerm:
@@ -330,7 +306,7 @@ class _Parser:
         while True:
             prefixes = self.parse_prefixes()
             if self.at_sym("("):
-                self.advance()
+                self.pos += 1
                 levels.append((choice, parallel, prefixes))
                 choice = parallel = None
                 continue
@@ -353,66 +329,62 @@ class _Parser:
                 choice, parallel, prefixes = levels.pop()
             if not (self.at_sym("|") or self.at_sym("+")):
                 return choice
-            self.advance()
+            self.pos += 1
 
     def parse_prefixes(self) -> list[Action]:
         """The actions of a run of prefixes ``a.``, ``'a.`` and ``tau.``."""
         prefixes = []
+        tokens = self.tokens
         while True:
-            tok = self.peek()
-            if tok.kind == "sym" and tok.text == "'":
-                self.advance()
+            kind, text, _ = tokens[self.pos]
+            if kind == "name" and tokens[self.pos + 1][1] == ".":
+                self.pos += 2
+                prefixes.append(TAU if text == "tau" else Action(text))
+            elif text == "'":
+                self.pos += 1
                 name = self.parse_plain_name()
                 self.expect(".")
                 prefixes.append(Action(co_name(name)))
-            elif tok.kind == "name" and tok.text == "tau":
-                if not (self.peek(1).kind == "sym" and self.peek(1).text == "."):
-                    raise self.fail("'tau' must prefix a process, as in tau.P")
-                self.advance()
-                self.advance()
-                prefixes.append(TAU)
-            elif tok.kind == "name" and self.peek(1).kind == "sym" and self.peek(1).text == ".":
-                self.advance()
-                self.advance()
-                prefixes.append(Action(tok.text))
+            elif text == "tau":
+                raise self.fail("'tau' must prefix a process, as in tau.P")
             else:
                 return prefixes
 
     def parse_restrictions(self, term: CcsTerm) -> CcsTerm:
         while self.at_sym("\\"):
-            self.advance()
+            self.pos += 1
             self.expect("{")
             names = [self.parse_plain_name()]
             while self.at_sym(","):
-                self.advance()
+                self.pos += 1
                 names.append(self.parse_plain_name())
             self.expect("}")
             term = Restrict(term, frozenset(names))
         return term
 
     def parse_plain_name(self) -> str:
-        tok = self.peek()
-        if tok.kind != "name" or tok.text in _RESERVED:
+        kind, text, _ = self.tokens[self.pos]
+        if kind != "name" or text in _RESERVED:
             raise self.fail("expected an action name")
-        self.advance()
-        return tok.text
+        self.pos += 1
+        return text
 
     def parse_atom(self) -> CcsTerm:
         """``0`` or an identifier; parentheses are handled by :meth:`parse_proc`."""
-        tok = self.peek()
-        if tok.kind == "zero":
-            self.advance()
+        tok = kind, text, _ = self.tokens[self.pos]
+        if kind == "zero":
+            self.pos += 1
             return NIL
-        if tok.kind == "name":
-            self.advance()
+        if kind == "name":
+            self.pos += 1
             self.ident_refs.append(tok)
-            return Ident(tok.text)
-        raise self.fail(f"expected a process but found {tok.text or 'end of input'!r}")
+            return Ident(text)
+        raise self.fail(f"expected a process but found {text or 'end of input'!r}")
 
 
 def parse_ccs(text: str) -> CcsProgram:
     """Parse a program in the CCS surface syntax described in the module docstring."""
-    return _Parser(_tokenize(text)).parse_program()
+    return _Parser(text).parse_program()
 
 
 # -- expansion ---------------------------------------------------------------

@@ -31,8 +31,13 @@ the dataclasses above on demand.  Two searches run it.
 :func:`solve` and the DOT export.  :func:`solve_cs_game_locally` expands
 positions over the smallest defender sets first, propagates attacker wins
 as soon as a position's moves are known, and stops once the attacker wins
-every queried root; a holding check still expands the whole game.  The
-certificate extractors read the lists directly.
+every queried root.  Defender wins are upward-closed in the defender's set
+(more answers only help the defender), so it also parks an attacker
+position whose set strictly contains that of an expanded, undecided one of
+the same state on that one instead of expanding it, in the manner of the
+antichains of De Wulf, Doyen, Henzinger & Raskin (CAV 2006); a holding
+check thus explores only part of the game.  The certificate extractors
+read the lists directly.
 
 The module also carries two deliberately weaker procedures kept for
 comparison: a single-step fixed point that is unsound for the preorder, and
@@ -129,8 +134,10 @@ class CsGame:
 
     A game explored by :func:`solve_cs_game_locally` may stop short of the
     reachable game: ``frontier`` lists the positions whose moves were never
-    generated, and in ``graph`` each of them is a defender position whose
-    only move leads to itself.
+    generated, and in ``graph`` each of them is a defender position with
+    one move.  A parked attacker position moves to its cover, an expanded
+    attacker position of the same state over a strict subset of its set;
+    any other frontier position moves to itself.
     """
 
     lts: Lts
@@ -166,7 +173,8 @@ class CsGame:
 
     @property
     def move_count(self) -> int:
-        """Moves of the expanded positions: the frontier's loops not counted."""
+        """Moves of the expanded positions: the one move of each frontier
+        position is not counted."""
         return self.graph.move_count - len(self.frontier)
 
     @property
@@ -363,18 +371,31 @@ def solve_cs_game_locally(
     once, so it is expanded next.  Exploration stops when the attacker has
     won every root, or when no unexpanded position is left.
 
-    When the defender wins every root, the reachable game is expanded whole
-    and the propagated region is its exact attractor, so the solution is
-    completed from it: the defender strategy, and with it the extracted
-    relation, is the one ``solve(build_cs_game(...).graph)`` gives.
-    Otherwise :func:`solve` runs on the explored game, in which every
-    unexpanded position, listed in :attr:`CsGame.frontier`, becomes a
-    defender position whose only move leads to itself, so no attacker win
+    An attacker position ``(s, Q')`` with two or more states in ``Q'`` is
+    parked instead of expanded when an expanded attacker position
+    ``(s, Q)`` with ``Q`` strictly inside ``Q'`` is not won yet: its cover.
+    If the cover is won later, the positions parked on it are queued again.
+    A parked position is a defender position whose one move leads to its
+    cover.  Every answer from ``Q`` is also one from ``Q'``, so a defender
+    win through the cover is a win of the whole game, and an attacker win
+    never passes through a parked position.  Only attacker positions are
+    parked, so relation pairs still come from real swap answers.  Games
+    whose sets are all singletons never list covers.
+
+    When the defender wins every root, every position found is expanded or
+    parked, and the propagated region is the exact attractor of that game,
+    so the solution is completed from it with :func:`solve`'s defender
+    rule; without parked positions the extracted relation is the one
+    ``solve(build_cs_game(...).graph)`` gives.  Otherwise :func:`solve`
+    runs on the explored game, in which every unexpanded position, listed
+    in :attr:`CsGame.frontier`, becomes a defender position whose only move
+    leads to its cover, if it is parked, or to itself, so no attacker win
     is claimed through it; the attacker's strategy then has minimum rank on
     what was explored.
     """
     lts._check_state(p)
     lts._check_state(q)
+    n = lts.state_count
     expander = _expander(lts, max_positions)
     roots = (expander.attacker(p, q),)
     if swapped:
@@ -389,23 +410,43 @@ def solve_cs_game_locally(
     order: list[int] = []  # won positions, each after the successors it was won by
     choice: dict[int, int] = {}
     # buckets[k]: positions over a set of k states, to be expanded last in, first out.
-    buckets: list[list[int]] = [[] for _ in range(lts.state_count + 1)]
+    buckets: list[list[int]] = [[] for _ in range(n + 1)]
     buckets[1] += reversed(roots)
     lowest = 1
     undecided = set(roots)
+    # covers[s]: (set, index) of each expanded attacker position of state s,
+    # listed from the first time an attacker position over two or more
+    # states is taken, so that games of singleton sets never pay for it.
+    covers: list[list[tuple[StateSet, int]]] | None = None
+    waiting: dict[int, list[int]] = {}  # cover -> the positions parked on it
 
     while undecided:
         bucket = buckets[lowest]
         if not bucket:
-            if lowest == lts.state_count:
+            if lowest == n:
                 break
             lowest += 1
             continue
         at = bucket.pop()
         if moves[at] is not None:
             continue
-        row = moves[at] = row_of(at)
         kind = kinds[at]
+        if kind == ATTACKER and (lowest > 1 or covers is not None):
+            if covers is None:
+                covers = [[] for _ in range(n)]
+                for i, done in enumerate(moves):
+                    if done is not None and kinds[i] == ATTACKER and not won[i]:
+                        covers[states[i]].append((q_sets[q_ids[i]], i))
+            s, q_set = states[at], q_sets[q_ids[at]]
+            if lowest > 1:
+                # Won positions cover nothing: drop them for good.
+                mine = covers[s] = [entry for entry in covers[s] if not won[entry[1]]]
+                cover = next((c for c_set, c in mine if c_set < q_set), -1)
+                if cover >= 0:
+                    waiting.setdefault(cover, []).append(at)
+                    continue
+            covers[s].append((q_set, at))
+        row = moves[at] = row_of(at)
         if len(kinds) > count:
             # The new positions share one set: the attacker's own, the
             # delay step's, or a swap answer's single state.
@@ -448,6 +489,13 @@ def solve_cs_game_locally(
             w = stack.pop()
             order.append(w)
             undecided.discard(w)
+            if waiting and w in waiting:
+                # A won cover no longer speaks for larger sets: take them up again.
+                for u in waiting.pop(w):
+                    k = len(q_sets[q_ids[u]])
+                    buckets[k].append(u)
+                    if k < lowest:
+                        lowest = k
             for u in preds[w]:
                 if won[u]:
                     continue
@@ -462,12 +510,13 @@ def solve_cs_game_locally(
                         stack.append(u)
             preds[w] = None  # a won position gains no predecessors
 
-    del preds, pending, buckets
+    parked = {u: cover for cover, us in waiting.items() for u in us}
+    del preds, pending, buckets, covers, waiting
     frontier = tuple(i for i, row in enumerate(moves) if row is None)
     owner = [_OWNER[k] for k in kinds]
     for i in frontier:
         owner[i] = Player.DEFENDER
-        moves[i] = (i,)
+        moves[i] = (parked.get(i, i),)
     game = expander.game(owner, moves, frontier)
     del expander, row_of  # frees the position index before solving
     if len(undecided) < len(set(roots)):
@@ -505,8 +554,9 @@ def extract_contrasimulation(
     default the initial position.  The result contains the pair of each
     root plus, for every swap answer inside the play subgraph from the
     roots (all attacker moves, only the strategy's defender moves), the
-    swapped pair it commits to.  It always passes the independent
-    contrasimulation check.
+    swapped pair it commits to.  A parked position keeps its attacker kind
+    and has its cover as its one move, so the walk goes on from the cover.
+    It always passes the independent contrasimulation check.
     """
     roots = (game.graph.initial,) if roots is None else tuple(roots)
     kinds, states = game.kinds, game.states

@@ -118,6 +118,29 @@ def test_parse_error_position():
     assert err.value.line == 2
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("X = ;", "line 1, column 5: expected a process but found ';'"),
+        ("X = a.0", "line 1, column 8: expected ';' but found 'end of input'"),
+        ("= a.0;", "line 1, column 1: expected a definition name"),
+        ("X = a.0;\nX = b.0;", "line 2, column 1: duplicate definition of 'X'"),
+        ("X = a.Y;\n\n  Z = Y;", "line 1, column 7: unresolved identifier 'Y'"),
+        ("tau = 0;", "line 1, column 1: 'tau' is reserved and cannot be defined"),
+        ("X = tau;", "line 1, column 5: 'tau' must prefix a process, as in tau.P"),
+        ("# c\n  X = a.(b.0 | c.0;", "line 2, column 19: expected ')' but found ';'"),
+        ("X = 'tau.0;", "line 1, column 6: expected an action name"),
+        ("X = a.0 \\ {b,};\n", "line 1, column 14: expected an action name"),
+        ("X = a.0;\n\tY = 0 é;", "line 2, column 8: unexpected character 'é'"),
+    ],
+)
+def test_parse_error_messages(text, message):
+    """Lines and columns count characters from 1, after comments and tabs alike."""
+    with pytest.raises(ParseError) as err:
+        parse_ccs(text)
+    assert str(err.value) == message
+
+
 # -- expansion ----------------------------------------------------------------
 
 

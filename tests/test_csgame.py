@@ -27,7 +27,7 @@ from contrasim.csgame import (
 from contrasim.errors import PositionBudgetError
 from contrasim.game import GameGraph, Player, PlayOutcome, simulate_play, solve, validate_play
 from contrasim.hml import DelayNor, hml_satisfies
-from contrasim.lts import Lts, act
+from contrasim.lts import TAU, Lts, act
 from contrasim.relations import contrasim_preorder, is_contrasimulation
 
 from conftest import (
@@ -236,8 +236,11 @@ def assert_solution_sound(graph, solution) -> None:
 
 def check_local_against_eager(lts: Lts, p: int, q: int) -> None:
     """Local solving at both roots agrees with the solved full game: the
-    same verdicts, the same relations, sound formulas, and no more
-    positions or moves than the full game."""
+    same verdicts, sound relations and formulas, and no more positions or
+    moves than the full game.  Each unexpanded position either loops on
+    itself or is parked on a cover: an expanded, defender-won attacker
+    position of the same state over a strict subset of its set.  Without
+    parked positions the relations are those of the full game."""
     eager = build_cs_game(lts, p, q)
     eager_solution = solve(eager.graph)
     eager_roots = (eager.graph.initial, eager.swapped_initial)
@@ -248,17 +251,30 @@ def check_local_against_eager(lts: Lts, p: int, q: int) -> None:
         assert game.positions[roots[0]] == AttackerPos(p, frozenset({q}))
         assert game.graph.position_count <= eager.graph.position_count
         assert game.move_count <= eager.graph.move_count
+        frontier = set(game.frontier)
+        parked = False
         for i in game.frontier:
-            assert game.graph.moves[i] == (i,)
+            (cover,) = game.graph.moves[i]
             assert solution.winner[i] is Player.DEFENDER
+            if cover == i:
+                continue
+            parked = True
+            pos = game.positions[i]
+            assert isinstance(pos, AttackerPos) and len(pos.q_set) >= 2
+            assert cover not in frontier
+            assert solution.winner[cover] is Player.DEFENDER
+            assert game.positions[cover] == AttackerPos(pos.p, game.positions[cover].q_set)
+            assert game.positions[cover].q_set < pos.q_set
         assert_solution_sound(game.graph, solution)
         sides = ((p, q), (q, p))
         for root, eager_root, (left, right), holds in zip(roots, eager_roots, sides, expected):
             assert (solution.winner[root] is Player.DEFENDER) == holds
             if holds:
                 relation = extract_contrasimulation(game, solution, (root,))
+                assert (left, right) in relation
                 assert is_contrasimulation(lts, relation)
-                assert relation == extract_contrasimulation(eager, eager_solution, (eager_root,))
+                if not parked:
+                    assert relation == extract_contrasimulation(eager, eager_solution, (eager_root,))
             else:
                 phi = extract_distinguishing_formula(game, solution, root)
                 assert hml_satisfies(lts, left, phi)
@@ -320,15 +336,64 @@ def test_local_formula_on_chain_as_short_as_on_full_game():
     assert phi == extract_distinguishing_formula(eager, eager_solution, 0)
 
 
-def test_local_solving_expands_holding_games_whole(phil):
-    lts, pc, pp = phil
-    eager = build_cs_game(lts, pc, pp)
+def phil_shape(k: int) -> tuple[Lts, int, int]:
+    """The philosopher shape: ``Pp`` (state 1) steps internally to one of
+    two ``op``-guarded guessing NFAs, ``Pc`` (state 0) can also take ``op``
+    first and choose afterwards.  Each NFA loops on a and b, guesses "b,
+    then k - 1 more letters" and ends in its own action.  Contrasimilar,
+    with 9 + 2k states and a set game that grows as 2^k."""
+    a, b, op = act("a"), act("b"), act("op")
+    edges = []
+
+    def guess(first: int, end, sink: int) -> int:
+        edges.extend([(first, a, first), (first, b, first), (first, b, first + 1)])
+        edges.extend((first + i, x, first + i + 1) for i in range(1, k) for x in (a, b))
+        edges.append((first + k, end, sink))
+        return first + k + 1
+
+    tail1 = 7
+    tail2 = guess(tail1, act("x"), 5)
+    n = guess(tail2, act("y"), 6)
+    edges += [
+        (1, TAU, 2), (1, TAU, 3), (2, op, tail1), (3, op, tail2),
+        (0, TAU, 2), (0, TAU, 3), (0, op, 4), (4, TAU, tail1), (4, TAU, tail2),
+    ]
+    return Lts(n, edges), 0, 1
+
+
+def test_local_solving_parks_larger_sets_on_holding_games():
+    """The full phil(8) game has 36,353 positions.  Parking every attacker
+    position whose set contains the set of an explored, undecided one of
+    the same state decides both directions within half of them, and the
+    relation read off the pruned game is a contrasimulation."""
+    lts, pc, pp = phil_shape(8)
+    assert lts.state_count == 25
+    full = build_cs_game(lts, pc, pp).graph.position_count
+    assert full == 36_353
     game, solution, roots = solve_cs_game_locally(lts, pc, pp, swapped=True)
-    assert game.frontier == ()
-    assert game.graph.position_count == eager.graph.position_count
-    assert game.move_count == eager.graph.move_count
-    assert set(game.positions) == set(eager.positions)
     assert all(solution.winner[r] is Player.DEFENDER for r in roots)
+    assert game.graph.position_count <= full // 2
+    assert any(game.graph.moves[i] != (i,) for i in game.frontier)
+    relation = extract_contrasimulation(game, solution, roots)
+    assert {(pc, pp), (pp, pc)} <= relation
+    assert is_contrasimulation(lts, relation)
+
+
+@given(random_lts_strategy(), st.data())
+@settings(max_examples=60, deadline=None)
+def test_defender_wins_are_upward_closed(lts, data):
+    """Monotonicity, which parking relies on: for attacker positions
+    ``(p, Q)`` and ``(p, Q')`` of one game with ``Q`` inside ``Q'``, a
+    defender win at the first gives one at the second."""
+    p = data.draw(st.integers(0, lts.state_count - 1))
+    q = data.draw(st.integers(0, lts.state_count - 1))
+    game = build_cs_game(lts, p, q)
+    winner = solve(game.graph).winner
+    attackers = [(i, pos) for i, pos in enumerate(game.positions) if isinstance(pos, AttackerPos)]
+    held = [pos for i, pos in attackers if winner[i] is Player.DEFENDER]
+    for i, pos in attackers:
+        if any(h.p == pos.p and h.q_set <= pos.q_set for h in held):
+            assert winner[i] is Player.DEFENDER
 
 
 # -- deciding the preorder ----------------------------------------------------------
