@@ -50,6 +50,8 @@ def parse_aut(text: str, max_states: Optional[int] = None) -> tuple[Lts, int]:
     if max_states is not None and n_states > max_states:
         raise StateBudgetError(max_states, declared=n_states)
 
+    # one Action per distinct label, validated at its first occurrence
+    actions = {label: TAU for label in _INTERNAL_LABELS}
     transitions = []
     for lineno, raw in enumerate(lines[header_idx + 1 :], start=header_idx + 2):
         line = raw.strip()
@@ -64,11 +66,10 @@ def parse_aut(text: str, max_states: Optional[int] = None) -> tuple[Lts, int]:
                 f"transition ({src}, {label!r}, {dst}) exceeds state count {n_states}",
                 line=lineno,
             )
-        if label in _INTERNAL_LABELS:
-            action = TAU
-        else:
+        action = actions.get(label)
+        if action is None:
             try:
-                action = Action(label)
+                action = actions[label] = Action(label)
             except ValueError as exc:
                 raise ParseError(str(exc), line=lineno) from exc
         transitions.append((src, action, dst))

@@ -14,13 +14,20 @@ than parallel, parallel tighter than choice; ``+`` and ``|`` associate left.
 Terms are interned (hash-consed): every constructor, whether the parser,
 the SOS rules or a caller invokes it, looks its kind and children up in one
 cons table, so structurally equal terms are the same object.  Equality and
-hashing are by identity and cost O(1) at any depth.  Expansion derives each
-reachable term's steps once, so it is linear in the reachable terms and
-their steps, plus the length of the state names, which are the full terms.
-A term keeps its text once printed, and printing copies that text whole
-wherever the term occurs inside another, so the names of a prefix chain
-cost one concatenation each.  Parsing, step derivation and printing are
-loops over explicit stacks, so terms of any depth are accepted.
+hashing are by identity and cost O(1) at any depth.
+
+Expansion keeps one memo, for the one call, from each term derived outside
+an identifier unfolding to its steps, so every distinct subterm derives its
+steps once: a successor state that changed one component of a parallel
+composition rebuilds only the nodes above that component.  Expansion is
+linear in the distinct subterms and the transitions, plus the length of the
+state names, which are the full terms.  A term keeps its text once printed,
+and printing copies that text whole wherever the term occurs inside
+another.  The states and the operands that a parallel step leaves unchanged
+are printed, so a state's name copies its untouched components and its
+successor in a prefix chain, and walks only what moved.  Parsing, step
+derivation and printing are loops over explicit stacks, so terms of any
+depth are accepted.
 
 Expansion states are reachable terms compared structurally (no structural
 congruence, no merging of distinct deadlocked terms).  Parallel components
@@ -257,6 +264,13 @@ class _Parser:
         self.tokens = _tokenize(text)
         self.pos = 0  # never past the final "eof" token
         self.ident_refs: list[_Token] = []
+        self.actions: dict[str, Action] = {"tau": TAU}  # one Action per name
+
+    def action(self, name: str) -> Action:
+        action = self.actions.get(name)
+        if action is None:
+            action = self.actions[name] = Action(name)
+        return action
 
     def error(self, message: str, tok: _Token) -> ParseError:
         return ParseError(message, *_line_column(self.text, tok[2]))
@@ -339,12 +353,12 @@ class _Parser:
             kind, text, _ = tokens[self.pos]
             if kind == "name" and tokens[self.pos + 1][1] == ".":
                 self.pos += 2
-                prefixes.append(TAU if text == "tau" else Action(text))
+                prefixes.append(self.action(text))
             elif text == "'":
                 self.pos += 1
                 name = self.parse_plain_name()
                 self.expect(".")
-                prefixes.append(Action(co_name(name)))
+                prefixes.append(self.action(co_name(name)))
             elif text == "tau":
                 raise self.fail("'tau' must prefix a process, as in tau.P")
             else:
@@ -390,7 +404,10 @@ def parse_ccs(text: str) -> CcsProgram:
 # -- expansion ---------------------------------------------------------------
 
 
-def _steps(term: CcsTerm, defs: dict[str, CcsTerm]) -> list[tuple[Action, CcsTerm]]:
+_Steps = list[tuple[Action, CcsTerm]]
+
+
+def _steps(term: CcsTerm, defs: dict[str, CcsTerm], memo: dict[CcsTerm, _Steps]) -> _Steps:
     """Outgoing transitions of a term, in canonical derivation order.
 
     An identifier re-entered during its own unfolding contributes nothing:
@@ -399,36 +416,68 @@ def _steps(term: CcsTerm, defs: dict[str, CcsTerm]) -> list[tuple[Action, CcsTer
 
     A post-order walk over an explicit stack: ``todo`` holds subterms to
     derive, each with the identifiers being unfolded around it, and the
-    operators waiting for their operands' steps, which ``done`` holds.
+    operators waiting for their operands' steps, which ``done`` holds.  A
+    maximal tree of choices is one operator over all its alternatives, so
+    an n-way choice concatenates its operands' steps once.
+
+    ``memo`` maps terms to their steps under ``defs``, so it serves one
+    program: :func:`expand_ccs_roots` keeps one per call, while the cons
+    table outlives every call and an identifier's steps depend on the
+    definitions.  It is used and filled only outside identifier unfoldings:
+    there the steps depend on the term alone, while inside one they depend
+    on which identifiers are cut.  A term met again is looked up instead
+    of derived, so a parallel composition over derived operands only
+    rebuilds its own nodes.  The lists in ``memo`` are shared and never
+    changed.
+
+    Each operand that a parallel step leaves unchanged keeps its printed
+    text, so the names of the successor states copy it instead of walking
+    it again.  Only these operands, not every subterm, keep their text.
     """
-    done: list[list[tuple[Action, CcsTerm]]] = []
-    todo: list[tuple[bool, CcsTerm, frozenset[str]]] = [(False, term, frozenset())]
+    done: list[_Steps] = []
+    # (number of operand results to combine, or 0 to derive; term; unfolding)
+    todo: list[tuple[int, CcsTerm, frozenset[str]]] = [(0, term, frozenset())]
     while todo:
-        combine, t, unfolding = todo.pop()
+        arity, t, unfolding = todo.pop()
         kind = type(t)
-        if combine:
-            if kind is Restrict:
-                done.append([
+        if arity:
+            if kind is Parallel:
+                right_steps = done.pop()
+                left_steps = done.pop()
+                left, right = t.left, t.right
+                out = [(a, Parallel(l2, right)) for a, l2 in left_steps]
+                out += [(a, Parallel(left, r2)) for a, r2 in right_steps]
+                for a, l2 in left_steps:
+                    if a.is_visible:
+                        partner = complement(a)
+                        for b, r2 in right_steps:
+                            if b == partner:
+                                out.append((TAU, Parallel(l2, r2)))
+                if left_steps:
+                    str(right)
+                if right_steps:
+                    str(left)
+            elif kind is Restrict:
+                out = [
                     (a, Restrict(k, t.names))
                     for a, k in done.pop()
                     if a.is_tau or base_name(a) not in t.names
-                ])
+                ]
+            elif kind is Choice:
+                out = [step for steps in done[-arity:] for step in steps]
+                del done[-arity:]
+            else:  # Ident: its definition's steps
+                out = done.pop()
+            if not unfolding:
+                memo[t] = out
+            done.append(out)
+            continue
+        if not unfolding:
+            steps = memo.get(t)
+            if steps is not None:
+                done.append(steps)
                 continue
-            right_steps = done.pop()
-            left_steps = done[-1]
-            if kind is Choice:
-                left_steps.extend(right_steps)  # each list is built for this call
-                continue
-            out = [(a, Parallel(l2, t.right)) for a, l2 in left_steps]
-            out += [(a, Parallel(t.left, r2)) for a, r2 in right_steps]
-            for a, l2 in left_steps:
-                if a.is_visible:
-                    partner = complement(a)
-                    for b, r2 in right_steps:
-                        if b == partner:
-                            out.append((TAU, Parallel(l2, r2)))
-            done[-1] = out
-        elif kind is Prefix:
+        if kind is Prefix:
             done.append([(t.action, t.continuation)])
         elif kind is Nil:
             done.append([])
@@ -436,12 +485,22 @@ def _steps(term: CcsTerm, defs: dict[str, CcsTerm]) -> list[tuple[Action, CcsTer
             if t.name in unfolding:
                 done.append([])
             else:
-                todo.append((False, defs[t.name], unfolding | {t.name}))
+                todo += [(1, t, unfolding), (0, defs[t.name], unfolding | {t.name})]
         elif kind is Restrict:
-            todo += [(True, t, unfolding), (False, t.body, unfolding)]
-        else:  # Choice and Parallel: the left operand is derived first
-            todo += [(True, t, unfolding), (False, t.right, unfolding),
-                     (False, t.left, unfolding)]
+            todo += [(1, t, unfolding), (0, t.body, unfolding)]
+        elif kind is Parallel:  # the left operand is derived first
+            todo += [(2, t, unfolding), (0, t.right, unfolding), (0, t.left, unfolding)]
+        else:  # Choice: its alternatives, left to right
+            alternatives = []
+            pending = [t]
+            while pending:
+                c = pending.pop()
+                if type(c) is Choice:
+                    pending += [c.right, c.left]
+                else:
+                    alternatives.append((0, c, unfolding))
+            todo.append((len(alternatives), t, unfolding))
+            todo += reversed(alternatives)
     return done[0]
 
 
@@ -472,13 +531,11 @@ def expand_ccs_roots(
 
     initials = [intern(Ident(root)) for root in roots]
     edges = []
+    memo: dict[CcsTerm, _Steps] = {}
     src = 0
     while src < len(states):
-        emitted = set()
-        for step in _steps(states[src], program.definitions):
-            if step not in emitted:
-                emitted.add(step)
-                edges.append((src, step[0], intern(step[1])))
+        # a step derived twice is one transition, which Lts keeps once
+        edges += [(src, a, intern(k)) for a, k in _steps(states[src], program.definitions, memo)]
         src += 1
 
     # Render the states last-found first, so that a state whose successor

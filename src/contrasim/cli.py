@@ -19,6 +19,7 @@ both are re-checkable.
 """
 
 import argparse
+import functools
 import json
 import sys
 import time
@@ -301,6 +302,7 @@ def _print_report(report: CheckReport, out) -> None:
     print(f"total:     {report.total_ms} ms", file=out)
 
 
+@functools.cache  # built once per process; parse_args leaves the parser unchanged
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="contrasim",

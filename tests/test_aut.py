@@ -84,6 +84,20 @@ def test_parse_error_carries_line_number():
     assert err.value.line == 3
 
 
+def test_bad_label_fails_at_its_first_line():
+    with pytest.raises(ParseError) as err:
+        parse_aut('des (0,3,2)\n(0,"a",1)\n(0,"a b",1)\n(1,"a b",0)\n')
+    assert err.value.line == 3
+    assert "whitespace" in str(err.value)
+
+
+def test_repeated_label_is_one_action():
+    lts, _ = parse_aut('des (0,4,2)\n(0,"a",1)\n(1,"a",0)\n(0,"i",0)\n(1,"tau",1)\n')
+    (_, a0, _), (_, a1, _), (_, i, _), (_, tau, _) = lts.transitions
+    assert a0 == act("a") and a1 is a0
+    assert i is TAU and tau is TAU
+
+
 @given(st.integers(0, 2**32 - 1), st.integers(1, 6))
 def test_round_trip_is_identity(seed, n_states):
     lts = make_random_lts(random.Random(seed), n_states=n_states)

@@ -1,10 +1,12 @@
 import copy
+import gc
 import pickle
 from collections import deque
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from contrasim import ccs
 from contrasim.ccs import (
     Choice,
     CcsProgram,
@@ -60,6 +62,17 @@ def test_philosopher_example_structure():
 def test_co_action_parses_to_bang_name():
     term = defs("X = 'a.0;")["X"]
     assert term == Prefix(act("a!"), NIL)
+
+
+def test_repeated_action_names_are_one_object():
+    term = defs("X = a.'a.tau.a.'a.0;")["X"]
+    actions = []
+    while term is not NIL:
+        actions.append(term.action)
+        term = term.continuation
+    assert actions == [act("a"), act("a!"), TAU, act("a"), act("a!")]
+    assert actions[3] is actions[0] and actions[4] is actions[1]
+    assert actions[2] is TAU
 
 
 def test_choice_and_parallel_associate_left():
@@ -331,6 +344,63 @@ def test_deep_prefix_chain_built_directly():
     assert lts.name_of(DEEP) == "0"
 
 
+# -- memoised derivation and printing -------------------------------------------------
+
+# One philosopher system per copy, as in the benchmark's ccs-notions models.
+PHIL_COPY = {
+    "Pc": "(pl{t}.sp{t}.aEats{t}.0 | pl{t}.sp{t}.bEats{t}.0 | 'pl{t}.0 | op{t}.'sp{t}.0)",
+    "Pp": "(pl{t}.op{t}.sp{t}.aEats{t}.0 | pl{t}.op{t}.sp{t}.bEats{t}.0 | 'pl{t}.0 | 'sp{t}.0)",
+    "Pl": "(pl{t}.sp{t}.aEats{t}.0 | pl{t}.sp{t}.bEats{t}.0 | op{t}.'pl{t}.0 | 'sp{t}.0)",
+}
+
+
+def phil_copies(*variants: str) -> str:
+    return " | ".join(
+        PHIL_COPY[v].format(t=t) + f" \\ {{pl{t}, sp{t}}}" for t, v in zip("xyz", variants)
+    )
+
+
+def test_expansion_derives_each_parallel_term_once(monkeypatch):
+    program = parse_ccs(
+        f"L = {phil_copies('Pc', 'Pl', 'Pl')};\nR = {phil_copies('Pp', 'Pl', 'Pl')};\n"
+    )
+    constructed = 0
+    new = Parallel.__new__
+
+    def counting_new(cls, left, right):
+        nonlocal constructed
+        constructed += 1
+        return new(cls, left, right)
+
+    monkeypatch.setattr(Parallel, "__new__", counting_new)
+    lts, _ = expand_ccs_roots(program, ["L", "R"])
+    assert (lts.state_count, len(lts.transitions)) == (1216, 3344)
+    # Deriving every state from scratch constructs about nine per transition.
+    assert constructed <= 2 * len(lts.transitions)
+
+
+def retained_text() -> int:
+    gc.collect()
+    terms = [ref() for ref in list(ccs._CONS.values())]
+    return sum(len(t._text) for t in terms if t is not None and t._text is not None)
+
+
+@pytest.mark.parametrize(
+    "body",
+    [
+        " + ".join(["a.0"] * 2000),
+        "b.(" + " + ".join(["a.0"] * 2000) + ")",  # the choice is a state
+        " | ".join(["0"] * 1999 + ["a.0"]),
+    ],
+)
+def test_expansion_keeps_text_on_few_subterms(body):
+    before = retained_text()
+    program = parse_ccs(f"X = {body};")
+    lts, _ = expand_ccs(program, "X")
+    names = sum(len(lts.name_of(s)) for s in range(lts.state_count))
+    assert retained_text() - before <= 3 * names
+
+
 # -- equivalence with a plain recursive SOS expander ---------------------------------
 
 _PREC = {Choice: 0, Parallel: 1, Restrict: 2, Prefix: 3, Nil: 4, Ident: 4}
@@ -448,6 +518,16 @@ def test_expansion_matches_recursive_reference(program, roots):
     assert lts.state_count == expected[0].state_count
     assert lts.transitions == expected[0].transitions
     assert lts.state_names == expected[0].state_names
+
+
+def test_memoised_steps_are_not_extended():
+    # The state Y + b.0 derives and memoises Y's steps first; the state Y,
+    # found next, must not see b among them.
+    program = parse_ccs("X = a.(Y + b.0) + c.Y;\nY = d.0 | e.0;\n")
+    expected, _ = reference_expand(program, ["X"], max_states=40)
+    lts, _ = expand_ccs(program, "X")
+    assert lts.transitions == expected.transitions
+    assert lts.state_names == expected.state_names
 
 
 @given(ccs_programs)

@@ -123,6 +123,20 @@ def test_usage_errors_exit_two(args, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_calls_in_one_process_share_no_state(capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        run_main(["check", "--lhs", "Pc", "--bogus", FIXTURES / "locked.ccs"])
+    assert exit_info.value.code == 2
+    capsys.readouterr()
+    locked = ["check", "--lhs", "Pc", "--rhs", "Pl", FIXTURES / "locked.ccs"]
+    assert run_main(locked) == 1
+    assert "formula:" not in capsys.readouterr().out
+    assert run_main(locked + ["--emit-certificate"]) == 1
+    assert "formula:" in capsys.readouterr().out
+    assert run_main(locked) == 1
+    assert "formula:" not in capsys.readouterr().out
+
+
 def test_parse_error_exits_two(tmp_path, capsys):
     bad = tmp_path / "bad.ccs"
     bad.write_text("X = a..0;\n")
