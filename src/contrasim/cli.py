@@ -1,13 +1,20 @@
 """Command-line front end: load a model, run a check, emit verdicts and
 certificates.
 
+Every notion is invariant under strong bisimilarity, so each query is
+decided on the strong-bisimulation quotient of the model, between the
+classes of lhs and rhs; when no two states merge, that is the model
+itself.  A relation certificate is lifted back to every member of the
+classes it relates, and formulas hold alike on both systems, so both
+re-check on the model.
+
 Each query builds one game or computes one relation: under ``--direction
 equivalence`` the backward verdict is read off the lhs-vs-rhs game at its
 reverse root, and ``game_positions``, ``game_moves`` and ``solve_ms``
-describe that one game.  A ``contrasim`` query explores its game locally
-and stops once the attacker wins every queried root, so the counts are
-those of the explored part; with ``--emit-game-dot`` it builds, counts and
-writes the whole reachable game.
+describe that one game, the quotient's.  A ``contrasim`` query explores
+its game locally and stops once the attacker wins every queried root, so
+the counts are those of the explored part; with ``--emit-game-dot`` it
+builds, counts and writes the whole reachable game.
 
 Exit codes: 0 when the checked relation holds, 1 when it fails, 2 on usage,
 parse, file, or budget errors (states or game positions), and 3 on an
@@ -46,10 +53,17 @@ NOTIONS = (
 
 GAME_NOTIONS = ("contrasim", "bounded-word-game")
 
+
+def _identity(quotient: Lts) -> frozenset[tuple[int, int]]:
+    """Strong bisimilarity on a strong-bisimulation quotient."""
+    return frozenset((s, s) for s in range(quotient.state_count))
+
+
+# Relations of the gameless notions on the quotient run_check decides on.
 ORACLES = {
     "weak-sim": relations.weak_sim_preorder,
     "weak-bisim": relations.weak_bisimilarity,
-    "strong-bisim": relations.strong_bisimilarity,
+    "strong-bisim": _identity,
 }
 
 
@@ -123,10 +137,18 @@ def _load_model(request: CheckRequest) -> tuple[Lts, int, int]:
     return lts, initials[0], initials[1]
 
 
-def _relation_certificate(lts: Lts, pairs) -> Certificate:
-    named = tuple(
-        (lts.name_of(p), lts.name_of(q)) for p, q in sorted(pairs)
-    )
+def _relation_certificate(lts: Lts, classes: Sequence[int], pairs) -> Certificate:
+    """Name each pair of states of ``lts`` whose classes ``pairs`` relates,
+    in the order of the state indices."""
+    members: list[list[int]] = [[] for _ in range(max(classes) + 1)]
+    for s, c in enumerate(classes):
+        members[c].append(s)
+    related: list[list[int]] = [[] for _ in members]
+    for x, y in pairs:
+        related[x] += members[y]
+    names = [lts.name_of(s) for s in range(lts.state_count)]
+    rows = [[names[q] for q in sorted(row)] for row in related]
+    named = tuple((names[p], name) for p, c in enumerate(classes) for name in rows[c])
     return Certificate(kind="relation", pairs=named)
 
 
@@ -153,60 +175,65 @@ def run_check(request: CheckRequest) -> CheckReport:
         raise UsageError(f"notion {notion!r} builds no game graph to export")
 
     lts, lhs, rhs = _load_model(request)
+    classes = relations.strong_classes(lts)
+    quotient = lts.quotient(classes)
+    p, q = classes[lhs], classes[rhs]
     equivalence = request.direction == "equivalence"
     positions = moves = None
     if notion == "contrasim" and request.emit_game_dot is None:
         # Expansion and solving interleave, so solve_ms times both.
         t0 = time.perf_counter()
         game, solution, roots = csgame.solve_cs_game_locally(
-            lts, lhs, rhs, swapped=equivalence, max_positions=request.max_positions
+            quotient, p, q, swapped=equivalence, max_positions=request.max_positions
         )
         solve_ms = (time.perf_counter() - t0) * 1000.0
         graph = game.graph
     elif notion in GAME_NOTIONS:
         if notion == "contrasim":
-            game = csgame.build_cs_game(lts, lhs, rhs, request.max_positions)
+            game = csgame.build_cs_game(quotient, p, q, request.max_positions)
             graph = game.graph
         else:
             graph, game = csgame.build_word_game(
-                lts, lhs, rhs, request.word_bound, request.max_positions
+                quotient, p, q, request.word_bound, request.max_positions
             )
         roots = [graph.initial]
         if equivalence and notion == "contrasim":
             roots.append(game.swapped_initial)
         elif equivalence:
-            roots.append(game.index(csgame._WordAttacker(rhs, lhs)))
+            roots.append(game.index(csgame._WordAttacker(q, p)))
         t0 = time.perf_counter()
         solution = solve(graph)
         solve_ms = (time.perf_counter() - t0) * 1000.0
     else:
         t0 = time.perf_counter()
-        related = ORACLES.get(notion, csgame.naive_single_step_relation)(lts)
+        related = ORACLES.get(notion, csgame.naive_single_step_relation)(quotient)
         solve_ms = (time.perf_counter() - t0) * 1000.0
-        directions = [(lhs, rhs), (rhs, lhs)] if equivalence else [(lhs, rhs)]
+        directions = [(p, q), (q, p)] if equivalence else [(p, q)]
         results = [pair in related for pair in directions]
     if notion in GAME_NOTIONS:
         results = [solution.winner[root] is Player.DEFENDER for root in roots]
         positions = graph.position_count
         moves = game.move_count if notion == "contrasim" else graph.move_count
 
+    # A relation on the quotient relates every member of its classes; a
+    # formula needs no mapping, since strong bisimilarity preserves it.
     certificate = None
     if request.emit_certificate:
         if notion == "contrasim" and all(results):
             pairs = csgame.extract_contrasimulation(game, solution, roots)
-            certificate = _relation_certificate(lts, pairs)
+            certificate = _relation_certificate(lts, classes, pairs)
         elif notion == "contrasim":
             first_lost = roots[results.index(False)]
             formula = csgame.extract_distinguishing_formula(game, solution, first_lost)
             certificate = Certificate(kind="formula", formula=format_formula(formula))
         elif notion in ORACLES and all(results):
-            certificate = _relation_certificate(lts, related)
+            certificate = _relation_certificate(lts, classes, related)
 
     if request.emit_game_dot is not None:
         if notion == "contrasim":
-            labels = [csgame.format_position(lts, pos) for pos in game.positions]
+            labels = [csgame.format_position(quotient, pos) for pos in game.positions]
         else:
-            labels = [csgame.format_word_position(lts, pos) for pos in game]
+            labels = [csgame.format_word_position(quotient, pos) for pos in game]
         Path(request.emit_game_dot).write_text(export_game_dot(graph, labels))
 
     report = CheckReport(

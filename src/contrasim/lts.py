@@ -16,9 +16,9 @@ Words are tuples of visible actions; the word-successor function folds the
 set-lifted delay step over the letters.
 """
 
+import weakref
 from collections import deque
-from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping, Optional
+from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
 StateSet = frozenset[int]
 Word = tuple["Action", ...]
@@ -26,20 +26,41 @@ Word = tuple["Action", ...]
 _BAD_NAME_CHARS = set(" \t\n\r\f\v'\"")
 
 
-@dataclass(frozen=True, slots=True)
 class Action:
-    """A transition label: a visible action name, or internal (``name is None``)."""
+    """A transition label: a visible action name, or internal (``name is None``).
 
+    Actions are interned: ``Action(name)`` returns the one object for that
+    name, so equality is identity and hashing is the interpreter's own.
+    Copies and pickles rebuild through the constructor, so they are that
+    object too.
+    """
+
+    __slots__ = ("name", "__weakref__")
     name: Optional[str]
 
-    def __post_init__(self):
-        if self.name is not None:
-            if not self.name:
-                raise ValueError("visible action name must be nonempty")
-            if any(c in _BAD_NAME_CHARS for c in self.name):
-                raise ValueError(
-                    f"visible action name {self.name!r} contains whitespace or a quote"
-                )
+    def __new__(cls, name: Optional[str]):
+        action = _ACTIONS.get(name)
+        if action is None:
+            if name is not None:
+                if not name:
+                    raise ValueError("visible action name must be nonempty")
+                if any(c in _BAD_NAME_CHARS for c in name):
+                    raise ValueError(
+                        f"visible action name {name!r} contains whitespace or a quote"
+                    )
+            action = object.__new__(cls)
+            object.__setattr__(action, "name", name)
+            _ACTIONS[name] = action
+        return action
+
+    def __setattr__(self, name, value):
+        raise AttributeError("actions are immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError("actions are immutable")
+
+    def __reduce__(self):
+        return Action, (self.name,)
 
     @property
     def is_tau(self) -> bool:
@@ -52,7 +73,12 @@ class Action:
     def __str__(self) -> str:
         return self.name if self.name is not None else "tau"
 
+    def __repr__(self) -> str:
+        return f"Action(name={self.name!r})"
 
+
+# One Action per name, held only as long as something else holds it.
+_ACTIONS: "weakref.WeakValueDictionary[Optional[str], Action]" = weakref.WeakValueDictionary()
 TAU = Action(None)
 
 
@@ -139,6 +165,46 @@ class Lts:
                         queue.append(nxt)
             closure.append(frozenset(reached))
         self._closure: tuple[frozenset[int], ...] = tuple(closure)
+
+    def quotient(self, classes: Sequence[int]) -> "Lts":
+        """The system over the classes of a strong bisimulation, where
+        ``classes[s]`` is state ``s``'s, as
+        :func:`contrasim.relations.strong_classes` returns them.
+
+        Classes are numbered ``0, 1, ...`` in the order of their smallest
+        members, and each is named after its smallest member.  All members
+        of a class take the same steps up to classes, so a class takes the
+        steps and the internal closure of its smallest member, mapped to
+        classes.  When no two states share a class, the numbering is the
+        identity and the system itself is returned.
+        """
+        if len(classes) != self.state_count:
+            raise ValueError("one class per state required")
+        if list(classes) == list(range(self.state_count)):
+            return self
+        smallest: list[int] = []  # smallest[c]: the smallest member of class c
+        for s, c in enumerate(classes):
+            if c == len(smallest):
+                smallest.append(s)
+            elif not 0 <= c < len(smallest):
+                raise ValueError("classes must be numbered by their smallest members")
+        class_of = classes.__getitem__
+        quotient = object.__new__(Lts)
+        quotient.state_count = len(smallest)
+        quotient._strong = tuple(
+            {a: frozenset(map(class_of, targets)) for a, targets in self._strong[s].items()}
+            for s in smallest
+        )
+        quotient._closure = tuple(frozenset(map(class_of, self._closure[s])) for s in smallest)
+        quotient.transitions = tuple(
+            (c, a, t)
+            for c, steps in enumerate(quotient._strong)
+            for a, targets in steps.items()
+            for t in sorted(targets)
+        )
+        quotient.visible_actions = self.visible_actions
+        quotient.state_names = {c: self.name_of(s) for c, s in enumerate(smallest)}
+        return quotient
 
     # -- naming ----------------------------------------------------------
 

@@ -6,17 +6,19 @@ game procedures are checked against: exhaustive configuration enumeration
 and a pair-deletion fixed point, written to be audited.  All of them treat
 relations as plain sets of ordered state-index pairs over one LTS.
 
-Weak similarity and both bisimilarities, and the naive single-step fixed
-point of :mod:`contrasim.csgame`, answer queries of the command line, so
-they share one counter-based refinement, :func:`_greatest_fixed_point`,
-which handles each deleted pair once.  The pair-deletion loops it replaced
-are kept in the tests as its reference.
+Weak similarity, weak bisimilarity and the naive single-step fixed point
+of :mod:`contrasim.csgame` answer queries of the command line, so they
+share one counter-based refinement, :func:`_greatest_fixed_point`, which
+handles each deleted pair once.  The pair-deletion loops it replaced are
+kept in the tests as its reference.  Strong bisimilarity comes from
+partition refinement instead, :func:`strong_classes`, whose classes the
+command line also quotients every system by before deciding any notion.
 """
 
 from collections import deque
 from dataclasses import dataclass
 from itertools import compress, repeat
-from typing import Iterable, Optional
+from typing import Hashable, Iterable, Optional, Sequence
 
 from .lts import Action, Lts, StateSet, TAU, Word
 
@@ -311,6 +313,116 @@ def _greatest_fixed_point(
     return frozenset((x, y) for x in states for y in compress(states, rel[x]))
 
 
+def strong_classes(lts: Lts) -> Sequence[int]:
+    """The strong-bisimulation class of every state, as dense ints numbered
+    in the order of the classes' smallest members: ``range(n)`` when no two
+    of the n states are bisimilar.
+
+    A state's *signature* is the set of (action, class) pairs of its steps,
+    internal ones included; strong bisimilarity is the coarsest partition
+    whose classes hold states of equal signature only.  It is found in two
+    parts, by loops only:
+
+    * A well-founded state has no infinite path, so it is bisimilar to
+      well-founded states only.  These states are classed successors first
+      (Kahn's order over out-degrees), each once, by its signature over
+      classes that are already final.
+    * The rest start as one block and are refined by signature (Paige &
+      Tarjan 1987; Valmari 2009).  When a block splits, its largest part
+      keeps the block's id and the others get new ones, so a state changes
+      id O(log n) times, and only the predecessors of states that changed
+      are signed again, unless they are alone in their block.  Signing
+      every state each round would take n rounds on an n-chain.
+    """
+    n = lts.state_count
+    strong = lts._strong
+    action_id = {a: i for i, a in enumerate(lts.visible_actions + (TAU,))}
+    width = len(action_id)
+    degree = [sum(map(len, steps.values())) for steps in strong]
+    preds: list[list[int]] = [[] for _ in range(n)]  # one entry per transition
+    for s, steps in enumerate(strong):
+        for targets in steps.values():
+            for t in targets:
+                preds[t].append(s)
+    block = [-1] * n  # the class of a well-founded state, the block of another
+
+    def signature(s: int) -> Hashable:
+        """``s``'s steps as ``block * width + action`` ints: their frozenset,
+        or the int itself when there is just one."""
+        if degree[s] == 1:
+            ((a, (t,)),) = strong[s].items()
+            return block[t] * width + action_id[a]
+        steps = frozenset(
+            [block[t] * width + action_id[a] for a, targets in strong[s].items() for t in targets]
+        )
+        return next(iter(steps)) if len(steps) == 1 else steps
+
+    class_of: dict[Hashable, int] = {}  # signature -> class of a well-founded state
+    pending = degree[:]  # steps into states not yet classed
+    order = [s for s in range(n) if not degree[s]]
+    for s in order:  # grows while it is walked
+        key = signature(s)
+        c = class_of.get(key)
+        if c is None:
+            c = class_of[key] = len(class_of)
+        block[s] = c
+        for p in preds[s]:
+            left = pending[p] - 1
+            pending[p] = left
+            if not left:
+                order.append(p)
+
+    if len(order) < n:
+        # Every predecessor of these states is one of them.
+        start = len(class_of)
+        touched = [s for s in range(n) if block[s] < 0]
+        for s in touched:
+            block[s] = start
+        members = {start: set(touched)}
+        # Between rounds, each member of a block that is not touched has the
+        # block's signature.
+        block_signature: dict[int, Hashable] = {start: None}
+        while touched:
+            split: dict[int, dict[Hashable, list[int]]] = {}
+            for s in touched:
+                split.setdefault(block[s], {}).setdefault(signature(s), []).append(s)
+            moved: list[int] = []
+            for b, by_signature in split.items():
+                mine, old = members[b], block_signature[b]
+                untouched = len(mine) - sum(map(len, by_signature.values()))
+                if untouched:
+                    by_signature.setdefault(old, [])  # listed only if they move
+                if len(by_signature) == 1:
+                    (block_signature[b],) = by_signature
+                    continue
+                size = {sig: len(states) for sig, states in by_signature.items()}
+                if untouched:
+                    size[old] += untouched
+                keep = block_signature[b] = max(size, key=size.get)
+                for sig, states in by_signature.items():
+                    if sig is keep:
+                        continue
+                    if untouched and sig == old:
+                        states = mine.difference(
+                            *(others for other, others in by_signature.items() if other is not sig)
+                        )
+                    new = start + len(block_signature)
+                    block_signature[new] = sig
+                    members[new] = set(states)
+                    mine.difference_update(states)
+                    for t in states:
+                        block[t] = new
+                    moved += states
+            touched = [  # a block of one state cannot split
+                p for p in {p for s in moved for p in preds[s]} if len(members[block[p]]) > 1
+            ]
+
+    dense: dict[int, int] = {}
+    classes = [dense.setdefault(b, len(dense)) for b in block]
+    # A range holds no int per state while a query runs on the system.
+    return classes if len(dense) < n else range(n)
+
+
 def weak_sim_preorder(lts: Lts) -> frozenset[Pair]:
     """The weak simulation preorder (the greatest weak simulation)."""
     return _greatest_fixed_point(_step_tables(lts, weak=False), _step_tables(lts, weak=True))
@@ -325,9 +437,12 @@ def weak_bisimilarity(lts: Lts) -> frozenset[Pair]:
 
 def strong_bisimilarity(lts: Lts) -> frozenset[Pair]:
     """The greatest symmetric relation matching every strong step (internal
-    ones included) by exactly one strong step."""
-    strong = _step_tables(lts, weak=False)
-    return _greatest_fixed_point(strong, strong, symmetric=True)
+    ones included) by exactly one strong step: the pairs of states in one
+    class of :func:`strong_classes`."""
+    members: dict[int, list[int]] = {}
+    for s, c in enumerate(strong_classes(lts)):
+        members.setdefault(c, []).append(s)
+    return frozenset((p, q) for group in members.values() for p in group for q in group)
 
 
 def interleaved_compose(r1: Iterable[Pair], r2: Iterable[Pair]) -> frozenset[Pair]:

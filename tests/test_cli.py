@@ -1,11 +1,12 @@
 import json
+import random
 import re
 from pathlib import Path
 
 import pytest
 
 from contrasim import csgame, relations
-from contrasim.aut import parse_aut
+from contrasim.aut import parse_aut, write_aut
 from contrasim.ccs import expand_ccs_roots, parse_ccs
 from contrasim.cli import (
     NOTIONS,
@@ -29,9 +30,9 @@ from contrasim.csgame import (
 )
 from contrasim.game import GameGraph, Player, solve
 from contrasim.hml import DelayNor, DelayObs, TRUTH, format_formula, hml_satisfies
-from contrasim.lts import act
+from contrasim.lts import Lts, act
 
-from conftest import FIXTURES, INSTABLE_AUT, PHIL_AUT
+from conftest import FIXTURES, INSTABLE_AUT, PHIL_AUT, make_random_lts
 
 TESTS = Path(__file__).resolve().parent
 
@@ -251,6 +252,68 @@ def test_every_notion_matches_library(model, lhs, rhs, notion, direction, tmp_pa
         assert format_formula(phi) == cert["formula"]
         assert hml_satisfies(lts, left, phi)
         assert not hml_satisfies(lts, right, phi)
+
+
+def _doubled(rng: random.Random) -> Lts:
+    """A random system next to a shuffled copy of itself, so that every
+    state shares its strong class with at least its copy."""
+    base = make_random_lts(rng, n_states=rng.randint(2, 5), acyclic=rng.random() < 0.5)
+    n = base.state_count
+    place = list(range(2 * n))
+    rng.shuffle(place)
+    return Lts(2 * n, [
+        (place[s + shift], a, place[t + shift])
+        for shift in (0, n) for s, a, t in base.transitions
+    ])
+
+
+@pytest.mark.parametrize("seed", range(30))
+def test_quotient_verdicts_and_lifted_certificates(seed, tmp_path):
+    """On systems whose states merge, every notion's verdict is the
+    library's on the unquotiented system, the gameless notions print the
+    library's relation, and every certificate re-checks there."""
+    rng = random.Random(seed)
+    lts = _doubled(rng)
+    classes = relations.strong_classes(lts)
+    assert max(classes) + 1 < lts.state_count
+    model = tmp_path / "model.aut"
+    model.write_text(write_aut(lts, 0))
+    lhs, rhs = rng.randrange(lts.state_count), rng.randrange(lts.state_count)
+    for notion in NOTIONS:
+        for direction in ("preorder", "equivalence"):
+            out_json = tmp_path / "report.json"
+            code = run_main(
+                ["check", "--notion", notion, "--direction", direction,
+                 "--lhs", lhs, "--rhs", rhs, "--word-bound", WORD_BOUND,
+                 "--emit-certificate", "--emit-json", out_json, model]
+            )
+            held = library_verdict(lts, notion, direction, lhs, rhs)
+            assert code == (0 if held else 1), (notion, direction)
+            cert = json.loads(out_json.read_text())["certificate"]
+            if cert is None:
+                continue
+            if cert["kind"] == "relation":
+                pairs = {(int(p), int(q)) for p, q in cert["pairs"]}
+                if notion in ORACLES:
+                    assert pairs == ORACLES[notion](lts)
+                    assert relations.is_weak_simulation(lts, pairs)
+                    continue
+                assert (lhs, rhs) in pairs
+                assert direction == "preorder" or (rhs, lhs) in pairs
+                assert relations.is_contrasimulation(lts, pairs)
+                continue
+            # The formula of the first failing direction's quotient game
+            # separates the original states as well.
+            quotient = lts.quotient(classes)
+            game, solution, roots = solve_cs_game_locally(
+                quotient, classes[lhs], classes[rhs], swapped=direction == "equivalence"
+            )
+            forward = solution.winner[roots[0]] is Player.DEFENDER
+            root, left, right = (roots[1], rhs, lhs) if forward else (roots[0], lhs, rhs)
+            phi = extract_distinguishing_formula(game, solution, root)
+            assert format_formula(phi) == cert["formula"]
+            assert hml_satisfies(lts, left, phi)
+            assert not hml_satisfies(lts, right, phi)
 
 
 @pytest.mark.parametrize(
@@ -516,10 +579,13 @@ def test_cli_writes_dot_file(notion, tmp_path):
 
 
 def test_game_counts_local_and_full(locked, tmp_path):
-    """A failing check counts the part of the game it explored; with
-    --emit-game-dot it builds, counts and writes the whole game."""
+    """A failing check counts the part of the quotient game it explored;
+    with --emit-game-dot it builds, counts and writes the whole quotient
+    game (90 positions and 217 moves, against 94 and 220 unquotiented)."""
     lts, pc, pl = locked
-    full = build_cs_game(lts, pc, pl).graph
+    classes = relations.strong_classes(lts)
+    full = build_cs_game(lts.quotient(classes), classes[pc], classes[pl]).graph
+    assert (full.position_count, full.move_count) == (90, 217)
     args = ["check", "--lhs", "Pc", "--rhs", "Pl", "--emit-certificate", FIXTURES / "locked.ccs"]
     local_json, full_json, dot = tmp_path / "local.json", tmp_path / "full.json", tmp_path / "g.dot"
     assert run_main(args + ["--emit-json", local_json]) == 1

@@ -1,9 +1,12 @@
+import copy
+import pickle
 import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from contrasim.lts import Action, Lts, TAU, act
+from contrasim.relations import strong_classes
 
 from conftest import make_random_lts
 
@@ -80,6 +83,19 @@ def test_tau_is_distinct_from_visible_actions():
 def test_invalid_action_names_rejected(bad):
     with pytest.raises(ValueError):
         Action(bad)
+
+
+def test_actions_are_interned():
+    a = act("a")
+    assert Action("a") is a
+    assert copy.copy(a) is a and copy.deepcopy(a) is a
+    assert pickle.loads(pickle.dumps(a)) is a
+    assert pickle.loads(pickle.dumps(TAU)) is TAU is Action(None)
+    # equality and hashing are the interpreter's own, by identity
+    assert Action.__eq__ is object.__eq__ and Action.__hash__ is object.__hash__
+    with pytest.raises(AttributeError):
+        a.name = "b"
+    assert repr(a) == "Action(name='a')"
 
 
 def test_duplicate_transitions_are_dropped():
@@ -312,3 +328,46 @@ def test_tau_free_collapse(lts):
         assert tf.internal_closure(frozenset({s})) == frozenset({s})
         for a in tf.visible_actions:
             assert tf.delay_successors(frozenset({s}), a) == tf.strong_successors(s, a)
+
+
+# -- quotient ------------------------------------------------------------------
+
+
+def test_quotient_merges_classes_named_by_smallest_member():
+    a, b = act("a"), act("b")
+    # 1 and 2 are bisimilar, and so are 3 and 4
+    lts = Lts(5, [(0, a, 1), (0, a, 2), (1, b, 3), (2, b, 4), (1, TAU, 1), (2, TAU, 2)],
+              {0: "x", 1: "y", 3: "u"})
+    q = lts.quotient([0, 1, 1, 2, 2])
+    assert q.state_count == 3
+    assert set(q.transitions) == {(0, a, 1), (1, b, 2), (1, TAU, 1)}
+    assert [q.name_of(c) for c in range(3)] == ["x", "y", "u"]
+    assert q.visible_actions == (a, b)
+
+
+@given(small_lts(max_states=7))
+@settings(max_examples=100, deadline=None)
+def test_quotient_by_strong_classes_is_the_merged_system(lts):
+    """Each class takes its smallest member's steps and closure; that is the
+    system with every transition's ends replaced by their classes."""
+    classes = strong_classes(lts)
+    q = lts.quotient(classes)
+    merged = Lts(q.state_count, [(classes[s], a, classes[t]) for s, a, t in lts.transitions])
+    assert set(q.transitions) == set(merged.transitions)
+    assert q.visible_actions == merged.visible_actions
+    for c in range(q.state_count):
+        assert q.internal_closure((c,)) == merged.internal_closure((c,))
+        for a in q.visible_actions + (TAU,):
+            assert q.strong_successors(c, a) == merged.strong_successors(c, a)
+
+
+def test_quotient_without_merges_is_the_system_itself():
+    lts = Lts(3, [(0, act("a"), 1), (1, TAU, 2)])
+    assert lts.quotient([0, 1, 2]) is lts
+
+
+@pytest.mark.parametrize("classes", [[0, 0], [1, 0, 1], [0, 2, 1], [0, 1, 2, 0]])
+def test_quotient_rejects_misnumbered_classes(classes):
+    lts = Lts(3, [(0, act("a"), 1)])
+    with pytest.raises(ValueError):
+        lts.quotient(classes)

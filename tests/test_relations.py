@@ -15,6 +15,7 @@ from contrasim.relations import (
     is_weak_simulation,
     is_weak_simulation_words,
     strong_bisimilarity,
+    strong_classes,
     weak_bisimilarity,
     weak_sim_preorder,
     weak_simulation_violation,
@@ -37,13 +38,13 @@ def phil_drawing():
 
 
 @st.composite
-def random_lts_strategy(draw, max_states=5, tau_free=False):
+def random_lts_strategy(draw, max_states=5, tau_free=False, acyclic=False):
     seed = draw(st.integers(0, 2**32 - 1))
     n = draw(st.integers(1, max_states))
     rng = random.Random(seed)
     if tau_free:
         return make_tau_free_lts(rng, n_states=n)
-    return make_random_lts(rng, n_states=n)
+    return make_random_lts(rng, n_states=n, acyclic=acyclic)
 
 
 # -- weak simulation -------------------------------------------------------------
@@ -328,3 +329,68 @@ def test_fixed_points_match_reference_on_cyclic_corpus(tau_share):
             tau_share=tau_share,
         )
         assert_engine_matches_reference(lts)
+
+
+# -- strong classes --------------------------------------------------------------
+
+
+@given(
+    st.one_of(
+        random_lts_strategy(max_states=7),
+        # acyclic systems are classed in the one successors-first pass
+        random_lts_strategy(max_states=9, acyclic=True),
+    )
+)
+@settings(max_examples=150, deadline=None)
+def test_strong_classes_match_reference(lts):
+    classes = strong_classes(lts)
+    states = range(lts.state_count)
+    same = {(p, q) for p in states for q in states if classes[p] == classes[q]}
+    assert same == reference_gfp_simulation(lts, False, True)
+    first = {}
+    for s, c in enumerate(classes):
+        first.setdefault(c, s)
+    assert list(first) == list(range(len(first)))  # numbered by smallest member
+
+
+def _limit_signatures(lts: Lts, limit: int) -> None:
+    """Make ``lts`` fail once its states' steps are read, one read per
+    signature, more than ``limit`` times."""
+    reads = [0]
+
+    class Counted(tuple):
+        def __getitem__(self, s):
+            reads[0] += 1
+            assert reads[0] <= limit, f"more than {limit} signatures"
+            return tuple.__getitem__(self, s)
+
+    lts._strong = Counted(lts._strong)
+
+
+def _two_chains_aut(k: int, looped: bool) -> str:
+    """Two k-step a-chains, one ending in b and one in c, into one final
+    state (2k + 3 states); looped, the ends loop on b and c instead."""
+    lines = [f"des (0,{2 * k + 2},{2 * k + 3})"]
+    for i in range(k):
+        lines += [f'({i},"a",{i + 1})', f'({k + 1 + i},"a",{k + 2 + i})']
+    if looped:
+        lines += [f'({k},"b",{k})', f'({2 * k + 1},"c",{2 * k + 1})']
+    else:
+        lines += [f'({k},"b",{2 * k + 2})', f'({2 * k + 1},"c",{2 * k + 2})']
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("looped", [False, True])
+def test_strong_classes_of_a_long_chain_take_linear_work(looped):
+    """20,003 states, far deeper than the recursion limit.  Without loops
+    every state is signed once; with them each refinement round splits off
+    the next two states, and signing only their predecessors keeps the
+    total linear (signing every state per round would take 10,000 rounds)."""
+    k = 10_000
+    lts, _ = parse_aut(_two_chains_aut(k, looped))
+    n = lts.state_count
+    _limit_signatures(lts, 2 * n if looped else n)
+    classes = strong_classes(lts)
+    # the two chains differ at every depth: nothing merges but the final
+    # state, which in the looped system is unreachable and bisimilar to no one
+    assert max(classes) + 1 == n
