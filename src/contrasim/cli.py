@@ -1,20 +1,24 @@
 """Command-line front end: load a model, run a check, emit verdicts and
 certificates.
 
-Every notion is invariant under strong bisimilarity, so each query is
-decided on the strong-bisimulation quotient of the model, between the
-classes of lhs and rhs; when no two states merge, that is the model
-itself.  A relation certificate is lifted back to every member of the
-classes it relates, and formulas hold alike on both systems, so both
-re-check on the model.
+Every notion is invariant under strong bisimilarity, so each query but a
+``contrasim`` one is decided on the strong-bisimulation quotient of the
+model, between the classes of lhs and rhs; when no two states merge, that
+is the model itself.  A relation certificate is then the greatest relation
+on the quotient, lifted back to every member of the classes it relates:
+the same relation the model gives.  A ``contrasim`` relation is read off
+the defender's strategy instead, and lifting that one would relate more
+pairs than the model's game commits to, so ``contrasim`` stays on the
+model and prints the relation of its game.
 
 Each query builds one game or computes one relation: under ``--direction
 equivalence`` the backward verdict is read off the lhs-vs-rhs game at its
 reverse root, and ``game_positions``, ``game_moves`` and ``solve_ms``
-describe that one game, the quotient's.  A ``contrasim`` query explores
-its game locally and stops once the attacker wins every queried root, so
-the counts are those of the explored part; with ``--emit-game-dot`` it
-builds, counts and writes the whole reachable game.
+describe that one game, for ``bounded-word-game`` the quotient's.  A
+``contrasim`` query explores its game locally and stops once the attacker
+wins every queried root, so the counts are those of the explored part;
+with ``--emit-game-dot`` it builds, counts and writes the whole reachable
+game.
 
 Exit codes: 0 when the checked relation holds, 1 when it fails, 2 on usage,
 parse, file, or budget errors (states or game positions), and 3 on an
@@ -137,7 +141,14 @@ def _load_model(request: CheckRequest) -> tuple[Lts, int, int]:
     return lts, initials[0], initials[1]
 
 
-def _relation_certificate(lts: Lts, classes: Sequence[int], pairs) -> Certificate:
+def _relation_certificate(lts: Lts, pairs) -> Certificate:
+    named = tuple(
+        (lts.name_of(p), lts.name_of(q)) for p, q in sorted(pairs)
+    )
+    return Certificate(kind="relation", pairs=named)
+
+
+def _lifted_certificate(lts: Lts, classes: Sequence[int], pairs) -> Certificate:
     """Name each pair of states of ``lts`` whose classes ``pairs`` relates,
     in the order of the state indices."""
     members: list[list[int]] = [[] for _ in range(max(classes) + 1)]
@@ -174,27 +185,31 @@ def run_check(request: CheckRequest) -> CheckReport:
     if request.emit_game_dot is not None and notion not in GAME_NOTIONS:
         raise UsageError(f"notion {notion!r} builds no game graph to export")
 
-    lts, lhs, rhs = _load_model(request)
-    classes = relations.strong_classes(lts)
-    quotient = lts.quotient(classes)
-    p, q = classes[lhs], classes[rhs]
+    model, lhs, rhs = _load_model(request)
+    # Every notion but contrasim is decided on the strong quotient.
+    if notion == "contrasim":
+        lts, p, q = model, lhs, rhs
+    else:
+        classes = relations.strong_classes(model)
+        lts = model.quotient(classes)
+        p, q = classes[lhs], classes[rhs]
     equivalence = request.direction == "equivalence"
     positions = moves = None
     if notion == "contrasim" and request.emit_game_dot is None:
         # Expansion and solving interleave, so solve_ms times both.
         t0 = time.perf_counter()
         game, solution, roots = csgame.solve_cs_game_locally(
-            quotient, p, q, swapped=equivalence, max_positions=request.max_positions
+            lts, p, q, swapped=equivalence, max_positions=request.max_positions
         )
         solve_ms = (time.perf_counter() - t0) * 1000.0
         graph = game.graph
     elif notion in GAME_NOTIONS:
         if notion == "contrasim":
-            game = csgame.build_cs_game(quotient, p, q, request.max_positions)
+            game = csgame.build_cs_game(lts, p, q, request.max_positions)
             graph = game.graph
         else:
             graph, game = csgame.build_word_game(
-                quotient, p, q, request.word_bound, request.max_positions
+                lts, p, q, request.word_bound, request.max_positions
             )
         roots = [graph.initial]
         if equivalence and notion == "contrasim":
@@ -206,7 +221,7 @@ def run_check(request: CheckRequest) -> CheckReport:
         solve_ms = (time.perf_counter() - t0) * 1000.0
     else:
         t0 = time.perf_counter()
-        related = ORACLES.get(notion, csgame.naive_single_step_relation)(quotient)
+        related = ORACLES.get(notion, csgame.naive_single_step_relation)(lts)
         solve_ms = (time.perf_counter() - t0) * 1000.0
         directions = [(p, q), (q, p)] if equivalence else [(p, q)]
         results = [pair in related for pair in directions]
@@ -215,33 +230,33 @@ def run_check(request: CheckRequest) -> CheckReport:
         positions = graph.position_count
         moves = game.move_count if notion == "contrasim" else graph.move_count
 
-    # A relation on the quotient relates every member of its classes; a
-    # formula needs no mapping, since strong bisimilarity preserves it.
     certificate = None
     if request.emit_certificate:
         if notion == "contrasim" and all(results):
             pairs = csgame.extract_contrasimulation(game, solution, roots)
-            certificate = _relation_certificate(lts, classes, pairs)
+            certificate = _relation_certificate(lts, pairs)
         elif notion == "contrasim":
             first_lost = roots[results.index(False)]
             formula = csgame.extract_distinguishing_formula(game, solution, first_lost)
             certificate = Certificate(kind="formula", formula=format_formula(formula))
         elif notion in ORACLES and all(results):
-            certificate = _relation_certificate(lts, classes, related)
+            # The greatest relation on the quotient relates every member of
+            # the classes it relates.
+            certificate = _lifted_certificate(model, classes, related)
 
     if request.emit_game_dot is not None:
         if notion == "contrasim":
-            labels = [csgame.format_position(quotient, pos) for pos in game.positions]
+            labels = [csgame.format_position(lts, pos) for pos in game.positions]
         else:
-            labels = [csgame.format_word_position(quotient, pos) for pos in game]
+            labels = [csgame.format_word_position(lts, pos) for pos in game]
         Path(request.emit_game_dot).write_text(export_game_dot(graph, labels))
 
     report = CheckReport(
         verdict=all(results),
         notion=notion,
         direction=request.direction,
-        lhs=lts.name_of(lhs),
-        rhs=lts.name_of(rhs),
+        lhs=model.name_of(lhs),
+        rhs=model.name_of(rhs),
         forward=results[0],
         backward=results[1] if len(results) > 1 else None,
         certificate=certificate,

@@ -174,37 +174,30 @@ class Lts:
         Classes are numbered ``0, 1, ...`` in the order of their smallest
         members, and each is named after its smallest member.  All members
         of a class take the same steps up to classes, so a class takes the
-        steps and the internal closure of its smallest member, mapped to
-        classes.  When no two states share a class, the numbering is the
-        identity and the system itself is returned.
+        steps of its smallest member, mapped to classes.  When no two states
+        share a class, the numbering is the identity and the system itself
+        is returned.
         """
         if len(classes) != self.state_count:
             raise ValueError("one class per state required")
-        if list(classes) == list(range(self.state_count)):
-            return self
         smallest: list[int] = []  # smallest[c]: the smallest member of class c
         for s, c in enumerate(classes):
             if c == len(smallest):
                 smallest.append(s)
             elif not 0 <= c < len(smallest):
                 raise ValueError("classes must be numbered by their smallest members")
-        class_of = classes.__getitem__
-        quotient = object.__new__(Lts)
-        quotient.state_count = len(smallest)
-        quotient._strong = tuple(
-            {a: frozenset(map(class_of, targets)) for a, targets in self._strong[s].items()}
-            for s in smallest
+        if len(smallest) == self.state_count:
+            return self
+        return Lts(
+            len(smallest),
+            [
+                (c, a, classes[t])
+                for c, s in enumerate(smallest)
+                for a, targets in self._strong[s].items()
+                for t in targets
+            ],
+            {c: self.name_of(s) for c, s in enumerate(smallest)},
         )
-        quotient._closure = tuple(frozenset(map(class_of, self._closure[s])) for s in smallest)
-        quotient.transitions = tuple(
-            (c, a, t)
-            for c, steps in enumerate(quotient._strong)
-            for a, targets in steps.items()
-            for t in sorted(targets)
-        )
-        quotient.visible_actions = self.visible_actions
-        quotient.state_names = {c: self.name_of(s) for c, s in enumerate(smallest)}
-        return quotient
 
     # -- naming ----------------------------------------------------------
 

@@ -12,13 +12,14 @@ share one counter-based refinement, :func:`_greatest_fixed_point`, which
 handles each deleted pair once.  The pair-deletion loops it replaced are
 kept in the tests as its reference.  Strong bisimilarity comes from
 partition refinement instead, :func:`strong_classes`, whose classes the
-command line also quotients every system by before deciding any notion.
+command line also quotients a system by before deciding any notion but
+contrasimilarity.
 """
 
 from collections import deque
 from dataclasses import dataclass
 from itertools import compress, repeat
-from typing import Hashable, Iterable, Optional, Sequence
+from typing import Hashable, Iterable, Optional
 
 from .lts import Action, Lts, StateSet, TAU, Word
 
@@ -313,10 +314,9 @@ def _greatest_fixed_point(
     return frozenset((x, y) for x in states for y in compress(states, rel[x]))
 
 
-def strong_classes(lts: Lts) -> Sequence[int]:
+def strong_classes(lts: Lts) -> list[int]:
     """The strong-bisimulation class of every state, as dense ints numbered
-    in the order of the classes' smallest members: ``range(n)`` when no two
-    of the n states are bisimilar.
+    in the order of the classes' smallest members.
 
     A state's *signature* is the set of (action, class) pairs of its steps,
     internal ones included; strong bisimilarity is the coarsest partition
@@ -418,9 +418,7 @@ def strong_classes(lts: Lts) -> Sequence[int]:
             ]
 
     dense: dict[int, int] = {}
-    classes = [dense.setdefault(b, len(dense)) for b in block]
-    # A range holds no int per state while a query runs on the system.
-    return classes if len(dense) < n else range(n)
+    return [dense.setdefault(b, len(dense)) for b in block]
 
 
 def weak_sim_preorder(lts: Lts) -> frozenset[Pair]:

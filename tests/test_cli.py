@@ -21,6 +21,7 @@ from contrasim.cli import (
 from contrasim.csgame import (
     bounded_word_game_preorder,
     build_cs_game,
+    build_word_game,
     decide_equivalence,
     decide_preorder,
     extract_distinguishing_formula,
@@ -292,22 +293,22 @@ def test_quotient_verdicts_and_lifted_certificates(seed, tmp_path):
             cert = json.loads(out_json.read_text())["certificate"]
             if cert is None:
                 continue
+            if notion in ORACLES:
+                # the greatest relation on the quotient, lifted to the states
+                pairs = {(int(p), int(q)) for p, q in cert["pairs"]}
+                assert pairs == ORACLES[notion](lts)
+                assert relations.is_weak_simulation(lts, pairs)
+                continue
+            # contrasim is decided on the model, so its certificate is the
+            # model game's own
+            game, solution, roots = solve_cs_game_locally(
+                lts, lhs, rhs, swapped=direction == "equivalence"
+            )
             if cert["kind"] == "relation":
                 pairs = {(int(p), int(q)) for p, q in cert["pairs"]}
-                if notion in ORACLES:
-                    assert pairs == ORACLES[notion](lts)
-                    assert relations.is_weak_simulation(lts, pairs)
-                    continue
-                assert (lhs, rhs) in pairs
-                assert direction == "preorder" or (rhs, lhs) in pairs
+                assert pairs == csgame.extract_contrasimulation(game, solution, roots)
                 assert relations.is_contrasimulation(lts, pairs)
                 continue
-            # The formula of the first failing direction's quotient game
-            # separates the original states as well.
-            quotient = lts.quotient(classes)
-            game, solution, roots = solve_cs_game_locally(
-                quotient, classes[lhs], classes[rhs], swapped=direction == "equivalence"
-            )
             forward = solution.winner[roots[0]] is Player.DEFENDER
             root, left, right = (roots[1], rhs, lhs) if forward else (roots[0], lhs, rhs)
             phi = extract_distinguishing_formula(game, solution, root)
@@ -579,13 +580,10 @@ def test_cli_writes_dot_file(notion, tmp_path):
 
 
 def test_game_counts_local_and_full(locked, tmp_path):
-    """A failing check counts the part of the quotient game it explored;
-    with --emit-game-dot it builds, counts and writes the whole quotient
-    game (90 positions and 217 moves, against 94 and 220 unquotiented)."""
+    """A failing check counts the part of the game it explored; with
+    --emit-game-dot it builds, counts and writes the whole game."""
     lts, pc, pl = locked
-    classes = relations.strong_classes(lts)
-    full = build_cs_game(lts.quotient(classes), classes[pc], classes[pl]).graph
-    assert (full.position_count, full.move_count) == (90, 217)
+    full = build_cs_game(lts, pc, pl).graph
     args = ["check", "--lhs", "Pc", "--rhs", "Pl", "--emit-certificate", FIXTURES / "locked.ccs"]
     local_json, full_json, dot = tmp_path / "local.json", tmp_path / "full.json", tmp_path / "g.dot"
     assert run_main(args + ["--emit-json", local_json]) == 1
@@ -595,6 +593,43 @@ def test_game_counts_local_and_full(locked, tmp_path):
     assert lint_dot(dot.read_text()) == (full.position_count, full.move_count)
     assert local["game_positions"] < full.position_count
     assert local["game_moves"] < full.move_count
+
+
+def test_contrasim_relation_is_the_models_own(tmp_path, capsys):
+    """L and R share a strong class.  The gameless notions print their
+    greatest relation, which relates every member of it; contrasim prints
+    the relation its game on the model commits to, without (L, L)."""
+    model = tmp_path / "twin.ccs"
+    model.write_text("L = a.b.0;\nR = a.b.0;\n")
+    for notion, relation in [
+        ("contrasim", "[(L, R), (R, L), (b.0, b.0), (0, 0)]"),
+        ("weak-bisim", "[(L, L), (L, R), (R, L), (R, R), (b.0, b.0), (0, 0)]"),
+    ]:
+        capsys.readouterr()
+        assert run_main(["check", "--notion", notion, "--lhs", "L", "--rhs", "R",
+                         "--emit-certificate", model]) == 0
+        assert "relation: " + relation in capsys.readouterr().out.splitlines()
+
+
+def test_word_game_counts_are_the_quotients(locked, tmp_path):
+    """The word game is built on the strong quotient, which is smaller
+    than the model for locked.ccs."""
+    lts, pc, pl = locked
+    classes = relations.strong_classes(lts)
+    quotient = lts.quotient(classes)
+    assert quotient.state_count < lts.state_count
+    graph, _ = build_word_game(quotient, classes[pc], classes[pl], 2)
+    model_graph, _ = build_word_game(lts, pc, pl, 2)
+    assert graph.position_count < model_graph.position_count
+    report, dot = tmp_path / "r.json", tmp_path / "g.dot"
+    run_main(["check", "--lhs", "Pc", "--rhs", "Pl", "--notion", "bounded-word-game",
+              "--word-bound", 2, "--emit-json", report, "--emit-game-dot", dot,
+              FIXTURES / "locked.ccs"])
+    counts = json.loads(report.read_text())
+    assert (counts["game_positions"], counts["game_moves"]) == (
+        graph.position_count, graph.move_count
+    )
+    assert lint_dot(dot.read_text()) == (graph.position_count, graph.move_count)
 
 
 def test_dot_export_rejected_for_gameless_notions(tmp_path, capsys):
