@@ -1,15 +1,21 @@
 """Command-line front end: load a model, run a check, emit verdicts and
 certificates.
 
-Every notion is invariant under strong bisimilarity, so each query but a
-``contrasim`` one is decided on the strong-bisimulation quotient of the
-model, between the classes of lhs and rhs; when no two states merge, that
-is the model itself.  A relation certificate is then the greatest relation
-on the quotient, lifted back to every member of the classes it relates:
-the same relation the model gives.  A ``contrasim`` relation is read off
-the defender's strategy instead, and lifting that one would relate more
-pairs than the model's game commits to, so ``contrasim`` stays on the
-model and prints the relation of its game.
+A ``contrasim`` query is decided on the model itself.  ``strong-bisim``
+and ``weak-bisim`` are decided by classing the states
+(:func:`contrasim.relations.strong_classes`,
+:func:`contrasim.relations.weak_classes`): lhs and rhs are related iff
+they share a class.  ``weak-sim``, ``naive-contrasim-1step`` and
+``bounded-word-game`` are defined by transferring weak steps, so they
+give the same answer on the weak-bisimulation quotient of the model
+(:meth:`contrasim.lts.Lts.quotient`), and are decided there, between the
+classes of lhs and rhs; when no two states merge, that is the model
+itself.  A relation certificate of a gameless notion is its greatest
+relation on the classes, lifted back to every member of the classes it
+relates: the same relation the model gives.  A ``contrasim`` relation is
+read off the defender's strategy instead, and lifting that one would
+relate more pairs than the model's game commits to, so ``contrasim``
+prints the relation of its game on the model.
 
 Each query builds one game or computes one relation: under ``--direction
 equivalence`` the backward verdict is read off the lhs-vs-rhs game at its
@@ -18,7 +24,8 @@ describe that one game, for ``bounded-word-game`` the quotient's.  A
 ``contrasim`` query explores its game locally and stops once the attacker
 wins every queried root, so the counts are those of the explored part;
 with ``--emit-game-dot`` it builds, counts and writes the whole reachable
-game.
+game.  For a gameless notion ``solve_ms`` times computing the relation,
+or the classes.
 
 Exit codes: 0 when the checked relation holds, 1 when it fails, 2 on usage,
 parse, file, or budget errors (states or game positions), and 3 on an
@@ -57,17 +64,14 @@ NOTIONS = (
 
 GAME_NOTIONS = ("contrasim", "bounded-word-game")
 
-
-def _identity(quotient: Lts) -> frozenset[tuple[int, int]]:
-    """Strong bisimilarity on a strong-bisimulation quotient."""
-    return frozenset((s, s) for s in range(quotient.state_count))
+# Gameless notions whose holding checks print their relation.
+RELATION_NOTIONS = ("weak-sim", "weak-bisim", "strong-bisim")
 
 
-# Relations of the gameless notions on the quotient run_check decides on.
-ORACLES = {
-    "weak-sim": relations.weak_sim_preorder,
-    "weak-bisim": relations.weak_bisimilarity,
-    "strong-bisim": _identity,
+# Each bisimilarity relates the states of one of its classes.
+BISIMILARITIES = {
+    "weak-bisim": relations.weak_classes,
+    "strong-bisim": relations.strong_classes,
 }
 
 
@@ -186,15 +190,17 @@ def run_check(request: CheckRequest) -> CheckReport:
         raise UsageError(f"notion {notion!r} builds no game graph to export")
 
     model, lhs, rhs = _load_model(request)
-    # Every notion but contrasim is decided on the strong quotient.
+    equivalence = request.direction == "equivalence"
+    positions = moves = None
     if notion == "contrasim":
         lts, p, q = model, lhs, rhs
     else:
-        classes = relations.strong_classes(model)
-        lts = model.quotient(classes)
+        t0 = time.perf_counter()
+        classes = BISIMILARITIES.get(notion, relations.weak_classes)(model)
+        solve_ms = (time.perf_counter() - t0) * 1000.0
         p, q = classes[lhs], classes[rhs]
-    equivalence = request.direction == "equivalence"
-    positions = moves = None
+        if notion not in BISIMILARITIES:
+            lts = model.quotient(classes)
     if notion == "contrasim" and request.emit_game_dot is None:
         # Expansion and solving interleave, so solve_ms times both.
         t0 = time.perf_counter()
@@ -219,16 +225,23 @@ def run_check(request: CheckRequest) -> CheckReport:
         t0 = time.perf_counter()
         solution = solve(graph)
         solve_ms = (time.perf_counter() - t0) * 1000.0
+    elif notion in BISIMILARITIES:
+        # Bisimilar means in one class, so solve_ms timed the classes.
+        related = {(c, c) for c in range(max(classes) + 1)}
     else:
         t0 = time.perf_counter()
-        related = ORACLES.get(notion, csgame.naive_single_step_relation)(lts)
+        if notion == "weak-sim":
+            related = relations.weak_sim_preorder(lts)
+        else:
+            related = csgame.naive_single_step_relation(lts)
         solve_ms = (time.perf_counter() - t0) * 1000.0
-        directions = [(p, q), (q, p)] if equivalence else [(p, q)]
-        results = [pair in related for pair in directions]
     if notion in GAME_NOTIONS:
         results = [solution.winner[root] is Player.DEFENDER for root in roots]
         positions = graph.position_count
         moves = game.move_count if notion == "contrasim" else graph.move_count
+    else:
+        directions = [(p, q), (q, p)] if equivalence else [(p, q)]
+        results = [pair in related for pair in directions]
 
     certificate = None
     if request.emit_certificate:
@@ -239,8 +252,8 @@ def run_check(request: CheckRequest) -> CheckReport:
             first_lost = roots[results.index(False)]
             formula = csgame.extract_distinguishing_formula(game, solution, first_lost)
             certificate = Certificate(kind="formula", formula=format_formula(formula))
-        elif notion in ORACLES and all(results):
-            # The greatest relation on the quotient relates every member of
+        elif notion in RELATION_NOTIONS and all(results):
+            # The greatest relation on the classes relates every member of
             # the classes it relates.
             certificate = _lifted_certificate(model, classes, related)
 

@@ -167,16 +167,19 @@ class Lts:
         self._closure: tuple[frozenset[int], ...] = tuple(closure)
 
     def quotient(self, classes: Sequence[int]) -> "Lts":
-        """The system over the classes of a strong bisimulation, where
-        ``classes[s]`` is state ``s``'s, as
-        :func:`contrasim.relations.strong_classes` returns them.
+        """The system over a partition of the states, where ``classes[s]`` is
+        state ``s``'s class, numbered as
+        :func:`contrasim.relations.strong_classes` and
+        :func:`contrasim.relations.weak_classes` number them.
 
         Classes are numbered ``0, 1, ...`` in the order of their smallest
-        members, and each is named after its smallest member.  All members
-        of a class take the same steps up to classes, so a class takes the
-        steps of its smallest member, mapped to classes.  When no two states
-        share a class, the numbering is the identity and the system itself
-        is returned.
+        members, and each is named after its smallest member.  A class takes
+        every step of every member, mapped to classes, except internal steps
+        to itself.  For a partition finer than weak bisimilarity, a class
+        then reaches by each weak word step the classes its members reach
+        (see :mod:`contrasim.relations`).  When no two states share a class
+        and no state has an internal step to itself, the system itself is
+        returned.
         """
         if len(classes) != self.state_count:
             raise ValueError("one class per state required")
@@ -186,18 +189,14 @@ class Lts:
                 smallest.append(s)
             elif not 0 <= c < len(smallest):
                 raise ValueError("classes must be numbered by their smallest members")
-        if len(smallest) == self.state_count:
+        steps = [
+            (classes[s], a, classes[t])
+            for s, a, t in self.transitions
+            if a is not TAU or classes[s] != classes[t]
+        ]
+        if len(smallest) == self.state_count and len(steps) == len(self.transitions):
             return self
-        return Lts(
-            len(smallest),
-            [
-                (c, a, classes[t])
-                for c, s in enumerate(smallest)
-                for a, targets in self._strong[s].items()
-                for t in targets
-            ],
-            {c: self.name_of(s) for c, s in enumerate(smallest)},
-        )
+        return Lts(len(smallest), steps, {c: self.name_of(s) for c, s in enumerate(smallest)})
 
     # -- naming ----------------------------------------------------------
 

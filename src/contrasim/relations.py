@@ -1,4 +1,5 @@
-"""Coinductive relation checkers and fixed-point oracles.
+"""Coinductive relation checkers, fixed-point oracles and bisimulation
+classes.
 
 The checkers (``is_weak_simulation``, ``is_contrasimulation``,
 ``check_coupling``) and ``contrasim_preorder`` are the ground truth the
@@ -6,20 +7,48 @@ game procedures are checked against: exhaustive configuration enumeration
 and a pair-deletion fixed point, written to be audited.  All of them treat
 relations as plain sets of ordered state-index pairs over one LTS.
 
-Weak similarity, weak bisimilarity and the naive single-step fixed point
-of :mod:`contrasim.csgame` answer queries of the command line, so they
-share one counter-based refinement, :func:`_greatest_fixed_point`, which
-handles each deleted pair once.  The pair-deletion loops it replaced are
-kept in the tests as its reference.  Strong bisimilarity comes from
-partition refinement instead, :func:`strong_classes`, whose classes the
-command line also quotients a system by before deciding any notion but
-contrasimilarity.
+Weak similarity and the naive single-step fixed point of
+:mod:`contrasim.csgame` answer queries of the command line, so they share
+one counter-based refinement, :func:`_greatest_fixed_point`, which handles
+each deleted pair once.  The pair-deletion loops it replaced are kept in
+the tests as its reference.  Strong and weak bisimilarity come from
+partition refinement instead: :func:`strong_classes` and
+:func:`weak_classes` class the states, and the bisimilarity relates the
+states of one class.
+
+Weak classes give a smaller system on which every notion defined by
+transferring weak steps has the same answer:
+
+* **Construction.**  Let ``≈`` be weak bisimilarity.  ``S/≈`` has a step
+  ``[s] -a-> [t]`` for every step ``s -a-> t``, except internal steps from
+  a class to itself (:meth:`contrasim.lts.Lts.quotient`).
+* **Lemma.**  For every state ``p`` and word ``w``, the classes of the
+  states ``p`` reaches by the weak word step ``w`` are the classes
+  ``[p]`` reaches by ``w`` in ``S/≈``.  Every step maps to a step or to a
+  dropped internal self-loop, which gives one inclusion; ``{(s, [s])}`` is
+  a weak bisimulation (Milner 1989), which gives the other.  Both hold for
+  any partition finer than ``≈``, the strong classes included.
+* **Consequences.**  Contrasimilarity, weak similarity, weak bisimilarity,
+  the naive single-step fixed point and the bounded word game are the same
+  on ``S`` and on ``S/≈``: ``(p, q)`` is in a greatest relation on ``S``
+  iff ``([p], [q])`` is in it on ``S/≈``, and relating every member of
+  related classes turns a relation of one of these kinds on ``S/≈`` into
+  one on ``S`` (for contrasimulations, apply the lemma once per side of
+  the swap).  A formula of the paper's fragment holds at ``p`` iff it
+  holds at ``[p]``, since the fragment is invariant under weak
+  bisimilarity.  Strong bisimilarity is not among them; it is "same
+  strong class".
+
+The command line decides weak similarity, the naive fixed point and the
+bounded word game on ``S/≈``, and the bisimilarities by class;
+contrasimilarity stays on the model.  The library deciders run on the
+system they are given and are the oracles it is tested against.
 """
 
 from collections import deque
 from dataclasses import dataclass
 from itertools import compress, repeat
-from typing import Hashable, Iterable, Optional
+from typing import AbstractSet, Hashable, Iterable, Mapping, Optional, Sequence
 
 from .lts import Action, Lts, StateSet, TAU, Word
 
@@ -193,29 +222,46 @@ def contrasim_preorder(lts: Lts) -> frozenset[Pair]:
     return frozenset(rel)
 
 
-def _step_tables(lts: Lts, *, weak: bool) -> list[list[StateSet]]:
+def _step_tables(lts: Lts, *, weak: bool) -> list[list[AbstractSet[int]]]:
     """Per action of ``visible_actions + (TAU,)``, every state's strong
     successors, or its weak ones (for tau, its internal closure)."""
-    strong, closure = lts._strong, lts._closure
     empty: StateSet = frozenset()
-    tables = []
-    for action in lts.visible_actions + (TAU,):
-        if not weak:
-            tables.append([steps.get(action, empty) for steps in strong])
-        elif action.is_tau:
-            tables.append(list(closure))
-        else:
-            row = []
-            for reach in closure:
-                delay: set[int] = set()
-                for s in reach:
-                    delay |= strong[s].get(action, empty)
-                out: set[int] = set()
-                for s in delay:
-                    out |= closure[s]
-                row.append(frozenset(out))
-            tables.append(row)
-    return tables
+    if not weak:
+        rows: Sequence[Mapping[Action, AbstractSet[int]]] = lts._strong
+        return [[row.get(a, empty) for row in rows] for a in lts.visible_actions + (TAU,)]
+    rows = _weak_steps(lts, range(lts.state_count))
+    return [[row.get(a, empty) for row in rows] for a in lts.visible_actions] + [list(lts._closure)]
+
+
+def _weak_steps(lts: Lts, classes: Sequence[int]) -> list[dict[Action, AbstractSet[int]]]:
+    """Per class of ``classes``, a partition finer than weak bisimilarity
+    and numbered by smallest members, the classes its smallest member
+    reaches by a weak step: under each visible action, and under ``TAU`` by
+    internal steps alone, the class itself left out.  An action that
+    reaches no class has no entry."""
+    steps, closure = lts._strong, lts._closure
+    smallest: list[int] = []  # smallest[c]: the smallest member of class c
+    for s, c in enumerate(classes):
+        if c == len(smallest):
+            smallest.append(s)
+    # Per class: the classes of its internal closure, and its visible steps
+    # each followed by that closure.
+    within = [frozenset([classes[t] for t in closure[s]]) for s in smallest]
+    after = [
+        {a: _NO_STEPS.union(*[within[classes[t]] for t in targets])
+         for a, targets in steps[s].items() if a is not TAU}
+        for s in smallest
+    ]
+    rows: list[dict[Action, AbstractSet[int]]] = []
+    for c, reach in enumerate(within):
+        row: dict[Action, AbstractSet[int]] = {}
+        for d in reach:
+            for a, targets in after[d].items():
+                row.setdefault(a, set()).update(targets)
+        if len(reach) > 1:
+            row[TAU] = reach.difference((c,))
+        rows.append(row)
+    return rows
 
 
 _FLIP = bytes.maketrans(b"\0\1", b"\1\0")
@@ -230,12 +276,10 @@ def _greatest_fixed_point(
     left: list[list[StateSet]],
     right: list[list[StateSet]],
     swapped: bool = False,
-    symmetric: bool = False,
 ) -> frozenset[Pair]:
     """The greatest relation ``R`` in which, for every ``(x, y)`` in ``R``,
     every action ``a`` and every ``x2`` in ``left[a][x]``, some ``y2`` in
-    ``right[a][y]`` has ``(x2, y2)`` in ``R`` (``(y2, x2)`` if ``swapped``);
-    with ``symmetric``, the greatest such relation closed under mirroring.
+    ``right[a][y]`` has ``(x2, y2)`` in ``R`` (``(y2, x2)`` if ``swapped``).
 
     Counter-based refinement (Henzinger, Henzinger & Kopke, FOCS 1995):
     ``count[t][a*n + q]`` is the number of q's right ``a``-answers still
@@ -269,17 +313,10 @@ def _greatest_fixed_point(
                     right_pred[y2].append((a * n + q, q, left_pred[a]))
 
     # Start from the pairs whose right side answers every action the left
-    # side can take (both ways if symmetric).
+    # side can take.
     states = range(n)
     covers = {m: _flags(not m & ~r for r in right_mask) for m in set(left_mask)}
-    if symmetric:
-        covered = {r: _flags(not m & ~r for m in left_mask) for r in set(right_mask)}
-    rel: list[bytearray] = []
-    for x in states:
-        bits = covers[left_mask[x]]
-        if symmetric:
-            bits &= covered[right_mask[x]]
-        rel.append(bytearray(bits.to_bytes(n, "little")))
+    rel = [bytearray(covers[m].to_bytes(n, "little")) for m in left_mask]
     initially_gone = [row.translate(_FLIP) for row in rel]
 
     # The worklist holds each deleted pair as (t, y2): the left successor
@@ -308,97 +345,155 @@ def _greatest_fixed_point(
                     if row[q]:
                         row[q] = 0
                         work.append((q, p) if swapped else (p, q))
-                        if symmetric and p != q:
-                            rel[q][p] = 0
-                            work.append((p, q) if swapped else (q, p))
     return frozenset((x, y) for x in states for y in compress(states, rel[x]))
 
 
-def strong_classes(lts: Lts) -> list[int]:
-    """The strong-bisimulation class of every state, as dense ints numbered
-    in the order of the classes' smallest members.
+def _classes(
+    steps: Sequence[Mapping[Action, AbstractSet[int]]],
+    actions: Sequence[Action],
+    stay: Optional[Action] = None,
+) -> list[int]:
+    """The coarsest partition of the states ``0 .. len(steps)-1`` in which
+    states of one class have equal *signatures*, the sets of (action, class)
+    pairs of their steps; ``steps[s]`` maps each of ``actions`` that ``s``
+    takes to its successors.  With ``stay``, every state also takes that
+    action to itself, left out of ``steps``.  Classes are dense ints
+    numbered in the order of their smallest members.
 
-    A state's *signature* is the set of (action, class) pairs of its steps,
-    internal ones included; strong bisimilarity is the coarsest partition
-    whose classes hold states of equal signature only.  It is found in two
-    parts, by loops only:
+    Found in three parts, by loops only:
 
-    * A well-founded state has no infinite path, so it is bisimilar to
+    * A well-founded state has no infinite path, so it shares a class with
       well-founded states only.  These states are classed successors first
       (Kahn's order over out-degrees), each once, by its signature over
-      classes that are already final.
-    * The rest start as one block and are refined by signature (Paige &
-      Tarjan 1987; Valmari 2009).  When a block splits, its largest part
-      keeps the block's id and the others get new ones, so a state changes
-      id O(log n) times, and only the predecessors of states that changed
-      are signed again, unless they are alone in their block.  Signing
-      every state each round would take n rounds on an n-chain.
+      classes that are already final.  With ``stay`` this does not hold
+      (an internal cycle is invisible to weak bisimilarity), and all states
+      go on to the next two parts.
+    * Of the rest, those that no cycle reaches are set aside, top down.  The
+      others, the *core*, start as one block and are refined by signature
+      (Paige & Tarjan 1987; Valmari 2009).  When a block splits, its largest
+      part keeps the block's id and the others get new ones, so a state
+      changes id O(log n) times, and only the predecessors of states that
+      changed are signed again, unless they are alone in their block.
+      Signing every state each round would take n rounds on an n-chain.
+    * The states set aside are then classed successors first like the
+      well-founded ones, against the core's classes too.  A chain that ends
+      in a loop costs one round, not one per state.
+
+    A state's implicit ``stay`` step is the same pair for every member of its
+    class, so states are compared by their signatures less that pair.  A
+    state classed successors first has no id yet; it joins class ``c`` if
+    its signature is ``c``'s, or is ``c``'s plus a ``stay`` step into ``c``.
+    No signature can be both for two classes: either would make the two
+    classes bisimilar.
     """
-    n = lts.state_count
-    strong = lts._strong
-    action_id = {a: i for i, a in enumerate(lts.visible_actions + (TAU,))}
+    n = len(steps)
+    action_id = {a: i for i, a in enumerate(actions)}
     width = len(action_id)
-    degree = [sum(map(len, steps.values())) for steps in strong]
-    preds: list[list[int]] = [[] for _ in range(n)]  # one entry per transition
-    for s, steps in enumerate(strong):
-        for targets in steps.values():
+    stay_id = None if stay is None else action_id[stay]
+    degree = [0] * n
+    preds: list[list[int]] = [[] for _ in range(n)]  # one entry per step
+    for s, row in enumerate(steps):
+        for targets in row.values():
+            degree[s] += len(targets)
             for t in targets:
                 preds[t].append(s)
-    block = [-1] * n  # the class of a well-founded state, the block of another
+    block = [-1] * n  # a state's class once final, its block in the core
 
     def signature(s: int) -> Hashable:
-        """``s``'s steps as ``block * width + action`` ints: their frozenset,
-        or the int itself when there is just one."""
+        """``s``'s steps as ``block * width + action`` ints, less a ``stay``
+        step into its own block: their frozenset, or the one int."""
+        row = steps[s]
+        own = None if stay_id is None else block[s] * width + stay_id
         if degree[s] == 1:
-            ((a, (t,)),) = strong[s].items()
-            return block[t] * width + action_id[a]
-        steps = frozenset(
-            [block[t] * width + action_id[a] for a, targets in strong[s].items() for t in targets]
+            ((a, (t,)),) = row.items()
+            code = block[t] * width + action_id[a]
+            return _NO_STEPS if code == own else code
+        sig = frozenset(
+            [block[t] * width + action_id[a] for a, targets in row.items() for t in targets]
         )
-        return next(iter(steps)) if len(steps) == 1 else steps
+        if own in sig:
+            sig = sig.difference((own,))
+        return next(iter(sig)) if len(sig) == 1 else sig
 
-    class_of: dict[Hashable, int] = {}  # signature -> class of a well-founded state
+    signatures: list[Hashable] = []  # by class or block id
+    class_of: dict[Hashable, int] = {}  # signature -> final class
+
+    def register(key: Hashable, c: int) -> None:
+        """Let the signature ``key`` of final class ``c`` find ``c``, and so,
+        with ``stay``, ``key`` plus a ``stay`` step into ``c``: a state
+        with that signature and no id yet is in ``c``."""
+        class_of[key] = c
+        if stay_id is not None:
+            codes = key if isinstance(key, frozenset) else frozenset((key,))
+            full = codes.union((c * width + stay_id,))
+            class_of[next(iter(full)) if len(full) == 1 else full] = c
+
     pending = degree[:]  # steps into states not yet classed
-    order = [s for s in range(n) if not degree[s]]
-    for s in order:  # grows while it is walked
-        key = signature(s)
-        c = class_of.get(key)
-        if c is None:
-            c = class_of[key] = len(class_of)
-        block[s] = c
-        for p in preds[s]:
-            left = pending[p] - 1
-            pending[p] = left
-            if not left:
-                order.append(p)
 
-    if len(order) < n:
-        # Every predecessor of these states is one of them.
-        start = len(class_of)
-        touched = [s for s in range(n) if block[s] < 0]
-        for s in touched:
+    def settle(order: list[int]) -> None:
+        """Class the states of ``order``, and every state whose last
+        unclassed successor they are, each by its signature."""
+        for s in order:  # grows while it is walked
+            key = signature(s)
+            c = class_of.get(key)
+            if c is None:
+                c = len(signatures)
+                signatures.append(key)
+                register(key, c)
+            block[s] = c
+            for p in preds[s]:
+                left = pending[p] - 1
+                pending[p] = left
+                if not left:
+                    order.append(p)
+
+    # With stay, a state on an internal cycle may share a class with a
+    # well-founded one, so every state waits for the refinement.
+    settle([s for s in range(n) if not degree[s]] if stay_id is None else [])
+    rest = [s for s in range(n) if block[s] < 0]
+    if not rest:
+        return _dense(block)
+
+    # Every predecessor of a state in rest is in rest.  Peel off, top down,
+    # the states no cycle reaches; the core is what is left.
+    inbound = [len(p) for p in preds]
+    peeled = [s for s in rest if not inbound[s]]
+    for s in peeled:  # grows while it is walked
+        for targets in steps[s].values():
+            for t in targets:
+                left = inbound[t] - 1
+                inbound[t] = left
+                if not left and block[t] < 0:
+                    peeled.append(t)
+    core = [s for s in rest if inbound[s]]
+
+    members: dict[int, set[int]] = {}
+    if core:
+        start = len(signatures)
+        signatures.append(None)
+        for s in core:
             block[s] = start
-        members = {start: set(touched)}
+        members = {start: set(core)}
         # Between rounds, each member of a block that is not touched has the
         # block's signature.
-        block_signature: dict[int, Hashable] = {start: None}
+        touched = core
         while touched:
             split: dict[int, dict[Hashable, list[int]]] = {}
             for s in touched:
                 split.setdefault(block[s], {}).setdefault(signature(s), []).append(s)
             moved: list[int] = []
             for b, by_signature in split.items():
-                mine, old = members[b], block_signature[b]
+                mine, old = members[b], signatures[b]
                 untouched = len(mine) - sum(map(len, by_signature.values()))
                 if untouched:
                     by_signature.setdefault(old, [])  # listed only if they move
                 if len(by_signature) == 1:
-                    (block_signature[b],) = by_signature
+                    (signatures[b],) = by_signature
                     continue
                 size = {sig: len(states) for sig, states in by_signature.items()}
                 if untouched:
                     size[old] += untouched
-                keep = block_signature[b] = max(size, key=size.get)
+                keep = signatures[b] = max(size, key=size.get)
                 for sig, states in by_signature.items():
                     if sig is keep:
                         continue
@@ -406,19 +501,74 @@ def strong_classes(lts: Lts) -> list[int]:
                         states = mine.difference(
                             *(others for other, others in by_signature.items() if other is not sig)
                         )
-                    new = start + len(block_signature)
-                    block_signature[new] = sig
+                    new = len(signatures)
+                    signatures.append(sig)
                     members[new] = set(states)
                     mine.difference_update(states)
                     for t in states:
                         block[t] = new
                     moved += states
-            touched = [  # a block of one state cannot split
-                p for p in {p for s in moved for p in preds[s]} if len(members[block[p]]) > 1
-            ]
+            again = {p for s in moved for p in preds[s]}
+            if stay_id is not None:
+                again.update(moved)  # their stay step moved with them
+            # A block of one state cannot split; a peeled state is no block's.
+            touched = [p for p in again if block[p] >= 0 and len(members[block[p]]) > 1]
 
+    if peeled:
+        # A block of one state was not signed again when its successors
+        # moved, so every block is signed afresh.
+        for b, mine in members.items():
+            register(signature(next(iter(mine))), b)
+        for s in core:
+            for p in preds[s]:
+                pending[p] -= 1
+        settle([s for s in peeled if not pending[s]])
+    return _dense(block)
+
+
+_NO_STEPS: frozenset[int] = frozenset()
+
+
+def _dense(ids: list[int]) -> list[int]:
+    """``ids`` renumbered ``0, 1, ...`` in the order of first occurrence."""
     dense: dict[int, int] = {}
-    return [dense.setdefault(b, len(dense)) for b in block]
+    return [dense.setdefault(i, len(dense)) for i in ids]
+
+
+def strong_classes(lts: Lts) -> list[int]:
+    """The strong-bisimulation class of every state, as dense ints numbered
+    in the order of the classes' smallest members: the partition whose
+    classes hold states of equal strong steps (internal ones included) up
+    to classes."""
+    return _classes(lts._strong, lts.visible_actions + (TAU,))
+
+
+def weak_classes(lts: Lts) -> list[int]:
+    """The weak-bisimulation class of every state, numbered like
+    :func:`strong_classes`.
+
+    Weak bisimilarity is strong bisimilarity of the weak steps, with the
+    internal closure, which always holds the state itself, as the internal
+    step.  It is refined on the strong classes, which have the same weak
+    classes and are fewer: a class takes the weak steps of its smallest
+    member, mapped to classes.  Without internal steps, weak steps are
+    strong steps and the strong classes are returned.
+    """
+    strong = strong_classes(lts)
+    if not any(TAU in steps for steps in lts._strong):
+        return strong
+    # A class's internal closure holds the class itself: its stay step.
+    rows = _weak_steps(lts, strong)
+    weak = _classes(rows, lts.visible_actions + (TAU,), stay=TAU)
+    return [weak[c] for c in strong]
+
+
+def _same_class(classes: Sequence[int]) -> frozenset[Pair]:
+    """The pairs of states that share a class."""
+    members: dict[int, list[int]] = {}
+    for s, c in enumerate(classes):
+        members.setdefault(c, []).append(s)
+    return frozenset((p, q) for group in members.values() for p in group for q in group)
 
 
 def weak_sim_preorder(lts: Lts) -> frozenset[Pair]:
@@ -427,20 +577,16 @@ def weak_sim_preorder(lts: Lts) -> frozenset[Pair]:
 
 
 def weak_bisimilarity(lts: Lts) -> frozenset[Pair]:
-    """The greatest symmetric relation that is a weak simulation both ways."""
-    return _greatest_fixed_point(
-        _step_tables(lts, weak=False), _step_tables(lts, weak=True), symmetric=True
-    )
+    """The greatest symmetric relation that is a weak simulation both ways:
+    the pairs of states in one class of :func:`weak_classes`."""
+    return _same_class(weak_classes(lts))
 
 
 def strong_bisimilarity(lts: Lts) -> frozenset[Pair]:
     """The greatest symmetric relation matching every strong step (internal
     ones included) by exactly one strong step: the pairs of states in one
     class of :func:`strong_classes`."""
-    members: dict[int, list[int]] = {}
-    for s, c in enumerate(strong_classes(lts)):
-        members.setdefault(c, []).append(s)
-    return frozenset((p, q) for group in members.values() for p in group for q in group)
+    return _same_class(strong_classes(lts))
 
 
 def interleaved_compose(r1: Iterable[Pair], r2: Iterable[Pair]) -> frozenset[Pair]:

@@ -1,9 +1,13 @@
+import io
 import json
 import random
 import re
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from contrasim import csgame, relations
 from contrasim.aut import parse_aut, write_aut
@@ -31,7 +35,7 @@ from contrasim.csgame import (
 )
 from contrasim.game import GameGraph, Player, solve
 from contrasim.hml import DelayNor, DelayObs, TRUTH, format_formula, hml_satisfies
-from contrasim.lts import Lts, act
+from contrasim.lts import Lts, TAU, act
 
 from conftest import FIXTURES, INSTABLE_AUT, PHIL_AUT, make_random_lts
 
@@ -113,7 +117,8 @@ def test_aut_input_uses_state_indices(capsys):
          FIXTURES / "phil.aut"],
         ["check", "--lhs", "1", "--rhs", "2", "--max-positions", "100",
          "--emit-game-dot", "/dev/null", FIXTURES / "phil.aut"],
-        ["check", "--lhs", "1", "--rhs", "2", "--max-positions", "100",
+        # 71 positions on the weak quotient
+        ["check", "--lhs", "1", "--rhs", "2", "--max-positions", "50",
          "--notion", "bounded-word-game", "--word-bound", "3", FIXTURES / "phil.aut"],
         ["check", "--lhs", "X", "--rhs", "X", "/nonexistent/file.ccs"],
         ["check", "--lhs", "0", "--rhs", "1", TESTS / "data" / "not_utf8.aut"],
@@ -315,6 +320,59 @@ def test_quotient_verdicts_and_lifted_certificates(seed, tmp_path):
             assert format_formula(phi) == cert["formula"]
             assert hml_satisfies(lts, left, phi)
             assert not hml_satisfies(lts, right, phi)
+
+
+def _weakly_doubled(rng: random.Random) -> Lts:
+    """A random system in which some states get a copy that steps
+    internally into the original and takes some of its steps; some steps
+    into an original go to its copy instead.  Each copy is weakly
+    bisimilar to its original."""
+    base = make_random_lts(rng, n_states=rng.randint(2, 5), acyclic=rng.random() < 0.5)
+    n = base.state_count
+    copy = {s: n + i for i, s in enumerate(rng.sample(range(n), rng.randint(1, n)))}
+    steps = [
+        (s, a, copy[t] if t in copy and rng.random() < 0.5 else t)
+        for s, a, t in base.transitions
+    ]
+    for s, c in copy.items():
+        steps.append((c, TAU, s))
+        steps += [(c, a, t) for src, a, t in base.transitions if src == s and rng.random() < 0.5]
+    return Lts(n + len(copy), steps)
+
+
+WEAK_NOTIONS = ["weak-sim", "weak-bisim", "naive-contrasim-1step", "bounded-word-game"]
+
+
+@pytest.mark.parametrize("seed", range(30))
+def test_weak_quotient_verdicts_and_lifted_certificates(seed, tmp_path):
+    """On systems whose states merge weakly but not strongly, every weak
+    notion but contrasim is decided on the weak quotient: its verdict is
+    the library's on the model, and a printed relation is the model's
+    greatest one."""
+    rng = random.Random(seed)
+    while True:
+        lts = _weakly_doubled(rng)
+        if max(relations.weak_classes(lts)) < max(relations.strong_classes(lts)):
+            break
+    model = tmp_path / "model.aut"
+    model.write_text(write_aut(lts, 0))
+    lhs, rhs = rng.randrange(lts.state_count), rng.randrange(lts.state_count)
+    for notion in WEAK_NOTIONS:
+        for direction in ("preorder", "equivalence"):
+            out_json = tmp_path / "report.json"
+            code = run_main(
+                ["check", "--notion", notion, "--direction", direction,
+                 "--lhs", lhs, "--rhs", rhs, "--word-bound", WORD_BOUND,
+                 "--emit-certificate", "--emit-json", out_json, model]
+            )
+            held = library_verdict(lts, notion, direction, lhs, rhs)
+            assert code == (0 if held else 1), (notion, direction)
+            cert = json.loads(out_json.read_text())["certificate"]
+            assert (cert is not None) == (held and notion in ORACLES)
+            if cert is not None:
+                pairs = {(int(p), int(q)) for p, q in cert["pairs"]}
+                assert pairs == ORACLES[notion](lts)
+                assert relations.is_weak_simulation(lts, pairs)
 
 
 @pytest.mark.parametrize(
@@ -612,12 +670,12 @@ def test_contrasim_relation_is_the_models_own(tmp_path, capsys):
 
 
 def test_word_game_counts_are_the_quotients(locked, tmp_path):
-    """The word game is built on the strong quotient, which is smaller
-    than the model for locked.ccs."""
+    """The word game is built on the weak quotient, which is smaller than
+    the strong quotient for locked.ccs."""
     lts, pc, pl = locked
-    classes = relations.strong_classes(lts)
+    classes = relations.weak_classes(lts)
     quotient = lts.quotient(classes)
-    assert quotient.state_count < lts.state_count
+    assert quotient.state_count < max(relations.strong_classes(lts)) + 1
     graph, _ = build_word_game(quotient, classes[pc], classes[pl], 2)
     model_graph, _ = build_word_game(lts, pc, pl, 2)
     assert graph.position_count < model_graph.position_count
@@ -638,3 +696,63 @@ def test_dot_export_rejected_for_gameless_notions(tmp_path, capsys):
          "--emit-game-dot", tmp_path / "x.dot", FIXTURES / "phil.aut"]
     )
     assert code == 2
+
+
+# -- robustness: mutated fixtures ------------------------------------------------------
+
+FIXTURE_TEXTS = {path.name: path.read_text() for path in sorted(FIXTURES.iterdir())}
+MUTATION_TOKENS = [
+    "", "(", ")", ",", '"', ".", "|", "+", "\\", "{", "}", ";", "=", "'", " ", "\n",
+    "0", "1", "-1", "99", "a", "tau", "des", "X", "Pc", "(X | X)",
+]
+
+
+def _designators(name: str) -> list[str]:
+    """The roots a fixture names, then some that no fixture has."""
+    if name.endswith(".aut"):
+        return [str(s) for s in range(11)] + ["-1", "99", "Pc"]
+    defined = re.findall(r"^(\w+) =", FIXTURE_TEXTS[name], re.MULTILINE)
+    return defined + ["X", "Missing", "0"]
+
+
+@st.composite
+def mutated_query(draw):
+    """A fixture's text with a few spans inserted, deleted or replaced, and
+    a pair of roots mostly among those it names."""
+    name = draw(st.sampled_from(sorted(FIXTURE_TEXTS)))
+    text = FIXTURE_TEXTS[name]
+    for _ in range(draw(st.integers(0, 3))):
+        i = draw(st.integers(0, len(text)))
+        j = min(len(text), i + draw(st.integers(0, 8)))
+        text = text[:i] + draw(st.sampled_from(MUTATION_TOKENS)) + text[j:]
+    roots = st.sampled_from(_designators(name))
+    return name, text, draw(roots), draw(roots)
+
+
+@given(
+    mutated_query(),
+    st.sampled_from(NOTIONS),
+    st.sampled_from(["preorder", "equivalence"]),
+    st.integers(1, 3),
+    st.booleans(),
+)
+@settings(max_examples=150, deadline=None)
+def test_mutated_fixtures_get_a_verdict_or_a_clean_error(
+    query, notion, direction, word_bound, certify
+):
+    """Whatever the input, the command line exits 0, 1 or 2, never 3, and
+    prints no traceback."""
+    name, text, lhs, rhs = query
+    with tempfile.TemporaryDirectory() as tmp:
+        model = Path(tmp) / name
+        model.write_text(text)
+        args = ["check", "--notion", notion, "--direction", direction, "--lhs", lhs,
+                "--rhs", rhs, "--word-bound", word_bound, "--max-states", 300,
+                "--max-positions", 20_000, model]
+        if certify:
+            args.append("--emit-certificate")
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            code = run_main(args)
+    assert code in (0, 1, 2), err.getvalue()
+    assert "Traceback" not in err.getvalue()

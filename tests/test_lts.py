@@ -335,12 +335,14 @@ def test_tau_free_collapse(lts):
 
 def test_quotient_merges_classes_named_by_smallest_member():
     a, b = act("a"), act("b")
-    # 1 and 2 are bisimilar, and so are 3 and 4
-    lts = Lts(5, [(0, a, 1), (0, a, 2), (1, b, 3), (2, b, 4), (1, TAU, 1), (2, TAU, 2)],
+    # 1 and 2 are bisimilar, and so are 3 and 4; the internal self-loops on
+    # class 1 go, the internal step from 0 to 1 stays
+    lts = Lts(5, [(0, a, 1), (0, a, 2), (1, b, 3), (2, b, 4), (1, TAU, 1), (2, TAU, 2),
+                  (0, TAU, 2)],
               {0: "x", 1: "y", 3: "u"})
     q = lts.quotient([0, 1, 1, 2, 2])
     assert q.state_count == 3
-    assert set(q.transitions) == {(0, a, 1), (1, b, 2), (1, TAU, 1)}
+    assert set(q.transitions) == {(0, a, 1), (1, b, 2), (0, TAU, 1)}
     assert [q.name_of(c) for c in range(3)] == ["x", "y", "u"]
     assert q.visible_actions == (a, b)
 
@@ -348,11 +350,15 @@ def test_quotient_merges_classes_named_by_smallest_member():
 @given(small_lts(max_states=7))
 @settings(max_examples=100, deadline=None)
 def test_quotient_by_strong_classes_is_the_merged_system(lts):
-    """Each class takes its smallest member's steps and closure; that is the
-    system with every transition's ends replaced by their classes."""
+    """Each class takes its members' steps and closure; that is the system
+    with every transition's ends replaced by their classes, less the
+    internal self-loops."""
     classes = strong_classes(lts)
     q = lts.quotient(classes)
-    merged = Lts(q.state_count, [(classes[s], a, classes[t]) for s, a, t in lts.transitions])
+    merged = Lts(q.state_count, [
+        (classes[s], a, classes[t]) for s, a, t in lts.transitions
+        if a.is_visible or classes[s] != classes[t]
+    ])
     assert set(q.transitions) == set(merged.transitions)
     assert q.visible_actions == merged.visible_actions
     for c in range(q.state_count):
@@ -364,6 +370,13 @@ def test_quotient_by_strong_classes_is_the_merged_system(lts):
 def test_quotient_without_merges_is_the_system_itself():
     lts = Lts(3, [(0, act("a"), 1), (1, TAU, 2)])
     assert lts.quotient([0, 1, 2]) is lts
+
+
+def test_quotient_without_merges_drops_internal_self_loops():
+    lts = Lts(2, [(0, act("a"), 1), (1, TAU, 1), (0, TAU, 0), (0, act("a"), 0)])
+    q = lts.quotient([0, 1])
+    assert q is not lts
+    assert set(q.transitions) == {(0, act("a"), 1), (0, act("a"), 0)}
 
 
 @pytest.mark.parametrize("classes", [[0, 0], [1, 0, 1], [0, 2, 1], [0, 1, 2, 0]])

@@ -17,6 +17,7 @@ from contrasim.relations import (
     strong_bisimilarity,
     strong_classes,
     weak_bisimilarity,
+    weak_classes,
     weak_sim_preorder,
     weak_simulation_violation,
 )
@@ -383,9 +384,10 @@ def _two_chains_aut(k: int, looped: bool) -> str:
 @pytest.mark.parametrize("looped", [False, True])
 def test_strong_classes_of_a_long_chain_take_linear_work(looped):
     """20,003 states, far deeper than the recursion limit.  Without loops
-    every state is signed once; with them each refinement round splits off
-    the next two states, and signing only their predecessors keeps the
-    total linear (signing every state per round would take 10,000 rounds)."""
+    every state is signed once.  With them, the chains are set aside as
+    states no cycle reaches, the two loops are refined, and the chains are
+    then signed once each, successors first; each read below is one
+    signature or one step of setting aside."""
     k = 10_000
     lts, _ = parse_aut(_two_chains_aut(k, looped))
     n = lts.state_count
@@ -394,3 +396,107 @@ def test_strong_classes_of_a_long_chain_take_linear_work(looped):
     # the two chains differ at every depth: nothing merges but the final
     # state, which in the looped system is unreachable and bisimilar to no one
     assert max(classes) + 1 == n
+
+
+def test_strong_classes_of_a_long_cycle_take_linear_work():
+    """The two chains close into cycles (each end steps back to its start),
+    so every state is refined.  Each round splits off the next two states,
+    and signing only their predecessors keeps the total linear (signing
+    every state per round would take 10,000 rounds)."""
+    k = 10_000
+    lines = _two_chains_aut(k, looped=False).splitlines()
+    lines[-2:] = [f'({k},"b",0)', f'({2 * k + 1},"c",{k + 1})']
+    lts, _ = parse_aut("\n".join(lines) + "\n")
+    n = lts.state_count
+    _limit_signatures(lts, 2 * n)
+    classes = strong_classes(lts)
+    assert max(classes) + 1 == n
+
+
+# -- weak classes ------------------------------------------------------------------
+
+
+@given(
+    st.one_of(
+        random_lts_strategy(max_states=7),
+        random_lts_strategy(max_states=8, acyclic=True),
+    )
+)
+@settings(max_examples=150, deadline=None)
+def test_weak_classes_match_reference(lts):
+    classes = weak_classes(lts)
+    states = range(lts.state_count)
+    same = {(p, q) for p in states for q in states if classes[p] == classes[q]}
+    assert same == reference_gfp_simulation(lts, True, True)
+    first = {}
+    for s, c in enumerate(classes):
+        first.setdefault(c, s)
+    assert list(first) == list(range(len(first)))  # numbered by smallest member
+
+
+@pytest.mark.parametrize("tau_share", [0.3, 0.6, 0.9])
+def test_weak_classes_match_reference_on_cyclic_corpus(tau_share):
+    """Internal cycles and long internal paths, where weak steps differ most
+    from strong ones."""
+    rng = random.Random(11)
+    for _ in range(400):
+        lts = make_random_lts(
+            rng,
+            n_states=rng.randint(1, 10),
+            n_actions=rng.randint(1, 3),
+            density=(0.05, 0.5),
+            tau_share=tau_share,
+        )
+        classes = weak_classes(lts)
+        states = range(lts.state_count)
+        same = {(p, q) for p in states for q in states if classes[p] == classes[q]}
+        assert same == reference_gfp_simulation(lts, True, True)
+
+
+def test_weak_classes_of_a_tau_free_system_are_its_strong_classes(monkeypatch):
+    rng = random.Random(3)
+    for _ in range(20):
+        lts = make_tau_free_lts(rng, n_states=rng.randint(1, 7))
+        strong = strong_classes(lts)
+        with monkeypatch.context() as patched:
+            # no second pass: the system is not even quotiented
+            patched.setattr(Lts, "quotient", None)
+            assert weak_classes(lts) == strong
+
+
+def test_weak_classes_merge_what_strong_classes_keep_apart():
+    a = act("a")
+    # 0 steps internally into 1 and 2 into 3; 1 and 3 take a to 4
+    lts = Lts(5, [(0, TAU, 1), (1, a, 4), (2, TAU, 3), (3, a, 4), (2, a, 4)])
+    assert strong_classes(lts) == [0, 1, 2, 1, 3]
+    assert weak_classes(lts) == [0, 0, 0, 0, 1]
+
+
+def test_a_divergent_state_is_weakly_bisimilar_to_a_dead_one():
+    """0 and 1 step internally into each other forever, and 1 also into 2,
+    which takes no step: weak bisimilarity ignores the internal cycle, so
+    the well-founded state is not classed apart from the cyclic ones."""
+    lts = Lts(3, [(0, TAU, 1), (1, TAU, 0), (1, TAU, 2)])
+    assert strong_classes(lts) == [0, 1, 2]
+    assert weak_classes(lts) == [0, 0, 0]
+    a = act("a")
+    # the same below a visible step, with a state above that joins them
+    lts = Lts(6, [(0, a, 1), (1, TAU, 2), (2, TAU, 1), (2, TAU, 3), (4, a, 3), (5, TAU, 0)])
+    assert weak_classes(lts) == [0, 1, 1, 1, 0, 0]
+
+
+def test_weak_refinement_signs_moved_states_again():
+    """A state's implicit internal step stays with it when it moves to a new
+    block, so a moved state with an internal step into its old block differs
+    from one without: both must be signed again.  A system on which the
+    refinement went wrong without that."""
+    a = act("a")
+    lts = Lts(8, [
+        (0, TAU, 5), (2, TAU, 1), (2, TAU, 7), (3, TAU, 1), (3, TAU, 6), (4, TAU, 1),
+        (4, TAU, 2), (4, TAU, 6), (5, TAU, 1), (6, TAU, 3), (6, TAU, 5), (6, TAU, 7),
+        (7, a, 0), (7, TAU, 1),
+    ])
+    classes = weak_classes(lts)
+    states = range(lts.state_count)
+    same = {(p, q) for p in states for q in states if classes[p] == classes[q]}
+    assert same == reference_gfp_simulation(lts, True, True)
