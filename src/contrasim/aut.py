@@ -14,7 +14,8 @@ from .errors import ParseError, StateBudgetError
 from .lts import Action, Lts, TAU
 
 _HEADER_RE = re.compile(r"^des\s*\(\s*(\d+)\s*,\s*(\d+)\s*,\s*(\d+)\s*\)\s*$")
-_EDGE_RE = re.compile(r'^\(\s*(\d+)\s*,\s*"([^"]*)"\s*,\s*(\d+)\s*\)\s*$')
+# matched whole against an unstripped line
+_EDGE_RE = re.compile(r'\s*\(\s*(\d+)\s*,\s*"([^"]*)"\s*,\s*(\d+)\s*\)\s*')
 
 _INTERNAL_LABELS = ("tau", "i")
 
@@ -53,14 +54,16 @@ def parse_aut(text: str, max_states: Optional[int] = None) -> tuple[Lts, int]:
     # one Action per distinct label, validated at its first occurrence
     actions = {label: TAU for label in _INTERNAL_LABELS}
     transitions = []
+    edge = _EDGE_RE.fullmatch
     for lineno, raw in enumerate(lines[header_idx + 1 :], start=header_idx + 2):
-        line = raw.strip()
-        if not line:
-            continue
-        m = _EDGE_RE.match(line)
+        m = edge(raw)
         if m is None:
+            line = raw.strip()
+            if not line:
+                continue
             raise ParseError(f"malformed transition record {line!r}", line=lineno)
-        src, label, dst = int(m.group(1)), m.group(2), int(m.group(3))
+        src, label, dst = m.groups()
+        src, dst = int(src), int(dst)
         if src >= n_states or dst >= n_states:
             raise ParseError(
                 f"transition ({src}, {label!r}, {dst}) exceeds state count {n_states}",

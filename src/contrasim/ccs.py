@@ -18,8 +18,14 @@ hashing are by identity and cost O(1) at any depth.
 
 Expansion keeps one memo, for the one call, from each term derived outside
 an identifier unfolding to its steps, so every distinct subterm derives its
-steps once: a successor state that changed one component of a parallel
-composition rebuilds only the nodes above that component.  Expansion is
+steps once.  A definition whose identifiers all occur under a prefix,
+such as one without identifiers, unfolds none when its steps are derived,
+so it is derived outside its own unfolding and its subterms enter the
+memo too.  A parallel step's target is kept as a description of its two
+operands and built only when a restriction keeps the step or the step
+becomes a state, so an interleaving that a restriction blocks builds no
+term, and a successor state that changed one component of a parallel
+composition builds only the nodes above that component.  Expansion is
 linear in the distinct subterms and the transitions, plus the length of the
 state names, which are the full terms.  A term keeps its text once printed,
 and printing copies that text whole wherever the term occurs inside
@@ -404,10 +410,59 @@ def parse_ccs(text: str) -> CcsProgram:
 # -- expansion ---------------------------------------------------------------
 
 
-_Steps = list[tuple[Action, CcsTerm]]
+# A step's target is a term, or a parallel successor described lazily as
+# [left, right, term]: its operands, each a target, and the term once built.
+_Target = CcsTerm | list
+_Steps = list[tuple[Action, _Target]]
 
 
-def _steps(term: CcsTerm, defs: dict[str, CcsTerm], memo: dict[CcsTerm, _Steps]) -> _Steps:
+def _term(target: _Target) -> CcsTerm:
+    """The term of a step's target.  A description is built once, post-order
+    over an explicit stack, and keeps its term, as do the descriptions
+    inside it."""
+    if type(target) is not list:
+        return target
+    stack = [target]
+    while stack:
+        node = stack[-1]
+        if node[2] is not None:
+            stack.pop()
+            continue
+        left, right = node[0], node[1]
+        if type(left) is list:
+            if left[2] is None:
+                stack.append(left)
+                continue
+            left = left[2]
+        if type(right) is list:
+            if right[2] is None:
+                stack.append(right)
+                continue
+            right = right[2]
+        node[2] = Parallel(left, right)
+        stack.pop()
+    return target[2]
+
+
+def _guarded(term: CcsTerm) -> bool:
+    """True iff every identifier in ``term`` occurs under a prefix, so that
+    deriving its steps unfolds none."""
+    stack = [term]
+    while stack:
+        t = stack.pop()
+        kind = type(t)
+        if kind is Ident:
+            return False
+        if kind is Restrict:
+            stack.append(t.body)
+        elif kind is Choice or kind is Parallel:
+            stack += (t.left, t.right)
+    return True
+
+
+def _steps(
+    term: CcsTerm, defs: dict[str, CcsTerm], guarded: frozenset[str], memo: dict[CcsTerm, _Steps]
+) -> _Steps:
     """Outgoing transitions of a term, in canonical derivation order.
 
     An identifier re-entered during its own unfolding contributes nothing:
@@ -423,12 +478,23 @@ def _steps(term: CcsTerm, defs: dict[str, CcsTerm], memo: dict[CcsTerm, _Steps])
     ``memo`` maps terms to their steps under ``defs``, so it serves one
     program: :func:`expand_ccs_roots` keeps one per call, while the cons
     table outlives every call and an identifier's steps depend on the
-    definitions.  It is used and filled only outside identifier unfoldings:
-    there the steps depend on the term alone, while inside one they depend
-    on which identifiers are cut.  A term met again is looked up instead
-    of derived, so a parallel composition over derived operands only
-    rebuilds its own nodes.  The lists in ``memo`` are shared and never
-    changed.
+    definitions.  It is used and filled for the terms derived outside
+    identifier unfoldings, where the steps depend on the term alone, while
+    inside one they depend on which identifiers are cut.  The definitions
+    named in ``guarded`` have every identifier under a prefix, so deriving
+    them unfolds nothing: they are derived outside their unfolding, and
+    their subterms enter the memo too.  A term met again
+    is looked up instead of derived.  The lists in ``memo`` are shared and
+    never changed; only the descriptions in them fill in their terms.
+
+    A parallel step's target is described lazily, by its operands (see
+    :func:`_term`), and its term is built only when a restriction keeps the
+    step or the step becomes a state, so an interleaving that a restriction
+    blocks costs no term.  A description is built once however many steps
+    and states share it, so a successor that changed one component rebuilds
+    only the nodes above that component.  Restriction successors are built
+    at once: a restricted successor is met again by every state that shares
+    its restriction, which would otherwise build it again each time.
 
     Each operand that a parallel step leaves unchanged keeps its printed
     text, so the names of the successor states copy it instead of walking
@@ -445,21 +511,21 @@ def _steps(term: CcsTerm, defs: dict[str, CcsTerm], memo: dict[CcsTerm, _Steps])
                 right_steps = done.pop()
                 left_steps = done.pop()
                 left, right = t.left, t.right
-                out = [(a, Parallel(l2, right)) for a, l2 in left_steps]
-                out += [(a, Parallel(left, r2)) for a, r2 in right_steps]
+                out = [(a, [l2, right, None]) for a, l2 in left_steps]
+                out += [(a, [left, r2, None]) for a, r2 in right_steps]
                 for a, l2 in left_steps:
                     if a.is_visible:
                         partner = complement(a)
                         for b, r2 in right_steps:
                             if b == partner:
-                                out.append((TAU, Parallel(l2, r2)))
+                                out.append((TAU, [l2, r2, None]))
                 if left_steps:
                     str(right)
                 if right_steps:
                     str(left)
             elif kind is Restrict:
                 out = [
-                    (a, Restrict(k, t.names))
+                    (a, Restrict(_term(k), t.names))
                     for a, k in done.pop()
                     if a.is_tau or base_name(a) not in t.names
                 ]
@@ -485,7 +551,8 @@ def _steps(term: CcsTerm, defs: dict[str, CcsTerm], memo: dict[CcsTerm, _Steps])
             if t.name in unfolding:
                 done.append([])
             else:
-                todo += [(1, t, unfolding), (0, defs[t.name], unfolding | {t.name})]
+                inner = frozenset() if t.name in guarded else unfolding | {t.name}
+                todo += [(1, t, unfolding), (0, defs[t.name], inner)]
         elif kind is Restrict:
             todo += [(1, t, unfolding), (0, t.body, unfolding)]
         elif kind is Parallel:  # the left operand is derived first
@@ -531,11 +598,13 @@ def expand_ccs_roots(
 
     initials = [intern(Ident(root)) for root in roots]
     edges = []
+    defs = program.definitions
+    guarded = frozenset(name for name, body in defs.items() if _guarded(body))
     memo: dict[CcsTerm, _Steps] = {}
     src = 0
     while src < len(states):
         # a step derived twice is one transition, which Lts keeps once
-        edges += [(src, a, intern(k)) for a, k in _steps(states[src], program.definitions, memo)]
+        edges += [(src, a, intern(_term(k))) for a, k in _steps(states[src], defs, guarded, memo)]
         src += 1
 
     # Render the states last-found first, so that a state whose successor

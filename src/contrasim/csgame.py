@@ -207,9 +207,9 @@ def _expander(lts: Lts, max_positions: int) -> SimpleNamespace:
     A position is keyed by one int, ``((q_id * width + a) * n + s) * 3 +
     kind``.  Each distinct set is interned once; its internal closure and
     its delay successor per action are computed on first use and then
-    looked up, and each state's challenges are listed once.  ``add`` is the
-    one place where positions are created, so it enforces the position
-    budget.
+    looked up, and each state's challenges are listed once, from the same
+    step and closure tables.  ``add`` is the one place where positions are
+    created, so it enforces the position budget.
     """
     n = lts.state_count
     visible = lts.visible_actions
@@ -253,10 +253,14 @@ def _expander(lts: Lts, max_positions: int) -> SimpleNamespace:
     def challenges_of(s: int) -> list[tuple[int, int, int, int]]:
         """(key offset, kind, state, action index) of each challenge from ``s``."""
         out = []
-        for ai, a in enumerate(visible):
-            for s2 in sorted(lts.delay_successors((s,), a)):
-                out.append(((ai * n + s2) * 3 + SIM, SIM, s2, ai))
-        out += [(s2 * 3 + SWAP, SWAP, s2, -1) for s2 in sorted(closure[s])]
+        here = closure[s]
+        stable = len(here) == 1
+        for ai, row in enumerate(step):
+            # the delay successors of s by visible[ai]
+            targets = row[s] if stable else empty.union(*map(row.__getitem__, here))
+            if targets:
+                out += [((ai * n + s2) * 3 + SIM, SIM, s2, ai) for s2 in sorted(targets)]
+        out += [(s2 * 3 + SWAP, SWAP, s2, -1) for s2 in sorted(here)]
         challenges[s] = out
         return out
 

@@ -94,9 +94,14 @@ class Lts:
     """An immutable labeled transition system over dense state indices.
 
     Duplicate transitions in the input are silently dropped (the transition
-    relation has set semantics).  The internal closure of every state is
+    relation has set semantics); ``transitions`` keeps the first of each, in
+    input order.  Each transition is deduplicated in its source's own step
+    sets, which become the strong steps, so a state without internal steps
+    costs only its own transitions.  The internal closure of every state is
     precomputed at construction, since it is the hot operation of the set
-    game's move generation; all queries afterwards are pure.
+    game's move generation: a state without internal steps is its own
+    closure, and a breadth-first search over internal steps runs from each
+    of the others.  All queries afterwards are pure.
     """
 
     __slots__ = (
@@ -118,7 +123,10 @@ class Lts:
             raise ValueError("state_count must be nonnegative")
         self.state_count = state_count
 
-        seen: set[Transition] = set()
+        # A state's successor set by one action is frozen as it is found;
+        # a second successor thaws it into a set, frozen again at the end.
+        strong: list[dict[Action, frozenset[int]]] = [{} for _ in range(state_count)]
+        thawed: list[tuple[dict, Action]] = []
         kept: list[Transition] = []
         for src, action, dst in transitions:
             if not (0 <= src < state_count and 0 <= dst < state_count):
@@ -128,10 +136,20 @@ class Lts:
                 )
             if not isinstance(action, Action):
                 raise TypeError(f"transition label {action!r} is not an Action")
-            t = (src, action, dst)
-            if t not in seen:
-                seen.add(t)
-                kept.append(t)
+            row = strong[src]
+            targets = row.get(action)
+            if targets is None:
+                row[action] = frozenset((dst,))
+            elif dst in targets:
+                continue
+            elif type(targets) is frozenset:
+                row[action] = {*targets, dst}
+                thawed.append((row, action))
+            else:
+                targets.add(dst)
+            kept.append((src, action, dst))
+        for row, action in thawed:
+            row[action] = frozenset(row[action])
         self.transitions: tuple[Transition, ...] = tuple(kept)
 
         names = dict(state_names) if state_names else {}
@@ -140,21 +158,18 @@ class Lts:
                 raise IndexError(f"state name for unknown state {idx}")
         self.state_names: dict[int, str] = names
 
-        strong: list[dict[Action, set[int]]] = [{} for _ in range(state_count)]
-        for src, action, dst in kept:
-            strong[src].setdefault(action, set()).add(dst)
-        self._strong: tuple[dict[Action, frozenset[int]], ...] = tuple(
-            {a: frozenset(t) for a, t in per_state.items()} for per_state in strong
-        )
+        self._strong: tuple[dict[Action, frozenset[int]], ...] = tuple(strong)
 
-        self.visible_actions: tuple[Action, ...] = tuple(
-            sorted({a for _, a, _ in kept if a.is_visible}, key=lambda a: a.name)
-        )
+        labels = set().union(*strong)
+        labels.discard(TAU)
+        self.visible_actions: tuple[Action, ...] = tuple(sorted(labels, key=lambda a: a.name))
 
-        # One BFS over tau edges per state; the set-level closure later is
-        # just a union of these.
+        # The set-level closure later is just a union of these.
         closure: list[frozenset[int]] = []
-        for start in range(state_count):
+        for start, row in enumerate(self._strong):
+            if TAU not in row:
+                closure.append(frozenset((start,)))
+                continue
             reached = {start}
             queue = deque((start,))
             while queue:

@@ -29,6 +29,33 @@ def test_whitespace_tolerated():
     assert lts.transitions == ((0, act("go"), 2),)
 
 
+def test_records_tolerate_surrounding_whitespace_blank_lines_and_crlf():
+    plain = 'des (0,3,3)\n(0,"a",1)\n(1,"tau",2)\n(2,"b",0)\n'
+    spaced = (
+        'des (0,3,3)\r\n  (0,"a",1)\t\r\n\r\n   \r\n\t( 1 , "tau" ,2)  \r\n\n(2,"b",0)\r\n'
+    )
+    expected = ((0, act("a"), 1), (1, TAU, 2), (2, act("b"), 0))
+    for text in (plain, spaced):
+        lts, initial = parse_aut(text)
+        assert (initial, lts.state_count, lts.transitions) == (0, 3, expected)
+
+
+@pytest.mark.parametrize(
+    "text, line, record",
+    [
+        ('des (0,2,2)\n\n  (0,"a",1)  \n   (0, a, 1)\t\n', 4, "(0, a, 1)"),
+        ('des (0,2,2)\r\n(0,"a",1)\r\n\r\n (0,"a",1) x\r\n', 4, '(0,"a",1) x'),
+        ('\n des (0,1,2) \n\t"a"\n', 3, '"a"'),
+    ],
+)
+def test_malformed_record_message_and_line(text, line, record):
+    """The record is reported stripped, at its line in the file."""
+    with pytest.raises(ParseError) as err:
+        parse_aut(text)
+    assert err.value.line == line
+    assert str(err.value) == f"line {line}: malformed transition record {record!r}"
+
+
 def test_empty_transition_lts_writes_header_only():
     assert write_aut(Lts(1, []), 0) == "des (0,0,1)\n"
 

@@ -379,6 +379,59 @@ def test_expansion_derives_each_parallel_term_once(monkeypatch):
     assert constructed <= 2 * len(lts.transitions)
 
 
+def subterms(terms) -> set:
+    seen = set()
+    stack = list(terms)
+    while stack:
+        t = stack.pop()
+        if t in seen:
+            continue
+        seen.add(t)
+        kind = type(t)
+        if kind is Prefix:
+            stack.append(t.continuation)
+        elif kind is Restrict:
+            stack.append(t.body)
+        elif kind in (Parallel, Choice):
+            stack += [t.left, t.right]
+    return seen
+
+
+@pytest.mark.parametrize(
+    "text, roots",
+    [
+        (fixture_text("phil.ccs"), ["Pc", "Pp"]),
+        (fixture_text("locked.ccs"), ["Pc", "Pl"]),
+        (fixture_text("instable.ccs"), ["Pab", "Pb"]),
+        (f"L = {phil_copies('Pc')};\nR = {phil_copies('Pp')};\n", ["L", "R"]),
+        (f"L = {phil_copies('Pc', 'Pl')};\nR = {phil_copies('Pp', 'Pl')};\n", ["L", "R"]),
+    ],
+    ids=["phil", "locked", "instable", "one-copy", "two-copy"],
+)
+def test_expansion_constructs_only_states_and_their_subterms(monkeypatch, text, roots):
+    """Every term built is a state or a subterm of a state or of a
+    definition: an interleaving that a restriction blocks builds no term."""
+    program = parse_ccs(text)
+    constructed = []
+    cons = ccs._cons
+
+    def recording_cons(cls, key, fields):
+        term = cons(cls, key, fields)
+        constructed.append(term)
+        return term
+
+    monkeypatch.setattr(ccs, "_cons", recording_cons)
+    lts, _ = expand_ccs_roots(program, roots)
+    monkeypatch.undo()
+    # Terms are interned, so the state names parse back to the state terms.
+    named = parse_ccs(
+        text + "".join(f"State{s} = {lts.name_of(s)};\n" for s in range(lts.state_count))
+    ).definitions
+    states = [named[f"State{s}"] for s in range(lts.state_count)]
+    allowed = subterms(states + list(program.definitions.values()))
+    assert [str(t) for t in constructed if t not in allowed] == []
+
+
 def retained_text() -> int:
     gc.collect()
     terms = [ref() for ref in list(ccs._CONS.values())]

@@ -1,6 +1,7 @@
 import copy
 import pickle
 import random
+from collections import deque
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -60,6 +61,32 @@ def enumerate_weak_word(lts: Lts, start: int, word) -> frozenset[int]:
     return frozenset(current)
 
 
+def reference_tables(n: int, transitions):
+    """The constructor's tables as a set of triples and a second pass build
+    them: (transitions, strong steps, internal closures, visible actions)."""
+    seen, kept = set(), []
+    for t in transitions:
+        if t not in seen:
+            seen.add(t)
+            kept.append(t)
+    rows = [{} for _ in range(n)]
+    for src, action, dst in kept:
+        rows[src].setdefault(action, set()).add(dst)
+    strong = tuple({a: frozenset(t) for a, t in row.items()} for row in rows)
+    visible = tuple(sorted({a for _, a, _ in kept if a.is_visible}, key=lambda a: a.name))
+    closure = []
+    for start in range(n):
+        reached = {start}
+        queue = deque((start,))
+        while queue:
+            for nxt in strong[queue.popleft()].get(TAU, ()):
+                if nxt not in reached:
+                    reached.add(nxt)
+                    queue.append(nxt)
+        closure.append(frozenset(reached))
+    return tuple(kept), strong, tuple(closure), visible
+
+
 # -- hypothesis strategy -------------------------------------------------------
 
 
@@ -101,6 +128,49 @@ def test_actions_are_interned():
 def test_duplicate_transitions_are_dropped():
     lts = Lts(2, [(0, act("a"), 1), (0, act("a"), 1), (0, TAU, 1)])
     assert len(lts.transitions) == 2
+
+
+@st.composite
+def transition_lists(draw, max_states=7):
+    """A state count and transitions over it with repeats, self-loops and
+    internal cycles; with few transitions, some states are isolated."""
+    n = draw(st.integers(1, max_states))
+    edge = st.tuples(
+        st.integers(0, n - 1), st.sampled_from((TAU, TAU, act("a"), act("b"))), st.integers(0, n - 1)
+    )
+    edges = draw(st.lists(edge, max_size=3 * n))
+    repeats = draw(st.lists(st.sampled_from(edges), max_size=n)) if edges else []
+    return n, draw(st.permutations(edges + repeats))
+
+
+@given(transition_lists())
+@settings(max_examples=300)
+def test_constructor_tables_match_reference(system):
+    n, transitions = system
+    kept, strong, closure, visible = reference_tables(n, transitions)
+    lts = Lts(n, transitions)
+    assert lts.transitions == kept
+    assert [list(row.items()) for row in lts._strong] == [list(row.items()) for row in strong]
+    assert all(type(t) is frozenset for row in lts._strong for t in row.values())
+    assert lts._closure == closure
+    assert lts.visible_actions == visible
+
+
+@pytest.mark.parametrize(
+    "n, transitions",
+    [
+        (4, []),  # isolated states only
+        (3, [(0, TAU, 0), (0, TAU, 1), (1, TAU, 0), (1, TAU, 0), (2, act("a"), 2)]),
+        (3, [(2, act("b"), 0), (2, act("b"), 1), (2, act("b"), 0), (2, act("a"), 2)]),
+    ],
+)
+def test_constructor_tables_match_reference_on_edge_cases(n, transitions):
+    kept, strong, closure, visible = reference_tables(n, transitions)
+    lts = Lts(n, transitions)
+    assert lts.transitions == kept
+    assert lts._strong == strong
+    assert lts._closure == closure
+    assert lts.visible_actions == visible
 
 
 def test_out_of_range_transition_rejected():

@@ -1,8 +1,11 @@
 import random
+import sys
+from contextlib import contextmanager
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from contrasim import relations
 from contrasim.aut import parse_aut
 from contrasim.csgame import naive_single_step_relation
 from contrasim.lts import Lts, TAU, act
@@ -354,18 +357,29 @@ def test_strong_classes_match_reference(lts):
     assert list(first) == list(range(len(first)))  # numbered by smallest member
 
 
-def _limit_signatures(lts: Lts, limit: int) -> None:
-    """Make ``lts`` fail once its states' steps are read, one read per
-    signature, more than ``limit`` times."""
-    reads = [0]
+@contextmanager
+def _limit_signatures(limit: int):
+    """Fail once the refinement engine signs more than ``limit`` states:
+    counts the calls of the ``signature`` function inside
+    ``relations._classes``, through a profile hook."""
+    (code,) = [
+        c for c in relations._classes.__code__.co_consts
+        if getattr(c, "co_name", None) == "signature"
+    ]
+    calls = 0
 
-    class Counted(tuple):
-        def __getitem__(self, s):
-            reads[0] += 1
-            assert reads[0] <= limit, f"more than {limit} signatures"
-            return tuple.__getitem__(self, s)
+    def count(frame, event, arg):
+        nonlocal calls
+        if event == "call" and frame.f_code is code:
+            calls += 1
+            assert calls <= limit, f"more than {limit} signatures"
 
-    lts._strong = Counted(lts._strong)
+    previous = sys.getprofile()
+    sys.setprofile(count)
+    try:
+        yield
+    finally:
+        sys.setprofile(previous)
 
 
 def _two_chains_aut(k: int, looped: bool) -> str:
@@ -385,14 +399,14 @@ def _two_chains_aut(k: int, looped: bool) -> str:
 def test_strong_classes_of_a_long_chain_take_linear_work(looped):
     """20,003 states, far deeper than the recursion limit.  Without loops
     every state is signed once.  With them, the chains are set aside as
-    states no cycle reaches, the two loops are refined, and the chains are
-    then signed once each, successors first; each read below is one
-    signature or one step of setting aside."""
+    states no cycle reaches, the two loops are refined (one signature each)
+    and signed afresh as final classes (one more each), and the chains are
+    then signed once each, successors first."""
     k = 10_000
     lts, _ = parse_aut(_two_chains_aut(k, looped))
     n = lts.state_count
-    _limit_signatures(lts, 2 * n if looped else n)
-    classes = strong_classes(lts)
+    with _limit_signatures(n + 2 if looped else n):
+        classes = strong_classes(lts)
     # the two chains differ at every depth: nothing merges but the final
     # state, which in the looped system is unreachable and bisimilar to no one
     assert max(classes) + 1 == n
@@ -408,8 +422,8 @@ def test_strong_classes_of_a_long_cycle_take_linear_work():
     lines[-2:] = [f'({k},"b",0)', f'({2 * k + 1},"c",{k + 1})']
     lts, _ = parse_aut("\n".join(lines) + "\n")
     n = lts.state_count
-    _limit_signatures(lts, 2 * n)
-    classes = strong_classes(lts)
+    with _limit_signatures(2 * n):
+        classes = strong_classes(lts)
     assert max(classes) + 1 == n
 
 
