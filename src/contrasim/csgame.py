@@ -35,9 +35,14 @@ every queried root.  Defender wins are upward-closed in the defender's set
 (more answers only help the defender), so it also parks an attacker
 position whose set strictly contains that of an expanded, undecided one of
 the same state on that one instead of expanding it, in the manner of the
-antichains of De Wulf, Doyen, Henzinger & Raskin (CAV 2006); a holding
-check thus explores only part of the game.  The certificate extractors
-read the lists directly.
+antichains of De Wulf, Doyen, Henzinger & Raskin (CAV 2006).  And the
+defender wins every attacker position ``(p, Q)`` with ``p`` in ``Q``, by
+mirroring: a simulation answer contains ``p``'s own delay step, which keeps
+``p`` in ``Q``, and a swap to ``p'`` is answered by ``p'``.  So the local
+search answers a swap ``SwapPos(p', Q)`` with ``p'`` in the internal
+closure of ``Q`` by that mirror answer alone, ``AttackerPos(p', {p'})``.  A
+holding check thus explores only part of the game.  The certificate
+extractors read the lists directly.
 
 The module also carries two deliberately weaker procedures kept for
 comparison: a single-step fixed point that is unsound for the preorder, and
@@ -207,18 +212,17 @@ def _expander(lts: Lts, max_positions: int) -> SimpleNamespace:
     A position is keyed by one int, ``((q_id * width + a) * n + s) * 3 +
     kind``.  Each distinct set is interned once; its internal closure and
     its delay successor per action are computed on first use and then
-    looked up, and each state's challenges are listed once, from the same
-    step and closure tables.  ``add`` is the one place where positions are
-    created, so it enforces the position budget.
+    looked up, and each state's challenges are listed once, from its own
+    strong steps and internal closure.  ``add`` is the one place where
+    positions are created, so it enforces the position budget.
     """
     n = lts.state_count
     visible = lts.visible_actions
     width = max(len(visible), 1)
     stride = width * n * 3  # key distance between consecutive set ids
     closure = lts._closure
+    strong = lts._strong  # strong[s][a]: the Lts's own successor set of s by a
     empty: StateSet = frozenset()
-    # step[a][s]: the Lts's own strong successor set of s by visible[a].
-    step = [[lts._strong[s].get(a, empty) for s in range(n)] for a in visible]
 
     q_sets: list[StateSet] = []
     q_index: dict[StateSet, int] = {}
@@ -255,9 +259,12 @@ def _expander(lts: Lts, max_positions: int) -> SimpleNamespace:
         out = []
         here = closure[s]
         stable = len(here) == 1
-        for ai, row in enumerate(step):
-            # the delay successors of s by visible[ai]
-            targets = row[s] if stable else empty.union(*map(row.__getitem__, here))
+        for ai, a in enumerate(visible):
+            # the delay successors of s by a
+            if stable:
+                targets = strong[s].get(a, empty)
+            else:
+                targets = empty.union(*[strong[s2].get(a, empty) for s2 in here])
             if targets:
                 out += [((ai * n + s2) * 3 + SIM, SIM, s2, ai) for s2 in sorted(targets)]
         out += [(s2 * 3 + SWAP, SWAP, s2, -1) for s2 in sorted(here)]
@@ -266,10 +273,11 @@ def _expander(lts: Lts, max_positions: int) -> SimpleNamespace:
 
     def delay_of(qid: int, ai: int) -> int:
         here = closed(qid)
+        a = visible[ai]
         if len(here) == 1:
-            target = step[ai][here[0]]  # a lone stable state: no new set
+            target = strong[here[0]].get(a, empty)  # a lone stable state: no new set
         else:
-            target = empty.union(*map(step[ai].__getitem__, here))
+            target = empty.union(*[strong[s].get(a, empty) for s in here])
         delay[qid * width + ai] = target_id = intern(target)
         return target_id
 
@@ -330,7 +338,7 @@ def _expander(lts: Lts, max_positions: int) -> SimpleNamespace:
 
     return SimpleNamespace(
         kinds=kinds, states=states, q_ids=q_ids, q_sets=q_sets,
-        row=row, attacker=attacker, game=game,
+        closed=closed, row=row, attacker=attacker, game=game,
     )
 
 
@@ -386,16 +394,24 @@ def solve_cs_game_locally(
     parked, so relation pairs still come from real swap answers.  Games
     whose sets are all singletons never list covers.
 
+    A swap ``SwapPos(p', Q)`` whose ``p'`` lies in the internal closure of
+    ``Q`` is expanded to one move, the mirror answer ``AttackerPos(p',
+    {p'})``.  From any ``(p, Q)`` with ``p`` in ``Q`` the defender keeps
+    ``p`` in ``Q``: a simulation answer contains ``p``'s own delay step, and
+    a swap to ``p'`` is answered by ``p'``.  So a mirrored swap is a
+    defender win in the whole game and in the pruned one, and every other
+    position keeps its winner.
+
     When the defender wins every root, every position found is expanded or
     parked, and the propagated region is the exact attractor of that game,
     so the solution is completed from it with :func:`solve`'s defender
-    rule; without parked positions the extracted relation is the one
-    ``solve(build_cs_game(...).graph)`` gives.  Otherwise :func:`solve`
-    runs on the explored game, in which every unexpanded position, listed
-    in :attr:`CsGame.frontier`, becomes a defender position whose only move
-    leads to its cover, if it is parked, or to itself, so no attacker win
-    is claimed through it; the attacker's strategy then has minimum rank on
-    what was explored.
+    rule; without parked positions and mirrored swaps the extracted
+    relation is the one ``solve(build_cs_game(...).graph)`` gives.
+    Otherwise :func:`solve` runs on the explored game, in which every
+    unexpanded position, listed in :attr:`CsGame.frontier`, becomes a
+    defender position whose only move leads to its cover, if it is parked,
+    or to itself, so no attacker win is claimed through it; the attacker's
+    strategy then has minimum rank on what was explored.
     """
     lts._check_state(p)
     lts._check_state(q)
@@ -405,7 +421,7 @@ def solve_cs_game_locally(
     if swapped:
         roots += (expander.attacker(q, p),)
     kinds, states, q_ids, q_sets = expander.kinds, expander.states, expander.q_ids, expander.q_sets
-    row_of = expander.row
+    closed, row_of, attacker = expander.closed, expander.row, expander.attacker
     count = len(kinds)
     moves: list[tuple[int, ...] | None] = [None] * count  # None until expanded
     preds: list[list[int] | None] = [[] for _ in range(count)]  # expanded predecessors
@@ -450,7 +466,11 @@ def solve_cs_game_locally(
                     waiting.setdefault(cover, []).append(at)
                     continue
             covers[s].append((q_set, at))
-        row = moves[at] = row_of(at)
+        if kind == SWAP and states[at] in closed(q_ids[at]):
+            # The mirror answer: the defender swaps to the attacker's own state.
+            row = moves[at] = (attacker(states[at], states[at]),)
+        else:
+            row = moves[at] = row_of(at)
         if len(kinds) > count:
             # The new positions share one set: the attacker's own, the
             # delay step's, or a swap answer's single state.
@@ -522,7 +542,7 @@ def solve_cs_game_locally(
         owner[i] = Player.DEFENDER
         moves[i] = (parked.get(i, i),)
     game = expander.game(owner, moves, frontier)
-    del expander, row_of  # frees the position index before solving
+    del expander, row_of, attacker  # frees the position index before solving
     if len(undecided) < len(set(roots)):
         return game, solve(game.graph), roots
     rank: list[int | None] = [None] * count

@@ -129,17 +129,30 @@ class ContrasimulationViolation:
 
 def _pair_configs(lts: Lts, p: int, q: int):
     """Configurations (state, answer set, word) reachable from (p, {q}) under
-    synchronized delay steps."""
+    synchronized delay steps.  The delay steps of each state and each set
+    are computed once."""
     seed = (p, frozenset((q,)))
     seen = {seed}
     todo = deque(((p, frozenset((q,)), ()),))
+    # the delay step of each set and each state, per visible action
+    steps: dict[StateSet, list[StateSet]] = {}
+    moves: dict[int, list[list[int]]] = {}
     while todo:
         p1, q_set, word = todo.popleft()
         yield p1, q_set, word
-        here = frozenset((p1,))
-        for a in lts.visible_actions:
-            next_set = lts.delay_successors(q_set, a)
-            for p2 in sorted(lts.delay_successors(here, a)):
+        next_sets = steps.get(q_set)
+        if next_sets is None:
+            next_sets = steps[q_set] = [
+                lts.delay_successors(q_set, a) for a in lts.visible_actions
+            ]
+        targets = moves.get(p1)
+        if targets is None:
+            here = frozenset((p1,))
+            targets = moves[p1] = [
+                sorted(lts.delay_successors(here, a)) for a in lts.visible_actions
+            ]
+        for a, next_set, p2s in zip(lts.visible_actions, next_sets, targets):
+            for p2 in p2s:
                 key = (p2, next_set)
                 if key not in seen:
                     seen.add(key)
@@ -150,9 +163,12 @@ def contrasimulation_violation(
     lts: Lts, relation: Iterable[Pair]
 ) -> Optional[ContrasimulationViolation]:
     rel = _as_relation(lts, relation)
+    closures: dict[StateSet, StateSet] = {}
     for p, q in sorted(rel):
         for p1, q_set, word in _pair_configs(lts, p, q):
-            answers = lts.internal_closure(q_set)
+            answers = closures.get(q_set)
+            if answers is None:
+                answers = closures[q_set] = lts.internal_closure(q_set)
             for p2 in sorted(lts.internal_closure(frozenset((p1,)))):
                 if not any((q2, p2) in rel for q2 in answers):
                     return ContrasimulationViolation(p, q, word, p1, q_set, p2)

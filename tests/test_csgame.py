@@ -239,8 +239,12 @@ def check_local_against_eager(lts: Lts, p: int, q: int) -> None:
     same verdicts, sound relations and formulas, and no more positions or
     moves than the full game.  Each unexpanded position either loops on
     itself or is parked on a cover: an expanded, defender-won attacker
-    position of the same state over a strict subset of its set.  Without
-    parked positions the relations are those of the full game."""
+    position of the same state over a strict subset of its set.  Each swap
+    to a state in the closure of its set is mirrored: its one move leads
+    to the attacker's own state, ``AttackerPos(p', {p'})``, which the full
+    game gives to the defender; every other expanded swap has all its
+    answers.  Without parked positions and mirrored swaps the relations
+    are those of the full game."""
     eager = build_cs_game(lts, p, q)
     eager_solution = solve(eager.graph)
     eager_roots = (eager.graph.initial, eager.swapped_initial)
@@ -265,6 +269,21 @@ def check_local_against_eager(lts: Lts, p: int, q: int) -> None:
             assert solution.winner[cover] is Player.DEFENDER
             assert game.positions[cover] == AttackerPos(pos.p, game.positions[cover].q_set)
             assert game.positions[cover].q_set < pos.q_set
+        mirrored = False
+        for i, pos in enumerate(game.positions):
+            if not isinstance(pos, SwapPos) or i in frontier:
+                continue
+            answers = sorted(lts.internal_closure(pos.q_set))
+            if pos.p in answers:
+                mirrored = True
+                mirror = AttackerPos(pos.p, frozenset({pos.p}))
+                assert game.graph.moves[i] == (game.index[mirror],)
+                assert eager_solution.winner[eager.index[mirror]] is Player.DEFENDER
+            else:
+                single = frozenset({pos.p})
+                assert [game.positions[t] for t in game.graph.moves[i]] == [
+                    AttackerPos(q2, single) for q2 in answers
+                ]
         assert_solution_sound(game.graph, solution)
         sides = ((p, q), (q, p))
         for root, eager_root, (left, right), holds in zip(roots, eager_roots, sides, expected):
@@ -273,7 +292,7 @@ def check_local_against_eager(lts: Lts, p: int, q: int) -> None:
                 relation = extract_contrasimulation(game, solution, (root,))
                 assert (left, right) in relation
                 assert is_contrasimulation(lts, relation)
-                if not parked:
+                if not parked and not mirrored:
                     assert relation == extract_contrasimulation(eager, eager_solution, (eager_root,))
             else:
                 phi = extract_distinguishing_formula(game, solution, root)
@@ -394,6 +413,36 @@ def test_defender_wins_are_upward_closed(lts, data):
     for i, pos in attackers:
         if any(h.p == pos.p and h.q_set <= pos.q_set for h in held):
             assert winner[i] is Player.DEFENDER
+
+
+@given(random_lts_strategy(), st.data())
+@settings(max_examples=60, deadline=None)
+def test_defender_wins_where_the_attacker_state_is_in_the_set(lts, data):
+    """Reflexivity, which mirror answers rely on: the defender wins every
+    attacker position ``(p, Q)`` with ``p`` in ``Q``.  Mirroring keeps
+    ``p`` in ``Q``: a simulation answer contains ``p``'s own delay step,
+    and a swap to ``p'`` is answered by ``p'`` itself."""
+    p = data.draw(st.integers(0, lts.state_count - 1))
+    q = data.draw(st.integers(0, lts.state_count - 1))
+    game = build_cs_game(lts, p, q)
+    winner = solve(game.graph).winner
+    for i, pos in enumerate(game.positions):
+        if isinstance(pos, AttackerPos) and pos.p in pos.q_set:
+            assert winner[i] is Player.DEFENDER
+
+
+def test_mirror_answers_keep_holding_checks_linear():
+    """The full phil(12) game grows as 2^12, and without mirror answers the
+    local search explores 293,607 of its positions.  Answering each swap
+    to a state in the closure of the defender's set with that state alone
+    decides both directions within 500."""
+    lts, pc, pp = phil_shape(12)
+    game, solution, roots = solve_cs_game_locally(lts, pc, pp, swapped=True)
+    assert all(solution.winner[r] is Player.DEFENDER for r in roots)
+    assert game.graph.position_count <= 500
+    relation = extract_contrasimulation(game, solution, roots)
+    assert {(pc, pp), (pp, pc)} <= relation
+    assert is_contrasimulation(lts, relation)
 
 
 # -- deciding the preorder ----------------------------------------------------------
