@@ -17,15 +17,17 @@ read off the defender's strategy instead, and lifting that one would
 relate more pairs than the model's game commits to, so ``contrasim``
 prints the relation of its game on the model.
 
-Each query builds one game or computes one relation: under ``--direction
-equivalence`` the backward verdict is read off the lhs-vs-rhs game at its
-reverse root, and ``game_positions``, ``game_moves`` and ``solve_ms``
-describe that one game, for ``bounded-word-game`` the quotient's.  A
-``contrasim`` query explores its game locally and stops once the attacker
-wins every queried root, so the counts are those of the explored part;
-with ``--emit-game-dot`` it builds, counts and writes the whole reachable
-game.  For a gameless notion ``solve_ms`` times computing the relation,
-or the classes.
+Each query decides on one game or computes one relation: under
+``--direction equivalence`` the backward verdict is read off the
+lhs-vs-rhs game at its reverse root, and ``game_positions``,
+``game_moves`` and ``solve_ms`` describe that one game, for
+``bounded-word-game`` the quotient's.  A ``contrasim`` query explores its
+game locally and stops once the attacker wins every queried root, so the
+counts are those of the explored part.  ``--emit-game-dot`` only draws:
+for ``contrasim`` it builds the whole reachable game, writes it and
+leaves the verdict, the certificate and the counts as they are.  For a
+gameless notion ``solve_ms`` times computing the relation, or the
+classes.
 
 Exit codes: 0 when the checked relation holds, 1 when it fails, 2 on usage,
 parse, file, or budget errors (states or game positions), and 3 on an
@@ -201,7 +203,7 @@ def run_check(request: CheckRequest) -> CheckReport:
         p, q = classes[lhs], classes[rhs]
         if notion not in BISIMILARITIES:
             lts = model.quotient(classes)
-    if notion == "contrasim" and request.emit_game_dot is None:
+    if notion == "contrasim":
         # Expansion and solving interleave, so solve_ms times both.
         t0 = time.perf_counter()
         game, solution, roots = csgame.solve_cs_game_locally(
@@ -209,18 +211,12 @@ def run_check(request: CheckRequest) -> CheckReport:
         )
         solve_ms = (time.perf_counter() - t0) * 1000.0
         graph = game.graph
-    elif notion in GAME_NOTIONS:
-        if notion == "contrasim":
-            game = csgame.build_cs_game(lts, p, q, request.max_positions)
-            graph = game.graph
-        else:
-            graph, game = csgame.build_word_game(
-                lts, p, q, request.word_bound, request.max_positions
-            )
+    elif notion == "bounded-word-game":
+        graph, game = csgame.build_word_game(
+            lts, p, q, request.word_bound, request.max_positions
+        )
         roots = [graph.initial]
-        if equivalence and notion == "contrasim":
-            roots.append(game.swapped_initial)
-        elif equivalence:
+        if equivalence:
             roots.append(game.index(csgame._WordAttacker(q, p)))
         t0 = time.perf_counter()
         solution = solve(graph)
@@ -259,7 +255,10 @@ def run_check(request: CheckRequest) -> CheckReport:
 
     if request.emit_game_dot is not None:
         if notion == "contrasim":
-            labels = [csgame.format_position(lts, pos) for pos in game.positions]
+            # The local game may stop short: draw the whole reachable game.
+            drawn = csgame.build_cs_game(lts, p, q, request.max_positions)
+            graph = drawn.graph
+            labels = [csgame.format_position(lts, pos) for pos in drawn.positions]
         else:
             labels = [csgame.format_word_position(lts, pos) for pos in game]
         Path(request.emit_game_dot).write_text(export_game_dot(graph, labels))

@@ -20,15 +20,16 @@ preorder, and the certificate extractors below turn winning strategies into
 either a checkable relation (defender) or a distinguishing formula
 (attacker).  The attacker's reflexive swap leads from ``AttackerPos(p, {q})``
 to ``AttackerPos(q, {p})``, so one game decides both directions of an
-equivalence: the reverse one at :attr:`CsGame.swapped_initial`, or at the
-second root of :func:`solve_cs_game_locally`.
+equivalence, the reverse one at the second root of
+:func:`solve_cs_game_locally`.
 
 One expander does the per-position work: it keys positions by ints over
 interned defender sets, generates each position's moves, and records the
 positions in the parallel lists of :class:`CsGame`, which decodes them into
 the dataclasses above on demand.  Two searches run it.
-:func:`build_cs_game` expands the whole reachable game breadth-first, for
-:func:`solve` and the DOT export.  :func:`solve_cs_game_locally` expands
+:func:`build_cs_game` expands the whole reachable game breadth-first: the
+graph the DOT export draws, and the reference the local search is tested
+against.  :func:`solve_cs_game_locally`, which decides every query, expands
 positions over the smallest defender sets first, propagates attacker wins
 as soon as a position's moves are known, and stops once the attacker wins
 every queried root.  Defender wins are upward-closed in the defender's set
@@ -181,19 +182,6 @@ class CsGame:
         """Moves of the expanded positions: the one move of each frontier
         position is not counted."""
         return self.graph.move_count - len(self.frontier)
-
-    @property
-    def swapped_initial(self) -> int:
-        """Index of ``AttackerPos(q, {p})``, the answer ``q`` to the reflexive
-        swap ``SwapPos(p, {q})`` from the initial ``AttackerPos(p, {q})``; its
-        winner decides ``q`` below ``p``.  Needs the initial position and its
-        reflexive swap expanded, as in :func:`build_cs_game`."""
-        moves, kinds, states = self.graph.moves, self.kinds, self.states
-        initial = self.graph.initial
-        p = states[initial]
-        (q,) = self.q_sets[self.q_ids[initial]]
-        swap = next(i for i in moves[initial] if kinds[i] == SWAP and states[i] == p)
-        return next(i for i in moves[swap] if states[i] == q)
 
 
 DEFAULT_MAX_POSITIONS = 1_000_000
@@ -798,29 +786,13 @@ def format_word_position(lts: Lts, pos) -> str:
 
 
 def _fc_pairs(lts: Lts, relation: Iterable[tuple[int, int]]) -> set[tuple[int, StateSet]]:
-    """Expand state pairs to the pairs (state, answer set) reachable by
-    synchronized delay words, with trailing internal closure on the state side."""
-    configs: set[tuple[int, StateSet]] = set()
-    todo: deque[tuple[int, StateSet]] = deque()
-    for x, y in relation:
-        seed = (x, frozenset((y,)))
-        if seed not in configs:
-            configs.add(seed)
-            todo.append(seed)
-    while todo:
-        p1, q_set = todo.popleft()
-        here = frozenset((p1,))
-        for a in lts.visible_actions:
-            next_sets = lts.delay_successors(q_set, a)
-            for p2 in lts.delay_successors(here, a):
-                nxt = (p2, next_sets)
-                if nxt not in configs:
-                    configs.add(nxt)
-                    todo.append(nxt)
+    """The configurations (state, answer set) that the relation's pairs
+    reach by synchronized delay words (:func:`relations._configs`), each
+    with every state internally reachable from its state."""
     return {
         (p2, q_set)
-        for p1, q_set in configs
-        for p2 in lts.internal_closure(frozenset((p1,)))
+        for p1, q_set, _, _ in relations._configs(lts, relation)
+        for p2 in lts._closure[p1]
     }
 
 

@@ -127,51 +127,58 @@ class ContrasimulationViolation:
     p_after: int
 
 
-def _pair_configs(lts: Lts, p: int, q: int):
-    """Configurations (state, answer set, word) reachable from (p, {q}) under
-    synchronized delay steps.  The delay steps of each state and each set
-    are computed once."""
-    seed = (p, frozenset((q,)))
-    seen = {seed}
-    todo = deque(((p, frozenset((q,)), ()),))
+def _configs(lts: Lts, seeds: Iterable[Pair]):
+    """Each configuration (state, answer set) reached by synchronized delay
+    steps from ``(p, {q})`` of a seed ``(p, q)``, once, as ``(state, set,
+    seed, word)`` with the first seed and a shortest word that reach it.
+    The seeds are walked breadth-first in order over one seen-set, so a
+    walk stops where an earlier one has been; delay steps are computed once
+    per set and per state for the whole walk."""
+    visible = lts.visible_actions
+    seen: set[tuple[int, StateSet]] = set()
     # the delay step of each set and each state, per visible action
     steps: dict[StateSet, list[StateSet]] = {}
     moves: dict[int, list[list[int]]] = {}
-    while todo:
-        p1, q_set, word = todo.popleft()
-        yield p1, q_set, word
-        next_sets = steps.get(q_set)
-        if next_sets is None:
-            next_sets = steps[q_set] = [
-                lts.delay_successors(q_set, a) for a in lts.visible_actions
-            ]
-        targets = moves.get(p1)
-        if targets is None:
-            here = frozenset((p1,))
-            targets = moves[p1] = [
-                sorted(lts.delay_successors(here, a)) for a in lts.visible_actions
-            ]
-        for a, next_set, p2s in zip(lts.visible_actions, next_sets, targets):
-            for p2 in p2s:
-                key = (p2, next_set)
-                if key not in seen:
-                    seen.add(key)
-                    todo.append((p2, next_set, word + (a,)))
+    for seed in seeds:
+        p, q = seed
+        start = (p, frozenset((q,)))
+        if start in seen:
+            continue
+        seen.add(start)
+        todo = deque(((*start, ()),))
+        while todo:
+            p1, q_set, word = todo.popleft()
+            yield p1, q_set, seed, word
+            next_sets = steps.get(q_set)
+            if next_sets is None:
+                next_sets = steps[q_set] = [lts.delay_successors(q_set, a) for a in visible]
+            targets = moves.get(p1)
+            if targets is None:
+                here = frozenset((p1,))
+                targets = moves[p1] = [sorted(lts.delay_successors(here, a)) for a in visible]
+            for a, next_set, p2s in zip(visible, next_sets, targets):
+                for p2 in p2s:
+                    key = (p2, next_set)
+                    if key not in seen:
+                        seen.add(key)
+                        todo.append((p2, next_set, word + (a,)))
 
 
 def contrasimulation_violation(
     lts: Lts, relation: Iterable[Pair]
 ) -> Optional[ContrasimulationViolation]:
+    """The first configuration of :func:`_configs` over the sorted relation
+    with an internally reachable state that no related swapped pair answers
+    from the set's internal closure, named by the seed and word reaching it."""
     rel = _as_relation(lts, relation)
     closures: dict[StateSet, StateSet] = {}
-    for p, q in sorted(rel):
-        for p1, q_set, word in _pair_configs(lts, p, q):
-            answers = closures.get(q_set)
-            if answers is None:
-                answers = closures[q_set] = lts.internal_closure(q_set)
-            for p2 in sorted(lts.internal_closure(frozenset((p1,)))):
-                if not any((q2, p2) in rel for q2 in answers):
-                    return ContrasimulationViolation(p, q, word, p1, q_set, p2)
+    for p1, q_set, (p, q), word in _configs(lts, sorted(rel)):
+        answers = closures.get(q_set)
+        if answers is None:
+            answers = closures[q_set] = lts.internal_closure(q_set)
+        for p2 in sorted(lts._closure[p1]):
+            if not any((q2, p2) in rel for q2 in answers):
+                return ContrasimulationViolation(p, q, word, p1, q_set, p2)
     return None
 
 
@@ -182,7 +189,8 @@ def is_contrasimulation(lts: Lts, relation: Iterable[Pair]) -> bool:
 
     Words never need enumerating: configurations track the exact answer set
     for each challenge prefix, and trailing internal closure on both sides
-    accounts for where weak word steps may end.
+    accounts for where weak word steps may end.  Every configuration the
+    related pairs reach is checked, each once.
     """
     return contrasimulation_violation(lts, relation) is None
 
@@ -212,12 +220,10 @@ def contrasim_preorder(lts: Lts) -> frozenset[Pair]:
     configs: dict[Pair, list[tuple[tuple[int, ...], frozenset[int]]]] = {}
     for p in range(n):
         for q in range(n):
-            entries = []
-            for p1, q_set, _ in _pair_configs(lts, p, q):
-                entries.append(
-                    (tuple(sorted(closure_of[p1])), lts.internal_closure(q_set))
-                )
-            configs[(p, q)] = entries
+            configs[(p, q)] = [
+                (tuple(sorted(closure_of[p1])), lts.internal_closure(q_set))
+                for p1, q_set, _, _ in _configs(lts, ((p, q),))
+            ]
 
     rel = {(p, q) for p in range(n) for q in range(n)}
     # column[x] = states currently related to x from the left.

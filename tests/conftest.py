@@ -101,6 +101,31 @@ def make_tau_free_lts(rng: random.Random, n_states: int = 5, n_actions: int = 2)
     return Lts(n_states, sorted(edges, key=lambda t: (t[0], str(t[1]), t[2])))
 
 
+def phil_shape(k: int) -> tuple[Lts, int, int]:
+    """The philosopher shape: ``Pp`` (state 1) steps internally to one of
+    two ``op``-guarded guessing NFAs, ``Pc`` (state 0) can also take ``op``
+    first and choose afterwards.  Each NFA loops on a and b, guesses "b,
+    then k - 1 more letters" and ends in its own action.  Contrasimilar,
+    with 9 + 2k states and a set game that grows as 2^k."""
+    a, b, op = act("a"), act("b"), act("op")
+    edges = []
+
+    def guess(first: int, end, sink: int) -> int:
+        edges.extend([(first, a, first), (first, b, first), (first, b, first + 1)])
+        edges.extend((first + i, x, first + i + 1) for i in range(1, k) for x in (a, b))
+        edges.append((first + k, end, sink))
+        return first + k + 1
+
+    tail1 = 7
+    tail2 = guess(tail1, act("x"), 5)
+    n = guess(tail2, act("y"), 6)
+    edges += [
+        (1, TAU, 2), (1, TAU, 3), (2, op, tail1), (3, op, tail2),
+        (0, TAU, 2), (0, TAU, 3), (0, op, 4), (4, TAU, tail1), (4, TAU, tail2),
+    ]
+    return Lts(n, edges), 0, 1
+
+
 # -- the example play on the philosopher expansion --------------------------------
 
 OP, A_EATS, B_EATS = act("op"), act("aEats"), act("bEats")

@@ -37,7 +37,7 @@ from contrasim.game import GameGraph, Player, solve
 from contrasim.hml import DelayNor, DelayObs, TRUTH, format_formula, hml_satisfies
 from contrasim.lts import Lts, TAU, act
 
-from conftest import FIXTURES, INSTABLE_AUT, PHIL_AUT, make_random_lts
+from conftest import FIXTURES, INSTABLE_AUT, LOCKED_AUT, PHIL_AUT, make_random_lts
 
 TESTS = Path(__file__).resolve().parent
 
@@ -115,7 +115,7 @@ def test_aut_input_uses_state_indices(capsys):
         # local solving explores 61 positions (113 without mirror answers)
         ["check", "--lhs", "1", "--rhs", "2", "--max-positions", "50",
          FIXTURES / "phil.aut"],
-        # the whole game, which --emit-game-dot builds, has 119 positions
+        # the whole game, which --emit-game-dot draws, has 119 positions
         ["check", "--lhs", "1", "--rhs", "2", "--max-positions", "100",
          "--emit-game-dot", "/dev/null", FIXTURES / "phil.aut"],
         # 71 positions on the weak quotient
@@ -639,19 +639,59 @@ def test_cli_writes_dot_file(notion, tmp_path):
 
 
 def test_game_counts_local_and_full(locked, tmp_path):
-    """A failing check counts the part of the game it explored; with
-    --emit-game-dot it builds, counts and writes the whole game."""
+    """A failing check counts the part of the game it explored, with or
+    without --emit-game-dot; the drawing holds the whole game."""
     lts, pc, pl = locked
     full = build_cs_game(lts, pc, pl).graph
     args = ["check", "--lhs", "Pc", "--rhs", "Pl", "--emit-certificate", FIXTURES / "locked.ccs"]
-    local_json, full_json, dot = tmp_path / "local.json", tmp_path / "full.json", tmp_path / "g.dot"
+    local_json, drawn_json, dot = tmp_path / "local.json", tmp_path / "drawn.json", tmp_path / "g.dot"
     assert run_main(args + ["--emit-json", local_json]) == 1
-    assert run_main(args + ["--emit-json", full_json, "--emit-game-dot", dot]) == 1
-    local, whole = json.loads(local_json.read_text()), json.loads(full_json.read_text())
-    assert (whole["game_positions"], whole["game_moves"]) == (full.position_count, full.move_count)
+    assert run_main(args + ["--emit-json", drawn_json, "--emit-game-dot", dot]) == 1
+    local, drawn = json.loads(local_json.read_text()), json.loads(drawn_json.read_text())
+    counts = ("game_positions", "game_moves")
+    assert [drawn[key] for key in counts] == [local[key] for key in counts]
     assert lint_dot(dot.read_text()) == (full.position_count, full.move_count)
     assert local["game_positions"] < full.position_count
     assert local["game_moves"] < full.move_count
+
+
+FIXTURE_PAIRS = [
+    ("phil.ccs", "Pc", "Pp"),
+    ("locked.ccs", "Pc", "Pl"),
+    ("instable.ccs", "Pab", "Pb"),
+    ("phil.aut", PHIL_AUT["Pc"], PHIL_AUT["Pp"]),
+    ("locked.aut", LOCKED_AUT["Pc"], LOCKED_AUT["Pl"]),
+    ("instable.aut", INSTABLE_AUT["Pab"], INSTABLE_AUT["Pb"]),
+]
+
+
+@pytest.mark.parametrize("direction", ["preorder", "equivalence"])
+@pytest.mark.parametrize(
+    "model, lhs, rhs", FIXTURE_PAIRS + [(model, rhs, lhs) for model, lhs, rhs in FIXTURE_PAIRS]
+)
+def test_game_dot_only_draws(model, lhs, rhs, direction, tmp_path, capsys):
+    """--emit-game-dot changes no verdict, certificate or count: stdout is
+    the same without it once times are masked, and so is the JSON less
+    solve_ms.  The drawing holds the whole reachable game."""
+    args = ["check", "--lhs", lhs, "--rhs", rhs, "--direction", direction,
+            "--emit-certificate", FIXTURES / model]
+    dot = tmp_path / "g.dot"
+    runs = []
+    for extra in ([], ["--emit-game-dot", dot]):
+        report = tmp_path / f"report{len(runs)}.json"
+        code = run_main(args + ["--emit-json", report] + extra)
+        out = re.sub(r"[0-9.]+ ms", "_ ms", capsys.readouterr().out)
+        payload = json.loads(report.read_text())
+        del payload["solve_ms"]
+        runs.append((code, out, payload))
+    assert runs[0] == runs[1]
+    if model.endswith(".aut"):
+        lts, _ = parse_aut((FIXTURES / model).read_text())
+        p, q = lhs, rhs
+    else:
+        lts, (p, q) = expand_ccs_roots(parse_ccs((FIXTURES / model).read_text()), [lhs, rhs])
+    full = build_cs_game(lts, p, q).graph
+    assert lint_dot(dot.read_text()) == (full.position_count, full.move_count)
 
 
 def test_contrasim_relation_is_the_models_own(tmp_path, capsys):

@@ -33,6 +33,7 @@ from contrasim.relations import contrasim_preorder, is_contrasimulation
 from conftest import (
     make_random_lts,
     make_tau_free_lts,
+    phil_shape,
     transcript_play,
     transcript_states,
     weak_enabled,
@@ -247,7 +248,7 @@ def check_local_against_eager(lts: Lts, p: int, q: int) -> None:
     are those of the full game."""
     eager = build_cs_game(lts, p, q)
     eager_solution = solve(eager.graph)
-    eager_roots = (eager.graph.initial, eager.swapped_initial)
+    eager_roots = (eager.graph.initial, eager.index[AttackerPos(q, frozenset({p}))])
     expected = [eager_solution.winner[r] is Player.DEFENDER for r in eager_roots]
     for swapped in (False, True):
         game, solution, roots = solve_cs_game_locally(lts, p, q, swapped=swapped)
@@ -327,7 +328,8 @@ def test_local_solving_decides_blow_twelve_early():
     lts = blow(12)
     eager = build_cs_game(lts, 0, 1)
     eager_rank = solve(eager.graph).attacker_rank
-    full_ranks = (eager_rank[eager.graph.initial], eager_rank[eager.swapped_initial])
+    back = eager.index[AttackerPos(1, frozenset({0}))]
+    full_ranks = (eager_rank[eager.graph.initial], eager_rank[back])
     for (p, q), full_rank in zip(((0, 1), (1, 0)), full_ranks):
         game, solution, (root,) = solve_cs_game_locally(lts, p, q)
         assert solution.winner[root] is Player.ATTACKER
@@ -353,31 +355,6 @@ def test_local_formula_on_chain_as_short_as_on_full_game():
     assert solution.attacker_rank[root] == eager_solution.attacker_rank[0]
     phi = extract_distinguishing_formula(game, solution, root)
     assert phi == extract_distinguishing_formula(eager, eager_solution, 0)
-
-
-def phil_shape(k: int) -> tuple[Lts, int, int]:
-    """The philosopher shape: ``Pp`` (state 1) steps internally to one of
-    two ``op``-guarded guessing NFAs, ``Pc`` (state 0) can also take ``op``
-    first and choose afterwards.  Each NFA loops on a and b, guesses "b,
-    then k - 1 more letters" and ends in its own action.  Contrasimilar,
-    with 9 + 2k states and a set game that grows as 2^k."""
-    a, b, op = act("a"), act("b"), act("op")
-    edges = []
-
-    def guess(first: int, end, sink: int) -> int:
-        edges.extend([(first, a, first), (first, b, first), (first, b, first + 1)])
-        edges.extend((first + i, x, first + i + 1) for i in range(1, k) for x in (a, b))
-        edges.append((first + k, end, sink))
-        return first + k + 1
-
-    tail1 = 7
-    tail2 = guess(tail1, act("x"), 5)
-    n = guess(tail2, act("y"), 6)
-    edges += [
-        (1, TAU, 2), (1, TAU, 3), (2, op, tail1), (3, op, tail2),
-        (0, TAU, 2), (0, TAU, 3), (0, op, 4), (4, TAU, tail1), (4, TAU, tail2),
-    ]
-    return Lts(n, edges), 0, 1
 
 
 def test_local_solving_parks_larger_sets_on_holding_games():
@@ -562,8 +539,10 @@ def test_one_game_decides_both_directions(lts, data):
     q = data.draw(st.integers(0, lts.state_count - 1))
     game = build_cs_game(lts, p, q)
     solution = solve(game.graph)
-    initial, back = game.graph.initial, game.swapped_initial
-    assert game.positions[back] == AttackerPos(q, frozenset({p}))
+    initial, back = game.graph.initial, game.index[AttackerPos(q, frozenset({p}))]
+    reflexive = SwapPos(p, frozenset({q}))
+    (swap,) = (i for i in game.graph.moves[initial] if game.positions[i] == reflexive)
+    assert back in game.graph.moves[swap]
     holds = solution.winner[back] is Player.DEFENDER
     assert holds == decide_preorder(lts, q, p)
     if holds:

@@ -7,7 +7,11 @@ from hypothesis import given, settings, strategies as st
 
 from contrasim import relations
 from contrasim.aut import parse_aut
-from contrasim.csgame import naive_single_step_relation
+from contrasim.csgame import (
+    extract_contrasimulation,
+    naive_single_step_relation,
+    solve_cs_game_locally,
+)
 from contrasim.lts import Lts, TAU, act
 from contrasim.relations import (
     check_coupling,
@@ -25,7 +29,7 @@ from contrasim.relations import (
     weak_simulation_violation,
 )
 
-from conftest import PHIL_AUT, fixture_text, make_random_lts, make_tau_free_lts
+from conftest import PHIL_AUT, fixture_text, make_random_lts, make_tau_free_lts, phil_shape
 
 OP, A_EATS, B_EATS = act("op"), act("aEats"), act("bEats")
 
@@ -125,6 +129,70 @@ def test_instable_pair_is_not_contrasimulation(instable):
     assert (violation.p, violation.q) == (pab, pb)
     # the pair fails on a word reaching through the instable choice
     assert violation.word in ((), (OP,), (OP, A_EATS), (OP, B_EATS))
+
+
+def _word_violated(lts: Lts, rel) -> bool:
+    """The definition by words: some ``p =w=> p'`` of a pair ``(p, q)``
+    has no ``q =w=> q'`` with ``(q', p')`` related.  Exact on acyclic
+    systems, where no word is longer than the state count."""
+    for p, q in rel:
+        for word, _ in lts.feasible_words(p, lts.state_count):
+            answers = lts.weak_word_successors(q, word)
+            for p2 in lts.weak_word_successors(p, word):
+                if not any((q2, p2) in rel for q2 in answers):
+                    return True
+    return False
+
+
+@given(random_lts_strategy(max_states=6, acyclic=True), st.data())
+@settings(max_examples=150, deadline=None)
+def test_contrasimulation_check_matches_the_word_definition(lts, data):
+    """One walk over the configurations of all pairs decides what the word
+    definition decides, and a violation it reports is one: its word leads
+    from its pair to its configuration, and its state has no answer."""
+    states = st.integers(0, lts.state_count - 1)
+    rel = data.draw(st.sets(st.tuples(states, states), min_size=1, max_size=8))
+    if data.draw(st.booleans()):
+        rel |= identity(lts)
+    violation = contrasimulation_violation(lts, rel)
+    assert (violation is not None) == _word_violated(lts, rel)
+    if violation is not None:
+        v = violation
+        assert (v.p, v.q) in rel
+        assert v.config_state in lts.word_successors(v.word, frozenset({v.p}))
+        assert v.config_set == lts.word_successors(v.word, frozenset({v.q}))
+        assert v.p_after in lts.internal_closure(frozenset({v.config_state}))
+        answers = lts.internal_closure(v.config_set)
+        assert not any((q2, v.p_after) in rel for q2 in answers)
+
+
+def test_checking_a_relation_computes_each_delay_step_once(monkeypatch):
+    """The 2^k-configuration phil(8) relation: the check walks the
+    configurations of all pairs once, so it computes each set's and each
+    state's delay step per action once (4,085 calls; one walk per pair
+    made 10,410)."""
+    lts, pc, pp = phil_shape(8)
+    game, solution, roots = solve_cs_game_locally(lts, pc, pp, swapped=True)
+    relation = extract_contrasimulation(game, solution, roots)
+    configs = {(p, frozenset({q})) for p, q in relation}
+    todo = list(configs)
+    while todo:
+        p1, q_set = todo.pop()
+        for a in lts.visible_actions:
+            q_next = lts.delay_successors(q_set, a)
+            for p2 in lts.delay_successors(frozenset({p1}), a):
+                if (p2, q_next) not in configs:
+                    configs.add((p2, q_next))
+                    todo.append((p2, q_next))
+    distinct = len({q_set for _, q_set in configs}) + len({p1 for p1, _ in configs})
+    calls = []
+    delay_successors = Lts.delay_successors
+    monkeypatch.setattr(
+        Lts, "delay_successors",
+        lambda self, *args: calls.append(args) or delay_successors(self, *args),
+    )
+    assert is_contrasimulation(lts, relation)
+    assert len(calls) <= len(lts.visible_actions) * distinct
 
 
 def test_single_cross_pair_fails_coupling(phil_drawing):
