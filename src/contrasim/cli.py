@@ -21,12 +21,13 @@ Each query decides on one game or computes one relation: under
 ``--direction equivalence`` the backward verdict is read off the
 lhs-vs-rhs game at its reverse root, and ``game_positions``,
 ``game_moves`` and ``solve_ms`` describe that one game, for
-``bounded-word-game`` the quotient's.  A ``contrasim`` query explores its
-game locally and stops once the attacker wins every queried root, so the
-counts are those of the explored part.  ``--emit-game-dot`` only draws:
-for ``contrasim`` it builds the whole reachable game, writes it and
-leaves the verdict, the certificate and the counts as they are.  For a
-gameless notion ``solve_ms`` times computing the relation, or the
+``bounded-word-game`` the quotient's.  Both game notions run one driver,
+:func:`contrasim.csgame.solve_cs_game_locally`, the word game in its word
+mode: it explores the game locally and stops once the attacker wins every
+queried root, so the counts are those of the explored part.
+``--emit-game-dot`` only draws: it builds the whole reachable game, writes
+it and leaves the verdict, the certificate and the counts as they are.
+For a gameless notion ``solve_ms`` times computing the relation, or the
 classes.
 
 Exit codes: 0 when the checked relation holds, 1 when it fails, 2 on usage,
@@ -51,7 +52,7 @@ from . import csgame, relations
 from .aut import parse_aut
 from .ccs import DEFAULT_MAX_STATES, expand_ccs_roots, parse_ccs
 from .errors import ParseError, PositionBudgetError, StateBudgetError
-from .game import GameGraph, Player, solve
+from .game import GameGraph, Player
 from .hml import format_formula
 from .lts import Lts
 
@@ -203,23 +204,14 @@ def run_check(request: CheckRequest) -> CheckReport:
         p, q = classes[lhs], classes[rhs]
         if notion not in BISIMILARITIES:
             lts = model.quotient(classes)
-    if notion == "contrasim":
+    word_bound = request.word_bound if notion == "bounded-word-game" else None
+    if notion in GAME_NOTIONS:
         # Expansion and solving interleave, so solve_ms times both.
         t0 = time.perf_counter()
         game, solution, roots = csgame.solve_cs_game_locally(
-            lts, p, q, swapped=equivalence, max_positions=request.max_positions
+            lts, p, q, swapped=equivalence, max_positions=request.max_positions,
+            word_bound=word_bound,
         )
-        solve_ms = (time.perf_counter() - t0) * 1000.0
-        graph = game.graph
-    elif notion == "bounded-word-game":
-        graph, game = csgame.build_word_game(
-            lts, p, q, request.word_bound, request.max_positions
-        )
-        roots = [graph.initial]
-        if equivalence:
-            roots.append(game.index(csgame._WordAttacker(q, p)))
-        t0 = time.perf_counter()
-        solution = solve(graph)
         solve_ms = (time.perf_counter() - t0) * 1000.0
     elif notion in BISIMILARITIES:
         # Bisimilar means in one class, so solve_ms timed the classes.
@@ -233,8 +225,8 @@ def run_check(request: CheckRequest) -> CheckReport:
         solve_ms = (time.perf_counter() - t0) * 1000.0
     if notion in GAME_NOTIONS:
         results = [solution.winner[root] is Player.DEFENDER for root in roots]
-        positions = graph.position_count
-        moves = game.move_count if notion == "contrasim" else graph.move_count
+        positions = game.graph.position_count
+        moves = game.move_count
     else:
         directions = [(p, q), (q, p)] if equivalence else [(p, q)]
         results = [pair in related for pair in directions]
@@ -254,14 +246,10 @@ def run_check(request: CheckRequest) -> CheckReport:
             certificate = _lifted_certificate(model, classes, related)
 
     if request.emit_game_dot is not None:
-        if notion == "contrasim":
-            # The local game may stop short: draw the whole reachable game.
-            drawn = csgame.build_cs_game(lts, p, q, request.max_positions)
-            graph = drawn.graph
-            labels = [csgame.format_position(lts, pos) for pos in drawn.positions]
-        else:
-            labels = [csgame.format_word_position(lts, pos) for pos in game]
-        Path(request.emit_game_dot).write_text(export_game_dot(graph, labels))
+        # The local game may stop short: draw the whole reachable game.
+        drawn = csgame.build_cs_game(lts, p, q, request.max_positions, word_bound)
+        labels = [csgame.format_position(lts, pos) for pos in drawn.positions]
+        Path(request.emit_game_dot).write_text(export_game_dot(drawn.graph, labels))
 
     report = CheckReport(
         verdict=all(results),

@@ -47,7 +47,12 @@ extractors read the lists directly.
 
 The module also carries two deliberately weaker procedures kept for
 comparison: a single-step fixed point that is unsound for the preorder, and
-a word game whose challenges are cut off at a given length.
+a word mode of the same game, in which the attacker challenges with a word
+of at most a given length and a swap (see :func:`cs_successors`).  Its
+empty-word challenges are the reflexive swaps, so it too decides both
+directions in one game.  Its attacker positions are all over one state, so
+it never parks, and its swaps are mirrored the same way; the certificate
+extractors do not apply to it.
 """
 
 from collections import deque
@@ -67,7 +72,7 @@ from .game import (
     solve,
 )
 from .hml import DelayNor, DelayObs, HmlFormula
-from .lts import Action, Lts, StateSet, Word
+from .lts import Action, Lts, StateSet
 
 
 @dataclass(frozen=True, slots=True)
@@ -94,7 +99,9 @@ CsPosition = Union[AttackerPos, SimPos, SwapPos]
 Relation = frozenset[tuple[int, int]]
 
 
-def cs_successors(lts: Lts, pos: CsPosition) -> list[CsPosition]:
+def cs_successors(
+    lts: Lts, pos: CsPosition, word_bound: int | None = None
+) -> list[CsPosition]:
     """Legal moves from a position, in a fixed deterministic order.
 
     Challenges use delay steps (leading internal behavior, then the action);
@@ -102,7 +109,19 @@ def cs_successors(lts: Lts, pos: CsPosition) -> list[CsPosition]:
     position always has at least the reflexive swap challenge; a swap over
     the empty set has no answers.  This is the executable specification that
     the set-game expander follows move for move.
+
+    With ``word_bound``, the attacker at ``(p, Q)`` challenges with a word
+    instead: for each feasible word ``w`` of at most ``word_bound`` letters
+    (:meth:`Lts.feasible_words`) and each ``p'`` in the internal closure of
+    its delay frontier from ``p``, a swap ``SwapPos(p', Q after w)``, each
+    distinct swap listed once.
     """
+    if isinstance(pos, AttackerPos) and word_bound is not None:
+        out = []
+        for word, frontier in lts.feasible_words(pos.p, word_bound):
+            answers = lts.word_successors(word, pos.q_set)
+            out += [SwapPos(p2, answers) for p2 in sorted(lts.internal_closure(frontier))]
+        return list(dict.fromkeys(out))
     if isinstance(pos, AttackerPos):
         here = frozenset((pos.p,))
         out: list[CsPosition] = []
@@ -187,23 +206,28 @@ class CsGame:
 DEFAULT_MAX_POSITIONS = 1_000_000
 
 
-def _expander(lts: Lts, max_positions: int) -> SimpleNamespace:
+def _expander(lts: Lts, max_positions: int, word_bound: int | None = None) -> SimpleNamespace:
     """The per-position work of the set game, shared by its two searches.
 
     Returns the lists that :class:`CsGame` keeps, as far as the game is
     expanded, and three functions.  ``row(i)`` lists the moves of position
-    ``i`` in :func:`cs_successors` order and adds the positions they reach
-    if they are new; ``attacker(p, q)`` is the index of
-    ``AttackerPos(p, {q})``, added if it is new; ``game(owner, moves,
-    frontier)`` wraps the lists and the given rows into a :class:`CsGame`.
+    ``i`` in :func:`cs_successors` order (with ``word_bound``, word
+    challenges) and adds the positions they reach if they are new;
+    ``attacker(p, q)`` is the index of ``AttackerPos(p, {q})``, added if it
+    is new; ``game(owner, moves, frontier)`` wraps the lists and the given
+    rows into a :class:`CsGame`.
 
     A position is keyed by one int, ``((q_id * width + a) * n + s) * 3 +
     kind``.  Each distinct set is interned once; its internal closure and
     its delay successor per action are computed on first use and then
     looked up, and each state's challenges are listed once, from its own
-    strong steps and internal closure.  ``add`` is the one place where
+    strong steps and internal closure, or from its feasible words.  A word
+    challenge's defender set is the fold of the attacker position's set
+    through the memoised delay successors.  ``add`` is the one place where
     positions are created, so it enforces the position budget.
     """
+    if word_bound is not None and word_bound < 1:
+        raise ValueError("word_bound must be at least 1")
     n = lts.state_count
     visible = lts.visible_actions
     width = max(len(visible), 1)
@@ -217,7 +241,7 @@ def _expander(lts: Lts, max_positions: int) -> SimpleNamespace:
     answers: list[list[int] | None] = []  # sorted internal closure per set id
     delay: list[int] = []  # delay[q_id * width + a]: set id of the a-step, -1 if not yet known
     singleton = [-1] * n  # set id of {s}, -1 if not yet known
-    challenges: list[list[tuple[int, int, int, int]] | None] = [None] * n
+    challenges: list[list | None] = [None] * n  # per state: challenges_of or word_challenges_of
 
     def intern(q_set: StateSet) -> int:
         qid = q_index.get(q_set)
@@ -259,6 +283,18 @@ def _expander(lts: Lts, max_positions: int) -> SimpleNamespace:
         challenges[s] = out
         return out
 
+    ai_of = {a: ai for ai, a in enumerate(visible)}
+
+    def word_challenges_of(s: int) -> list[tuple[tuple[int, ...], list[int]]]:
+        """(action indices, sorted closure of the delay frontier) of each
+        feasible word from ``s``."""
+        out = challenges[s] = [
+            (tuple(map(ai_of.__getitem__, word)),
+             sorted(empty.union(*map(closure.__getitem__, frontier))))
+            for word, frontier in lts.feasible_words(s, word_bound)
+        ]
+        return out
+
     def delay_of(qid: int, ai: int) -> int:
         here = closed(qid)
         a = visible[ai]
@@ -295,7 +331,19 @@ def _expander(lts: Lts, max_positions: int) -> SimpleNamespace:
     def row(at: int) -> tuple[int, ...]:
         kind, s, qid = kinds[at], states[at], q_ids[at]
         out = []
-        if kind == ATTACKER:
+        if kind == ATTACKER and word_bound is not None:
+            for word, targets in challenges[s] or word_challenges_of(s):
+                target = qid
+                for ai in word:
+                    step = delay[target * width + ai]
+                    target = step if step >= 0 else delay_of(target, ai)
+                base = target * stride
+                for s2 in targets:
+                    key = base + s2 * 3 + SWAP
+                    idx = index.get(key)
+                    out.append(add(key, SWAP, s2, target, -1) if idx is None else idx)
+            out = list(dict.fromkeys(out))  # two words may reach one swap
+        elif kind == ATTACKER:
             base = qid * stride
             for offset, kind2, s2, ai in challenges[s] or challenges_of(s):
                 key = base + offset
@@ -320,7 +368,7 @@ def _expander(lts: Lts, max_positions: int) -> SimpleNamespace:
 
     def game(owner: Iterable[Player], moves: Iterable[Iterable[int]],
              frontier: tuple[int, ...] = ()) -> CsGame:
-        # Each move is generated once, so no row holds a duplicate.
+        # Each move is generated once, or deduplicated, so no row holds a duplicate.
         graph = GameGraph.from_unique_rows(owner, moves)
         return CsGame(lts, graph, kinds, states, q_ids, actions, q_sets, frontier)
 
@@ -331,18 +379,20 @@ def _expander(lts: Lts, max_positions: int) -> SimpleNamespace:
 
 
 def build_cs_game(
-    lts: Lts, p: int, q: int, max_positions: int = DEFAULT_MAX_POSITIONS
+    lts: Lts, p: int, q: int, max_positions: int = DEFAULT_MAX_POSITIONS,
+    word_bound: int | None = None,
 ) -> CsGame:
     """Breadth-first closure of the move relation from ``AttackerPos(p, {q})``.
 
     Produces the positions and moves of a breadth-first search over
-    :func:`cs_successors`, in the same order.  The construction is finite
-    because there are at most (|actions|+2) * |S| * 2^|S| positions; more
-    than ``max_positions`` raise :class:`PositionBudgetError`.
+    :func:`cs_successors` (with ``word_bound``), in the same order.  The
+    construction is finite because there are at most (|actions|+2) * |S| *
+    2^|S| positions; more than ``max_positions`` raise
+    :class:`PositionBudgetError`.
     """
     lts._check_state(p)
     lts._check_state(q)
-    expander = _expander(lts, max_positions)
+    expander = _expander(lts, max_positions, word_bound)
     expander.attacker(p, q)
     kinds, row = expander.kinds, expander.row
     # Positions are appended in discovery order, so walking the lists in
@@ -355,10 +405,12 @@ def build_cs_game(
 
 def solve_cs_game_locally(
     lts: Lts, p: int, q: int, swapped: bool = False,
-    max_positions: int = DEFAULT_MAX_POSITIONS,
+    max_positions: int = DEFAULT_MAX_POSITIONS, word_bound: int | None = None,
 ) -> tuple[CsGame, GameSolution, tuple[int, ...]]:
     """Decide the set game at ``AttackerPos(p, {q})`` (with ``swapped``, also
-    at ``AttackerPos(q, {p})``), expanding only the positions it needs.
+    at ``AttackerPos(q, {p})``), expanding only the positions it needs; with
+    ``word_bound``, the bounded word game, whose attacker challenges with
+    words (:func:`cs_successors`).
 
     Returns the explored game, its solution and the indices of the roots.
     This is the local algorithm of Liu & Smolka (ICALP 1998): once a
@@ -366,10 +418,11 @@ def solve_cs_game_locally(
     known edges, with one pending counter per defender position as in
     :func:`solve`.  The next position to expand is one over the smallest
     defender set; among those the last one queued, where a row's new
-    positions are queued so that its first move comes first.  A smaller set
-    only helps the attacker, and at the empty set the reflexive swap wins at
-    once, so it is expanded next.  Exploration stops when the attacker has
-    won every root, or when no unexpanded position is left.
+    positions are queued, each by the size of its own set, so that its first
+    move comes first.  A smaller set only helps the attacker, and at the
+    empty set the reflexive swap wins at once, so it is expanded next.
+    Exploration stops when the attacker has won every root, or when no
+    unexpanded position is left.
 
     An attacker position ``(s, Q')`` with two or more states in ``Q'`` is
     parked instead of expanded when an expanded attacker position
@@ -380,14 +433,16 @@ def solve_cs_game_locally(
     win through the cover is a win of the whole game, and an attacker win
     never passes through a parked position.  Only attacker positions are
     parked, so relation pairs still come from real swap answers.  Games
-    whose sets are all singletons never list covers.
+    whose attacker positions are all over singletons, the word game among
+    them, never list covers.
 
     A swap ``SwapPos(p', Q)`` whose ``p'`` lies in the internal closure of
     ``Q`` is expanded to one move, the mirror answer ``AttackerPos(p',
     {p'})``.  From any ``(p, Q)`` with ``p`` in ``Q`` the defender keeps
     ``p`` in ``Q``: a simulation answer contains ``p``'s own delay step, and
-    a swap to ``p'`` is answered by ``p'``.  So a mirrored swap is a
-    defender win in the whole game and in the pruned one, and every other
+    a swap to ``p'`` is answered by ``p'``; in the word game the defender
+    answers every word with the attacker's own path.  So a mirrored swap is
+    a defender win in the whole game and in the pruned one, and every other
     position keeps its winner.
 
     When the defender wins every root, every position found is expanded or
@@ -404,7 +459,7 @@ def solve_cs_game_locally(
     lts._check_state(p)
     lts._check_state(q)
     n = lts.state_count
-    expander = _expander(lts, max_positions)
+    expander = _expander(lts, max_positions, word_bound)
     roots = (expander.attacker(p, q),)
     if swapped:
         roots += (expander.attacker(q, p),)
@@ -460,14 +515,11 @@ def solve_cs_game_locally(
         else:
             row = moves[at] = row_of(at)
         if len(kinds) > count:
-            # The new positions share one set: the attacker's own, the
-            # delay step's, or a swap answer's single state.
-            k = 1 if kind == SWAP else len(q_sets[q_ids[row[0] if kind == SIM else at]])
-            if k < lowest:
-                lowest = k
-            bucket = buckets[k]
             for i in range(len(kinds) - 1, count - 1, -1):
-                bucket.append(i)
+                k = len(q_sets[q_ids[i]])
+                if k < lowest:
+                    lowest = k
+                buckets[k].append(i)
                 moves.append(None)
                 preds.append([])
                 pending.append(0)
@@ -669,117 +721,24 @@ def naive_single_step_preorder(lts: Lts, p: int, q: int) -> bool:
     return (p, q) in naive_single_step_relation(lts)
 
 
-@dataclass(frozen=True, slots=True)
-class _WordAttacker:
-    p: int
-    q: int
-
-
-@dataclass(frozen=True, slots=True)
-class _WordChallenge:
-    word: Word
-    p: int
-    q: int
-
-
 def build_word_game(
     lts: Lts, p: int, q: int, max_word_length: int,
     max_positions: int = DEFAULT_MAX_POSITIONS,
-) -> tuple[GameGraph, tuple]:
-    """The word-challenge game with attacker words cut off at ``max_word_length``.
-
-    The attacker challenges with a weak word step to some state, the
-    defender must answer the same word and the sides swap.  Restricting the
-    word length only removes attacker options, so the solved verdict
-    over-approximates the preorder; it is exact on acyclic systems once the
-    bound reaches the state count.  Returns the graph and its index-aligned
-    positions.  The empty-word challenge leads from ``_WordAttacker(p, q)``
-    to ``_WordAttacker(q, p)``, whose winner decides the reverse preorder.
-    More than ``max_positions`` positions raise :class:`PositionBudgetError`.
-
-    The challenges of each attacker state and the answers to each word from
-    each defender state are computed once and shared by every position that
-    needs them.
-    """
-    if max_word_length < 1:
-        raise ValueError("max_word_length must be at least 1")
-    lts._check_state(p)
-    lts._check_state(q)
-
-    n = lts.state_count
-    # A position is keyed by one int: (p * n + q) * 2 for _WordAttacker(p, q),
-    # ((word id * n + p) * n + q) * 2 + 1 for _WordChallenge(word, p, q).
-    index: dict[int, int] = {}
-    keys: list[int] = []
-    word_ids: dict[Word, int] = {}
-    words: list[Word] = []
-    challenges: dict[int, list[tuple[int, int]]] = {}  # p -> (word id, state after it)
-    answers: dict[tuple[int, int], tuple[int, ...]] = {}  # (word id, q) -> states after it
-
-    def intern(key: int) -> int:
-        idx = index.get(key)
-        if idx is None:
-            idx = len(keys)
-            if idx == max_positions:
-                raise PositionBudgetError(max_positions)
-            index[key] = idx
-            keys.append(key)
-        return idx
-
-    def word_id(word: Word) -> int:
-        wid = word_ids.get(word)
-        if wid is None:
-            wid = word_ids[word] = len(words)
-            words.append(word)
-        return wid
-
-    intern((p * n + q) * 2)
-    moves: list[tuple[int, ...]] = []
-    # Keys are appended in discovery order: walking them is the breadth-first queue.
-    while len(moves) < len(keys):
-        key = keys[len(moves)]
-        rest, other = divmod(key >> 1, n)
-        if not key & 1:
-            steps = challenges.get(rest)
-            if steps is None:
-                steps = challenges[rest] = [
-                    (word_id(word), s2)
-                    for word, frontier in lts.feasible_words(rest, max_word_length)
-                    for s2 in sorted(lts.internal_closure(frontier))
-                ]
-            moves.append(tuple([intern(((wid * n + s2) * n + other) * 2 + 1) for wid, s2 in steps]))
-        else:
-            wid, s = divmod(rest, n)
-            reached = answers.get((wid, other))
-            if reached is None:
-                reached = answers[wid, other] = tuple(
-                    sorted(lts.weak_word_successors(other, words[wid]))
-                )
-            moves.append(tuple([intern((s2 * n + s) * 2) for s2 in reached]))
-
-    positions = []
-    for key in keys:
-        rest, other = divmod(key >> 1, n)
-        if key & 1:
-            wid, s = divmod(rest, n)
-            positions.append(_WordChallenge(words[wid], s, other))
-        else:
-            positions.append(_WordAttacker(rest, other))
-    owner = (Player.DEFENDER if key & 1 else Player.ATTACKER for key in keys)
-    # Words are distinct and answers are sets, so no row holds a duplicate.
-    return GameGraph.from_unique_rows(owner, moves), tuple(positions)
+) -> tuple[GameGraph, tuple[CsPosition, ...]]:
+    """The whole bounded word game: :func:`build_cs_game` with ``word_bound``,
+    as ``(graph, positions)``; kept for ``perfbench/spans.py``."""
+    game = build_cs_game(lts, p, q, max_positions, word_bound=max_word_length)
+    return game.graph, game.positions
 
 
 def bounded_word_game_preorder(lts: Lts, p: int, q: int, max_word_length: int) -> bool:
-    graph, _ = build_word_game(lts, p, q, max_word_length)
-    return solve(graph).winner[graph.initial] is Player.DEFENDER
-
-
-def format_word_position(lts: Lts, pos) -> str:
-    if isinstance(pos, _WordAttacker):
-        return f"({lts.name_of(pos.p)}, {lts.name_of(pos.q)})"
-    word = "".join(f"<{a}>" for a in pos.word) or "<>"
-    return f"Challenge({word}, {lts.name_of(pos.p)}, {lts.name_of(pos.q)})"
+    """Whether the defender wins the word game with attacker words cut off
+    at ``max_word_length`` from ``(p, {q})``.  Restricting the word length
+    only removes attacker options, so the verdict over-approximates the
+    preorder; it is exact on acyclic systems once the bound reaches the
+    state count."""
+    _, solution, (root,) = solve_cs_game_locally(lts, p, q, word_bound=max_word_length)
+    return solution.winner[root] is Player.DEFENDER
 
 
 # -- defender strategies from a known preorder ---------------------------------
@@ -849,3 +808,6 @@ def format_position(lts: Lts, pos: CsPosition) -> str:
     if isinstance(pos, SwapPos):
         return f"Swap({lts.name_of(pos.p)}, {format_state_set(lts, pos.q_set)})"
     raise TypeError(f"unknown position {pos!r}")
+
+
+format_word_position = format_position  # kept for ``perfbench/spans.py``

@@ -25,7 +25,6 @@ from contrasim.cli import (
 from contrasim.csgame import (
     bounded_word_game_preorder,
     build_cs_game,
-    build_word_game,
     decide_equivalence,
     decide_preorder,
     extract_distinguishing_formula,
@@ -118,8 +117,8 @@ def test_aut_input_uses_state_indices(capsys):
         # the whole game, which --emit-game-dot draws, has 119 positions
         ["check", "--lhs", "1", "--rhs", "2", "--max-positions", "100",
          "--emit-game-dot", "/dev/null", FIXTURES / "phil.aut"],
-        # 71 positions on the weak quotient
-        ["check", "--lhs", "1", "--rhs", "2", "--max-positions", "50",
+        # local solving explores 31 positions on the weak quotient
+        ["check", "--lhs", "1", "--rhs", "2", "--max-positions", "20",
          "--notion", "bounded-word-game", "--word-bound", "3", FIXTURES / "phil.aut"],
         ["check", "--lhs", "X", "--rhs", "X", "/nonexistent/file.ccs"],
         ["check", "--lhs", "0", "--rhs", "1", TESTS / "data" / "not_utf8.aut"],
@@ -380,7 +379,7 @@ def test_weak_quotient_verdicts_and_lifted_certificates(seed, tmp_path):
     "notion, work",
     [
         ("contrasim", "solve_cs_game_locally"),
-        ("bounded-word-game", "build_word_game"),
+        ("bounded-word-game", "solve_cs_game_locally"),
         ("naive-contrasim-1step", "naive_single_step_relation"),
     ],
 )
@@ -711,24 +710,26 @@ def test_contrasim_relation_is_the_models_own(tmp_path, capsys):
 
 
 def test_word_game_counts_are_the_quotients(locked, tmp_path):
-    """The word game is built on the weak quotient, which is smaller than
-    the strong quotient for locked.ccs."""
+    """The word game is played on the weak quotient, which is smaller than
+    the strong quotient for locked.ccs: the counts are those of the local
+    game on it, and the drawing holds its whole game."""
     lts, pc, pl = locked
     classes = relations.weak_classes(lts)
     quotient = lts.quotient(classes)
     assert quotient.state_count < max(relations.strong_classes(lts)) + 1
-    graph, _ = build_word_game(quotient, classes[pc], classes[pl], 2)
-    model_graph, _ = build_word_game(lts, pc, pl, 2)
-    assert graph.position_count < model_graph.position_count
+    game, _, _ = solve_cs_game_locally(quotient, classes[pc], classes[pl], word_bound=2)
+    model_game, _, _ = solve_cs_game_locally(lts, pc, pl, word_bound=2)
+    assert game.graph.position_count < model_game.graph.position_count
+    whole = build_cs_game(quotient, classes[pc], classes[pl], word_bound=2).graph
     report, dot = tmp_path / "r.json", tmp_path / "g.dot"
     run_main(["check", "--lhs", "Pc", "--rhs", "Pl", "--notion", "bounded-word-game",
               "--word-bound", 2, "--emit-json", report, "--emit-game-dot", dot,
               FIXTURES / "locked.ccs"])
     counts = json.loads(report.read_text())
     assert (counts["game_positions"], counts["game_moves"]) == (
-        graph.position_count, graph.move_count
+        game.graph.position_count, game.move_count
     )
-    assert lint_dot(dot.read_text()) == (graph.position_count, graph.move_count)
+    assert lint_dot(dot.read_text()) == (whole.position_count, whole.move_count)
 
 
 def test_dot_export_rejected_for_gameless_notions(tmp_path, capsys):

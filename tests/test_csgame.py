@@ -8,8 +8,6 @@ from contrasim.csgame import (
     AttackerPos,
     SimPos,
     SwapPos,
-    _WordAttacker,
-    _WordChallenge,
     bounded_word_game_preorder,
     build_cs_game,
     build_word_game,
@@ -143,7 +141,7 @@ def test_position_kinds_partition_ownership(phil):
             assert len(game.graph.moves[idx]) == 1
 
 
-def reference_game(lts, p, q):
+def reference_game(lts, p, q, word_bound=None):
     """Positions and move rows of a plain breadth-first search over
     ``cs_successors`` from ``AttackerPos(p, {q})``."""
     initial = AttackerPos(p, frozenset({q}))
@@ -152,7 +150,7 @@ def reference_game(lts, p, q):
     moves = []
     for pos in positions:  # grows while it is walked: the BFS queue
         row = []
-        for succ in cs_successors(lts, pos):
+        for succ in cs_successors(lts, pos, word_bound):
             if succ not in index:
                 index[succ] = len(positions)
                 positions.append(succ)
@@ -164,16 +162,18 @@ def reference_game(lts, p, q):
 @given(random_lts_strategy(), st.data())
 @settings(max_examples=60, deadline=None)
 def test_builder_matches_reference_bfs(lts, data):
+    """Index for index, in the set game and in the word game at bounds 1-3."""
     p = data.draw(st.integers(0, lts.state_count - 1))
     q = data.draw(st.integers(0, lts.state_count - 1))
-    game = build_cs_game(lts, p, q)
-    positions, moves = reference_game(lts, p, q)
-    assert list(game.positions) == positions
-    assert list(game.graph.moves) == moves
-    assert game.graph.initial == 0
-    assert game.initial_position == AttackerPos(p, frozenset({q}))
-    for idx, pos in enumerate(game.positions):
-        assert game.index[pos] == idx
+    for word_bound in (None, 1, 2, 3):
+        game = build_cs_game(lts, p, q, word_bound=word_bound)
+        positions, moves = reference_game(lts, p, q, word_bound)
+        assert list(game.positions) == positions
+        assert list(game.graph.moves) == moves
+        assert game.graph.initial == 0
+        assert game.initial_position == AttackerPos(p, frozenset({q}))
+        for idx, pos in enumerate(game.positions):
+            assert game.index[pos] == idx
 
 
 def blow(k: int) -> Lts:
@@ -199,9 +199,9 @@ def test_position_budget():
         build_cs_game(lts, 0, 1, max_positions=size - 1)
     with pytest.raises(PositionBudgetError):
         solve_cs_game_locally(lts, 0, 1, max_positions=10)
-    words, _ = build_word_game(lts, 0, 1, 2)
+    words = build_cs_game(lts, 0, 1, word_bound=2).graph.position_count
     with pytest.raises(PositionBudgetError):
-        build_word_game(lts, 0, 1, 2, max_positions=words.position_count - 1)
+        build_cs_game(lts, 0, 1, max_positions=words - 1, word_bound=2)
 
 
 @given(random_lts_strategy())
@@ -235,28 +235,38 @@ def assert_solution_sound(graph, solution) -> None:
             assert all(solution.attacker_rank[t] < rank for t in graph.moves[g])
 
 
-def check_local_against_eager(lts: Lts, p: int, q: int) -> None:
+def check_local_against_eager(lts: Lts, p: int, q: int, word_bound: int | None = None) -> None:
     """Local solving at both roots agrees with the solved full game: the
-    same verdicts, sound relations and formulas, and no more positions or
-    moves than the full game.  Each unexpanded position either loops on
+    same verdicts, and no more positions or moves than the full game.  Each
+    position the local run gives to the attacker is attacker-won in the
+    full game, and when every root holds, so is every expanded position's
+    winner the full game's.  Each unexpanded position either loops on
     itself or is parked on a cover: an expanded, defender-won attacker
     position of the same state over a strict subset of its set.  Each swap
     to a state in the closure of its set is mirrored: its one move leads
     to the attacker's own state, ``AttackerPos(p', {p'})``, which the full
     game gives to the defender; every other expanded swap has all its
-    answers.  Without parked positions and mirrored swaps the relations
-    are those of the full game."""
-    eager = build_cs_game(lts, p, q)
+    answers.  In the set game, relations and formulas are sound, and
+    without parked positions and mirrored swaps the relations are those
+    of the full game."""
+    eager = build_cs_game(lts, p, q, word_bound=word_bound)
     eager_solution = solve(eager.graph)
     eager_roots = (eager.graph.initial, eager.index[AttackerPos(q, frozenset({p}))])
     expected = [eager_solution.winner[r] is Player.DEFENDER for r in eager_roots]
     for swapped in (False, True):
-        game, solution, roots = solve_cs_game_locally(lts, p, q, swapped=swapped)
+        game, solution, roots = solve_cs_game_locally(
+            lts, p, q, swapped=swapped, word_bound=word_bound
+        )
         assert len(roots) == 1 + swapped
         assert game.positions[roots[0]] == AttackerPos(p, frozenset({q}))
         assert game.graph.position_count <= eager.graph.position_count
         assert game.move_count <= eager.graph.move_count
         frontier = set(game.frontier)
+        eager_winner = [eager_solution.winner[eager.index[pos]] for pos in game.positions]
+        held = all(solution.winner[r] is Player.DEFENDER for r in roots)
+        for i, winner in enumerate(solution.winner):
+            if winner is Player.ATTACKER or (held and i not in frontier):
+                assert winner is eager_winner[i]
         parked = False
         for i in game.frontier:
             (cover,) = game.graph.moves[i]
@@ -289,6 +299,8 @@ def check_local_against_eager(lts: Lts, p: int, q: int) -> None:
         sides = ((p, q), (q, p))
         for root, eager_root, (left, right), holds in zip(roots, eager_roots, sides, expected):
             assert (solution.winner[root] is Player.DEFENDER) == holds
+            if word_bound is not None:
+                continue  # the certificates are those of the set game
             if holds:
                 relation = extract_contrasimulation(game, solution, (root,))
                 assert (left, right) in relation
@@ -306,18 +318,21 @@ def check_local_against_eager(lts: Lts, p: int, q: int) -> None:
 def test_local_solving_matches_eager(lts, data):
     p = data.draw(st.integers(0, lts.state_count - 1))
     q = data.draw(st.integers(0, lts.state_count - 1))
-    check_local_against_eager(lts, p, q)
+    for word_bound in (None, 1, 2, 3):
+        check_local_against_eager(lts, p, q, word_bound)
 
 
 @pytest.mark.parametrize("seed", range(8))
 def test_local_solving_on_cyclic_corpus(seed):
-    """Larger cyclic systems with tau loops, every ordered pair of a sample."""
+    """Larger cyclic systems with tau loops, every ordered pair of a
+    sample, in the set game and in the word game at bound 2."""
     rng = random.Random(seed)
     for _ in range(5):
         lts = make_random_lts(rng, n_states=rng.randint(2, 7), n_actions=2)
         for _ in range(4):
             p, q = rng.randrange(lts.state_count), rng.randrange(lts.state_count)
             check_local_against_eager(lts, p, q)
+            check_local_against_eager(lts, p, q, word_bound=2)
 
 
 def test_local_solving_decides_blow_twelve_early():
@@ -532,9 +547,9 @@ def test_certificates_sound_on_random_instances(lts):
 @given(random_lts_strategy(), st.data())
 @settings(max_examples=60, deadline=None)
 def test_one_game_decides_both_directions(lts, data):
-    """The reflexive swap (set game) and the empty-word challenge (word game)
-    lead from the root of the lhs-vs-rhs game to the rhs-vs-lhs root, whose
-    winner and certificates are those of the reverse check."""
+    """The reflexive swap, which in the word game is the empty-word
+    challenge, leads from the root of the lhs-vs-rhs game to the rhs-vs-lhs
+    root, whose winner and certificates are those of the reverse check."""
     p = data.draw(st.integers(0, lts.state_count - 1))
     q = data.draw(st.integers(0, lts.state_count - 1))
     game = build_cs_game(lts, p, q)
@@ -557,9 +572,10 @@ def test_one_game_decides_both_directions(lts, data):
         assert hml_satisfies(lts, q, phi) and not hml_satisfies(lts, p, phi)
 
     for bound in (1, 2, 3):
-        graph, positions = build_word_game(lts, p, q, bound)
-        back = positions.index(_WordAttacker(q, p))
-        assert (solve(graph).winner[back] is Player.DEFENDER) == bounded_word_game_preorder(
+        words = build_cs_game(lts, p, q, word_bound=bound)
+        back = words.index[AttackerPos(q, frozenset({p}))]
+        assert back in words.graph.moves[words.index[reflexive]]
+        assert (solve(words.graph).winner[back] is Player.DEFENDER) == bounded_word_game_preorder(
             lts, q, p, bound
         )
 
@@ -610,9 +626,12 @@ def test_naive_shortcut_exact_without_internal_steps(seed):
 
 
 def reference_word_game(lts, p, q, max_word_length):
-    """The word game by a plain breadth-first search that recomputes every
-    row anew."""
-    initial = _WordAttacker(p, q)
+    """The word game as a game of its own, by a plain breadth-first search
+    that recomputes every row anew.  The attacker at ``(p, q)`` challenges
+    with a feasible word ``w`` and a state ``p'`` reached by it, to ``(w,
+    p', q)``; the defender answers with each ``q'`` that ``q`` reaches by
+    the weak word step ``w``, and the sides swap, to ``(q', p')``."""
+    initial = (p, q)
     index = {initial: 0}
     positions = [initial]
     moves = []
@@ -628,19 +647,32 @@ def reference_word_game(lts, p, q, max_word_length):
     while todo:
         pos = todo.popleft()
         row = []
-        if isinstance(pos, _WordAttacker):
-            for word, frontier in lts.feasible_words(pos.p, max_word_length):
+        if len(pos) == 2:
+            here, there = pos
+            for word, frontier in lts.feasible_words(here, max_word_length):
                 for p2 in sorted(lts.internal_closure(frontier)):
-                    row.append(intern(_WordChallenge(word, p2, pos.q)))
+                    row.append(intern((word, p2, there)))
         else:
-            for q2 in sorted(lts.weak_word_successors(pos.q, pos.word)):
-                row.append(intern(_WordAttacker(q2, pos.p)))
+            word, here, there = pos
+            for q2 in sorted(lts.weak_word_successors(there, word)):
+                row.append(intern((q2, here)))
         moves.append(tuple(row))
-    owner = [
-        Player.ATTACKER if isinstance(pos, _WordAttacker) else Player.DEFENDER
-        for pos in positions
-    ]
-    return GameGraph(owner, moves), tuple(positions)
+    owner = [Player.ATTACKER if len(pos) == 2 else Player.DEFENDER for pos in positions]
+    return GameGraph(owner, moves), positions
+
+
+def assert_word_verdicts_match_reference(lts, p, q, bound):
+    """The reference word game's verdicts at ``(p, q)`` and ``(q, p)`` are
+    those of the word mode of the set game, solved locally and whole."""
+    graph, positions = reference_word_game(lts, p, q, bound)
+    winner = solve(graph).winner
+    expected = [winner[positions.index(root)] is Player.DEFENDER for root in ((p, q), (q, p))]
+    game, solution, roots = solve_cs_game_locally(lts, p, q, swapped=True, word_bound=bound)
+    assert [solution.winner[r] is Player.DEFENDER for r in roots] == expected
+    whole = build_cs_game(lts, p, q, word_bound=bound)
+    whole_roots = (whole.graph.initial, whole.index[AttackerPos(q, frozenset({p}))])
+    whole_winner = solve(whole.graph).winner
+    assert [whole_winner[r] is Player.DEFENDER for r in whole_roots] == expected
 
 
 @given(random_lts_strategy(), st.data())
@@ -649,19 +681,17 @@ def test_word_game_matches_reference(lts, data):
     p = data.draw(st.integers(0, lts.state_count - 1))
     q = data.draw(st.integers(0, lts.state_count - 1))
     for bound in (1, 2, 3):
-        graph, positions = build_word_game(lts, p, q, bound)
-        expected_graph, expected_positions = reference_word_game(lts, p, q, bound)
-        assert positions == expected_positions
-        assert graph.owner == expected_graph.owner
-        assert graph.moves == expected_graph.moves
+        assert_word_verdicts_match_reference(lts, p, q, bound)
 
 
 def test_word_game_matches_reference_on_phil(phil):
     lts, pc, pp = phil
+    for p in range(lts.state_count):
+        for q in range(p, lts.state_count):
+            assert_word_verdicts_match_reference(lts, p, q, 3)
     graph, positions = build_word_game(lts, pc, pp, 3)
-    expected_graph, expected_positions = reference_word_game(lts, pc, pp, 3)
-    assert positions == expected_positions
-    assert graph.moves == expected_graph.moves
+    game = build_cs_game(lts, pc, pp, word_bound=3)
+    assert positions == game.positions and graph.moves == game.graph.moves
 
 
 def test_bound_one_misses_bound_two_catches(instable):
