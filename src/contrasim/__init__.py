@@ -34,7 +34,7 @@ from .csgame import (
     decide_preorder,
     extract_contrasimulation,
     extract_distinguishing_formula,
-    fc_membership,
+    fc_pairs,
     naive_single_step_preorder,
     solve_cs_game_locally,
     strategy_from_fc,

@@ -1,21 +1,18 @@
 """Command-line front end: load a model, run a check, emit verdicts and
 certificates.
 
-A ``contrasim`` query is decided on the model itself.  ``strong-bisim``
-and ``weak-bisim`` are decided by classing the states
-(:func:`contrasim.relations.strong_classes`,
-:func:`contrasim.relations.weak_classes`): lhs and rhs are related iff
-they share a class.  ``weak-sim``, ``naive-contrasim-1step`` and
-``bounded-word-game`` are defined by transferring weak steps, so they
-give the same answer on the weak-bisimulation quotient of the model
-(:meth:`contrasim.lts.Lts.quotient`), and are decided there, between the
-classes of lhs and rhs; when no two states merge, that is the model
-itself.  A relation certificate of a gameless notion is its greatest
-relation on the classes, lifted back to every member of the classes it
-relates: the same relation the model gives.  A ``contrasim`` relation is
-read off the defender's strategy instead, and lifting that one would
-relate more pairs than the model's game commits to, so ``contrasim``
-prints the relation of its game on the model.
+Every query partitions the model's states, decides between the classes of
+lhs and rhs on the partition's system, and lifts a holding check's relation
+to every member of the classes it relates.  ``strong-bisim`` and
+``weak-bisim`` take their own classes (:mod:`contrasim.relations`) and
+hold iff lhs and rhs share a class.  ``weak-sim``, ``naive-contrasim-1step``
+and ``bounded-word-game`` transfer weak steps, so they have the same answer
+on the weak-bisimulation quotient (:meth:`contrasim.lts.Lts.quotient`),
+and take the weak classes.  ``contrasim`` takes the identity partition,
+whose system is the model itself: the benchmark's traced pass
+(``perfbench/spans.py``) compares its relation with the one the model's
+game gives, and lifted from the quotient it would relate more pairs.
+Dropping it from ``PARTITIONS`` moves it onto the weak classes.
 
 Each query decides on one game or computes one relation: under
 ``--direction equivalence`` the backward verdict is read off the
@@ -67,12 +64,16 @@ NOTIONS = (
 
 GAME_NOTIONS = ("contrasim", "bounded-word-game")
 
-# Gameless notions whose holding checks print their relation.
-RELATION_NOTIONS = ("weak-sim", "weak-bisim", "strong-bisim")
-
+# Notions whose holding checks print their relation.
+RELATION_NOTIONS = ("contrasim", "weak-sim", "weak-bisim", "strong-bisim")
 
 # Each bisimilarity relates the states of one of its classes.
-BISIMILARITIES = {
+BISIMILARITIES = ("weak-bisim", "strong-bisim")
+
+# The partition each notion decides on; every other notion takes the weak
+# classes.  A range is the identity partition, whose system is the model.
+PARTITIONS = {
+    "contrasim": lambda model: range(model.state_count),
     "weak-bisim": relations.weak_classes,
     "strong-bisim": relations.strong_classes,
 }
@@ -148,25 +149,25 @@ def _load_model(request: CheckRequest) -> tuple[Lts, int, int]:
     return lts, initials[0], initials[1]
 
 
-def _relation_certificate(lts: Lts, pairs) -> Certificate:
-    named = tuple(
-        (lts.name_of(p), lts.name_of(q)) for p, q in sorted(pairs)
-    )
-    return Certificate(kind="relation", pairs=named)
-
-
 def _lifted_certificate(lts: Lts, classes: Sequence[int], pairs) -> Certificate:
     """Name each pair of states of ``lts`` whose classes ``pairs`` relates,
     in the order of the state indices."""
-    members: list[list[int]] = [[] for _ in range(max(classes) + 1)]
-    for s, c in enumerate(classes):
-        members[c].append(s)
-    related: list[list[int]] = [[] for _ in members]
-    for x, y in pairs:
-        related[x] += members[y]
-    names = [lts.name_of(s) for s in range(lts.state_count)]
-    rows = [[names[q] for q in sorted(row)] for row in related]
-    named = tuple((names[p], name) for p, c in enumerate(classes) for name in rows[c])
+    if classes[-1] == len(classes) - 1:
+        # Classes are numbered by their smallest members, so the last state
+        # has the last of n ids only when each class is its one member.
+        ordered = sorted(pairs)
+        names = {s: lts.name_of(s) for s in set().union(*ordered)}
+        named = tuple([(names[p], names[q]) for p, q in ordered])
+    else:
+        members: list[list[int]] = [[] for _ in range(max(classes) + 1)]
+        for s, c in enumerate(classes):
+            members[c].append(s)
+        related: list[list[int]] = [[] for _ in members]
+        for x, y in pairs:
+            related[x] += members[y]
+        names = [lts.name_of(s) for s in range(lts.state_count)]
+        rows = [[names[q] for q in sorted(row)] for row in related]
+        named = tuple([(names[p], name) for p, c in enumerate(classes) for name in rows[c]])
     return Certificate(kind="relation", pairs=named)
 
 
@@ -194,35 +195,28 @@ def run_check(request: CheckRequest) -> CheckReport:
 
     model, lhs, rhs = _load_model(request)
     equivalence = request.direction == "equivalence"
-    positions = moves = None
-    if notion == "contrasim":
-        lts, p, q = model, lhs, rhs
-    else:
-        t0 = time.perf_counter()
-        classes = BISIMILARITIES.get(notion, relations.weak_classes)(model)
-        solve_ms = (time.perf_counter() - t0) * 1000.0
-        p, q = classes[lhs], classes[rhs]
-        if notion not in BISIMILARITIES:
-            lts = model.quotient(classes)
     word_bound = request.word_bound if notion == "bounded-word-game" else None
-    if notion in GAME_NOTIONS:
-        # Expansion and solving interleave, so solve_ms times both.
-        t0 = time.perf_counter()
-        game, solution, roots = csgame.solve_cs_game_locally(
-            lts, p, q, swapped=equivalence, max_positions=request.max_positions,
-            word_bound=word_bound,
-        )
-        solve_ms = (time.perf_counter() - t0) * 1000.0
-    elif notion in BISIMILARITIES:
-        # Bisimilar means in one class, so solve_ms timed the classes.
+    positions = moves = None
+    t0 = time.perf_counter()
+    classes = PARTITIONS.get(notion, relations.weak_classes)(model)
+    p, q = classes[lhs], classes[rhs]
+    if notion in BISIMILARITIES:
+        # Bisimilar means in one class, so solve_ms times the classes.
         related = {(c, c) for c in range(max(classes) + 1)}
     else:
+        lts = model if isinstance(classes, range) else model.quotient(classes)
         t0 = time.perf_counter()
-        if notion == "weak-sim":
+        if notion in GAME_NOTIONS:
+            # Expansion and solving interleave, so solve_ms times both.
+            game, solution, roots = csgame.solve_cs_game_locally(
+                lts, p, q, swapped=equivalence, max_positions=request.max_positions,
+                word_bound=word_bound,
+            )
+        elif notion == "weak-sim":
             related = relations.weak_sim_preorder(lts)
         else:
             related = csgame.naive_single_step_relation(lts)
-        solve_ms = (time.perf_counter() - t0) * 1000.0
+    solve_ms = (time.perf_counter() - t0) * 1000.0
     if notion in GAME_NOTIONS:
         results = [solution.winner[root] is Player.DEFENDER for root in roots]
         positions = game.graph.position_count
@@ -232,18 +226,14 @@ def run_check(request: CheckRequest) -> CheckReport:
         results = [pair in related for pair in directions]
 
     certificate = None
-    if request.emit_certificate:
-        if notion == "contrasim" and all(results):
-            pairs = csgame.extract_contrasimulation(game, solution, roots)
-            certificate = _relation_certificate(lts, pairs)
-        elif notion == "contrasim":
-            first_lost = roots[results.index(False)]
-            formula = csgame.extract_distinguishing_formula(game, solution, first_lost)
-            certificate = Certificate(kind="formula", formula=format_formula(formula))
-        elif notion in RELATION_NOTIONS and all(results):
-            # The greatest relation on the classes relates every member of
-            # the classes it relates.
-            certificate = _lifted_certificate(model, classes, related)
+    if request.emit_certificate and notion in RELATION_NOTIONS and all(results):
+        if notion in GAME_NOTIONS:
+            related = csgame.extract_contrasimulation(game, solution, roots)
+        certificate = _lifted_certificate(model, classes, related)
+    elif request.emit_certificate and notion == "contrasim":
+        first_lost = roots[results.index(False)]
+        formula = csgame.extract_distinguishing_formula(game, solution, first_lost)
+        certificate = Certificate(kind="formula", formula=format_formula(formula))
 
     if request.emit_game_dot is not None:
         # The local game may stop short: draw the whole reachable game.

@@ -52,14 +52,14 @@ of at most a given length and a swap (see :func:`cs_successors`).  Its
 empty-word challenges are the reflexive swaps, so it too decides both
 directions in one game.  Its attacker positions are all over one state, so
 it never parks, and its swaps are mirrored the same way; the certificate
-extractors do not apply to it.
+extractors raise ``ValueError`` on it (:attr:`CsGame.word_bound`).
 """
 
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
 from types import SimpleNamespace
-from typing import Iterable, Mapping, Union
+from typing import AbstractSet, Iterable, Mapping, Union
 
 from . import relations
 from .errors import PositionBudgetError
@@ -162,7 +162,8 @@ class CsGame:
     generated, and in ``graph`` each of them is a defender position with
     one move.  A parked attacker position moves to its cover, an expanded
     attacker position of the same state over a strict subset of its set;
-    any other frontier position moves to itself.
+    any other frontier position moves to itself.  ``word_bound`` is the
+    bound of a word game, ``None`` for the set game.
     """
 
     lts: Lts
@@ -173,6 +174,7 @@ class CsGame:
     actions: list[int]
     q_sets: list[StateSet]
     frontier: tuple[int, ...] = ()
+    word_bound: int | None = None
 
     @cached_property
     def positions(self) -> tuple[CsPosition, ...]:
@@ -214,8 +216,9 @@ def _expander(lts: Lts, max_positions: int, word_bound: int | None = None) -> Si
     ``i`` in :func:`cs_successors` order (with ``word_bound``, word
     challenges) and adds the positions they reach if they are new;
     ``attacker(p, q)`` is the index of ``AttackerPos(p, {q})``, added if it
-    is new; ``game(owner, moves, frontier)`` wraps the lists and the given
-    rows into a :class:`CsGame`.
+    is new; ``game(moves, frontier)`` wraps the lists and the given rows into
+    a :class:`CsGame`, each position owned as its kind says, except that the
+    frontier positions are the defender's.
 
     A position is keyed by one int, ``((q_id * width + a) * n + s) * 3 +
     kind``.  Each distinct set is interned once; its internal closure and
@@ -366,11 +369,13 @@ def _expander(lts: Lts, max_positions: int, word_bound: int | None = None) -> Si
                 out.append(add(key, ATTACKER, s2, swapped, -1) if idx is None else idx)
         return tuple(out)
 
-    def game(owner: Iterable[Player], moves: Iterable[Iterable[int]],
-             frontier: tuple[int, ...] = ()) -> CsGame:
+    def game(moves: Iterable[Iterable[int]], frontier: tuple[int, ...] = ()) -> CsGame:
+        owner = [_OWNER[k] for k in kinds]
+        for i in frontier:
+            owner[i] = Player.DEFENDER
         # Each move is generated once, or deduplicated, so no row holds a duplicate.
         graph = GameGraph.from_unique_rows(owner, moves)
-        return CsGame(lts, graph, kinds, states, q_ids, actions, q_sets, frontier)
+        return CsGame(lts, graph, kinds, states, q_ids, actions, q_sets, frontier, word_bound)
 
     return SimpleNamespace(
         kinds=kinds, states=states, q_ids=q_ids, q_sets=q_sets,
@@ -400,7 +405,7 @@ def build_cs_game(
     moves = []
     while len(moves) < len(kinds):
         moves.append(row(len(moves)))
-    return expander.game(map(_OWNER.__getitem__, kinds), moves)
+    return expander.game(moves)
 
 
 def solve_cs_game_locally(
@@ -577,11 +582,9 @@ def solve_cs_game_locally(
     parked = {u: cover for cover, us in waiting.items() for u in us}
     del preds, pending, buckets, covers, waiting
     frontier = tuple(i for i, row in enumerate(moves) if row is None)
-    owner = [_OWNER[k] for k in kinds]
     for i in frontier:
-        owner[i] = Player.DEFENDER
         moves[i] = (parked.get(i, i),)
-    game = expander.game(owner, moves, frontier)
+    game = expander.game(moves, frontier)
     del expander, row_of, attacker  # frees the position index before solving
     if len(undecided) < len(set(roots)):
         return game, solve(game.graph), roots
@@ -620,8 +623,11 @@ def extract_contrasimulation(
     roots (all attacker moves, only the strategy's defender moves), the
     swapped pair it commits to.  A parked position keeps its attacker kind
     and has its cover as its one move, so the walk goes on from the cover.
-    It always passes the independent contrasimulation check.
+    It always passes the independent contrasimulation check.  A word game
+    raises ``ValueError``: a defender win there gives no contrasimulation.
     """
+    if game.word_bound is not None:
+        raise ValueError("no contrasimulation to extract from a word game")
     roots = (game.graph.initial,) if roots is None else tuple(roots)
     kinds, states = game.kinds, game.states
     pairs = set()
@@ -665,8 +671,11 @@ def extract_distinguishing_formula(
     decreases from a position to each answer of its challenge, so the
     explicit stack below never revisits a position it is still building.
     The result is satisfied by the position's process and refuted by every
-    member of its set.
+    member of its set.  A word game raises ``ValueError``: its challenges
+    are a word then a swap, not one step.
     """
+    if game.word_bound is not None:
+        raise ValueError("no distinguishing formula is extracted from a word game")
     idx = pos if isinstance(pos, int) else game.index[pos]
     if game.kinds[idx] != ATTACKER:
         raise ValueError("formulas are extracted at attacker positions")
@@ -744,10 +753,11 @@ def bounded_word_game_preorder(lts: Lts, p: int, q: int, max_word_length: int) -
 # -- defender strategies from a known preorder ---------------------------------
 
 
-def _fc_pairs(lts: Lts, relation: Iterable[tuple[int, int]]) -> set[tuple[int, StateSet]]:
+def fc_pairs(lts: Lts, relation: Iterable[tuple[int, int]]) -> set[tuple[int, StateSet]]:
     """The configurations (state, answer set) that the relation's pairs
     reach by synchronized delay words (:func:`relations._configs`), each
-    with every state internally reachable from its state."""
+    with every state internally reachable from its state: ``(p, Q)`` is in
+    it iff it arises from the relation, internal steps of ``p`` included."""
     return {
         (p2, q_set)
         for p1, q_set, _, _ in relations._configs(lts, relation)
@@ -755,19 +765,11 @@ def _fc_pairs(lts: Lts, relation: Iterable[tuple[int, int]]) -> set[tuple[int, S
     }
 
 
-def fc_membership(
-    lts: Lts, relation: Iterable[tuple[int, int]], p: int, q_set: StateSet
-) -> bool:
-    """Whether ``(p, q_set)`` arises from ``relation`` by some synchronized
-    delay word, internal steps on the state side included."""
-    lts._check_state(p)
-    return (p, frozenset(q_set)) in _fc_pairs(lts, relation)
-
-
 def strategy_from_fc(
-    lts: Lts, game: CsGame, relation: Iterable[tuple[int, int]]
+    game: CsGame, configs: AbstractSet[tuple[int, StateSet]]
 ) -> PositionalStrategy:
-    """A positional defender strategy built from a contrasimulation preorder.
+    """A positional defender strategy built from a contrasimulation preorder,
+    given as its configurations ``configs = fc_pairs(game.lts, preorder)``.
 
     Simulation positions take their unique answer.  Swap positions commit to
     the lowest-index internally reachable state whose swapped pair still
@@ -775,7 +777,7 @@ def strategy_from_fc(
     When the initial pair is in the relation, the strategy is defined at
     every defender position it can reach.
     """
-    pairs = _fc_pairs(lts, relation)
+    lts = game.lts
     choice: dict[int, int] = {}
     for idx, pos in enumerate(game.positions):
         if isinstance(pos, SimPos):
@@ -784,7 +786,7 @@ def strategy_from_fc(
         elif isinstance(pos, SwapPos):
             single = frozenset((pos.p,))
             for q2 in sorted(lts.internal_closure(pos.q_set)):
-                if (q2, single) in pairs:
+                if (q2, single) in configs:
                     choice[idx] = game.index[AttackerPos(q2, single)]
                     break
     return PositionalStrategy(Player.DEFENDER, choice)

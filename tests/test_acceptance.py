@@ -18,13 +18,13 @@ from contrasim.csgame import (
     AttackerPos,
     SimPos,
     SwapPos,
-    _fc_pairs,
     bounded_word_game_preorder,
     build_cs_game,
     decide_equivalence,
     decide_preorder,
     extract_contrasimulation,
     extract_distinguishing_formula,
+    fc_pairs,
     naive_single_step_preorder,
     strategy_from_fc,
 )
@@ -188,10 +188,10 @@ def corpus_results(corpus):
         if not check_coupling(lts, oracle):
             results.coupling_failures.append(sys_idx)
 
-        fc_set = _fc_pairs(lts, oracle)
+        fc_set = fc_pairs(lts, oracle)
         for p, q in sorted(oracle):
             game, solution, _ = solved[(p, q)]
-            fc_strategy = strategy_from_fc(lts, game, oracle)
+            fc_strategy = strategy_from_fc(game, fc_set)
             _check_fc_reachable(lts, game, fc_strategy, fc_set, results, (sys_idx, p, q))
     return results
 

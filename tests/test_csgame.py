@@ -16,7 +16,7 @@ from contrasim.csgame import (
     decide_preorder,
     extract_contrasimulation,
     extract_distinguishing_formula,
-    fc_membership,
+    fc_pairs,
     naive_single_step_preorder,
     naive_single_step_relation,
     solve_cs_game_locally,
@@ -700,6 +700,27 @@ def test_bound_one_misses_bound_two_catches(instable):
     assert not bounded_word_game_preorder(lts, pab, pb, 2)
 
 
+def test_extractors_refuse_word_games(instable):
+    """A word challenge is a word then a swap, not a delay step: read as a
+    set-game challenge, the attacker's win at bound 2 would give ``<e>~()``,
+    which both sides satisfy.  Both extractors refuse word games."""
+    lts, pab, pb = instable
+    game, solution, (root,) = solve_cs_game_locally(lts, pab, pb, word_bound=2)
+    assert solution.winner[root] is Player.ATTACKER
+    with pytest.raises(ValueError):
+        extract_distinguishing_formula(game, solution, root)
+    assert game.word_bound == 2
+    game, solution, (root,) = solve_cs_game_locally(lts, pab, pb, word_bound=1)
+    assert solution.winner[root] is Player.DEFENDER
+    with pytest.raises(ValueError):
+        extract_contrasimulation(game, solution, (root,))
+    # the set game keeps both extractors
+    game, solution, (root,) = solve_cs_game_locally(lts, pab, pb)
+    assert game.word_bound is None
+    formula = extract_distinguishing_formula(game, solution, root)
+    assert hml_satisfies(lts, pab, formula) and not hml_satisfies(lts, pb, formula)
+
+
 def test_bounded_game_reflexive(instable):
     lts, pab, _ = instable
     for bound in (1, 2, 3):
@@ -742,32 +763,33 @@ def test_bounded_game_over_approximates(lts):
 def test_fc_membership_contains_the_relation(phil):
     lts, pc, pp = phil
     oracle = contrasim_preorder(lts)
+    configs = fc_pairs(lts, oracle)
     for p, q in sorted(oracle)[:10]:
-        assert fc_membership(lts, oracle, p, frozenset({q}))
+        assert (p, frozenset({q})) in configs
 
 
 def test_fc_membership_after_one_challenge(phil):
     lts, pc, pp = phil
     ab, q1, *_ = transcript_states(lts, pc, pp)
     oracle = contrasim_preorder(lts)
-    assert fc_membership(lts, oracle, ab, q1)
+    assert (ab, q1) in fc_pairs(lts, oracle)
 
 
 def test_fc_membership_false_off_the_word_successors():
     lts = Lts(3, [(0, act("a"), 1), (1, act("a"), 2)])
-    relation = {(0, 0)}
-    assert fc_membership(lts, relation, 0, frozenset({0}))
-    assert fc_membership(lts, relation, 1, frozenset({1}))
-    assert not fc_membership(lts, relation, 1, frozenset({0}))
-    assert not fc_membership(lts, relation, 0, frozenset({1, 2}))
-    assert not fc_membership(lts, relation, 2, frozenset({0, 1}))
+    configs = fc_pairs(lts, {(0, 0)})
+    assert (0, frozenset({0})) in configs
+    assert (1, frozenset({1})) in configs
+    assert (1, frozenset({0})) not in configs
+    assert (0, frozenset({1, 2})) not in configs
+    assert (2, frozenset({0, 1})) not in configs
 
 
 def test_fc_strategy_defined_at_all_sim_positions(phil):
     lts, pc, pp = phil
     game = build_cs_game(lts, pc, pp)
     oracle = contrasim_preorder(lts)
-    f = strategy_from_fc(lts, game, oracle)
+    f = strategy_from_fc(game, fc_pairs(lts, oracle))
     for idx, pos in enumerate(game.positions):
         if isinstance(pos, SimPos):
             assert f.move_from(idx) == game.graph.moves[idx][0]
@@ -780,7 +802,7 @@ def test_fc_strategy_makes_the_documented_swap_choice(phil):
     game = build_cs_game(lts, pc, pp)
     _, q1, ta_c, *_ = transcript_states(lts, pc, pp)
     oracle = contrasim_preorder(lts)
-    f = strategy_from_fc(lts, game, oracle)
+    f = strategy_from_fc(game, fc_pairs(lts, oracle))
     swap_idx = game.index[SwapPos(ta_c, q1)]
     answer = game.positions[f.move_from(swap_idx)]
     assert isinstance(answer, AttackerPos)
@@ -797,7 +819,7 @@ def test_fc_strategy_survives_random_attackers(phil):
     lts, pc, pp = phil
     game = build_cs_game(lts, pc, pp)
     oracle = contrasim_preorder(lts)
-    f = strategy_from_fc(lts, game, oracle)
+    f = strategy_from_fc(game, fc_pairs(lts, oracle))
     rng = random.Random(99)
 
     def random_attacker(graph, position):
