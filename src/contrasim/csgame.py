@@ -38,12 +38,15 @@ position whose set strictly contains that of an expanded, undecided one of
 the same state on that one instead of expanding it, in the manner of the
 antichains of De Wulf, Doyen, Henzinger & Raskin (CAV 2006).  And the
 defender wins every attacker position ``(p, Q)`` with ``p`` in ``Q``, by
-mirroring: a simulation answer contains ``p``'s own delay step, which keeps
-``p`` in ``Q``, and a swap to ``p'`` is answered by ``p'``.  So the local
-search answers a swap ``SwapPos(p', Q)`` with ``p'`` in the internal
-closure of ``Q`` by that mirror answer alone, ``AttackerPos(p', {p'})``.  A
-holding check thus explores only part of the game.  The certificate
-extractors read the lists directly.
+copying the attacker: a simulation answer contains ``p``'s own delay step,
+which keeps ``p`` in ``Q``, and a swap to ``p'`` is answered by ``p'``.  So
+the local search leaves each such position, once taken, to the defender
+without expanding it (it is copied), and answers a swap ``SwapPos(p', Q)``
+with ``p'`` in the internal closure of ``Q`` by that mirror answer alone,
+``AttackerPos(p', {p'})``, which is copied in turn.  A holding check thus
+explores only part of the game.  The certificate extractors read the lists
+directly; the relation takes the identity on the states reachable from each
+copied position.
 
 The module also carries two deliberately weaker procedures kept for
 comparison: a single-step fixed point that is unsound for the preorder, and
@@ -51,8 +54,9 @@ a word mode of the same game, in which the attacker challenges with a word
 of at most a given length and a swap (see :func:`cs_successors`).  Its
 empty-word challenges are the reflexive swaps, so it too decides both
 directions in one game.  Its attacker positions are all over one state, so
-it never parks, and its swaps are mirrored the same way; the certificate
-extractors raise ``ValueError`` on it (:attr:`CsGame.word_bound`).
+it never parks, and its swaps are mirrored and its positions copied the
+same way; the certificate extractors raise ``ValueError`` on it
+(:attr:`CsGame.word_bound`).
 """
 
 from collections import deque
@@ -162,7 +166,9 @@ class CsGame:
     generated, and in ``graph`` each of them is a defender position with
     one move.  A parked attacker position moves to its cover, an expanded
     attacker position of the same state over a strict subset of its set;
-    any other frontier position moves to itself.  ``word_bound`` is the
+    any other frontier position moves to itself.  Among those are the
+    copied positions, the attacker positions ``(p, Q)`` with ``p`` in ``Q``,
+    which the defender wins by copying the attacker.  ``word_bound`` is the
     bound of a word game, ``None`` for the set game.
     """
 
@@ -441,20 +447,24 @@ def solve_cs_game_locally(
     whose attacker positions are all over singletons, the word game among
     them, never list covers.
 
-    A swap ``SwapPos(p', Q)`` whose ``p'`` lies in the internal closure of
-    ``Q`` is expanded to one move, the mirror answer ``AttackerPos(p',
-    {p'})``.  From any ``(p, Q)`` with ``p`` in ``Q`` the defender keeps
-    ``p`` in ``Q``: a simulation answer contains ``p``'s own delay step, and
-    a swap to ``p'`` is answered by ``p'``; in the word game the defender
-    answers every word with the attacker's own path.  So a mirrored swap is
-    a defender win in the whole game and in the pruned one, and every other
-    position keeps its winner.
+    From any attacker position ``(p, Q)`` with ``p`` in ``Q`` the defender
+    keeps ``p`` in ``Q``: a simulation answer contains ``p``'s own delay
+    step, and a swap to ``p'`` is answered by ``p'``; in the word game the
+    defender answers every word with the attacker's own path.  So such a
+    position is copied: when it is taken, before any parking, it is left
+    unexpanded, a defender position that moves to itself, and it never
+    parks nor covers.  A swap ``SwapPos(p', Q)`` whose ``p'`` lies in the
+    internal closure of ``Q`` is expanded to one move, the mirror answer
+    ``AttackerPos(p', {p'})``, which is copied.  Copied positions and
+    mirrored swaps are defender wins in the whole game and in the pruned
+    one, and every other position keeps its winner.
 
-    When the defender wins every root, every position found is expanded or
-    parked, and the propagated region is the exact attractor of that game,
-    so the solution is completed from it with :func:`solve`'s defender
-    rule; without parked positions and mirrored swaps the extracted
-    relation is the one ``solve(build_cs_game(...).graph)`` gives.
+    When the defender wins every root, every position found is expanded,
+    parked or copied, and the propagated region is the exact attractor of
+    that game, so the solution is completed from it with :func:`solve`'s
+    defender rule; without parked, copied or mirrored positions the
+    extracted relation is the one ``solve(build_cs_game(...).graph)``
+    gives.
     Otherwise :func:`solve` runs on the explored game, in which every
     unexpanded position, listed in :attr:`CsGame.frontier`, becomes a
     defender position whose only move leads to its cover, if it is parked,
@@ -499,6 +509,8 @@ def solve_cs_game_locally(
         if moves[at] is not None:
             continue
         kind = kinds[at]
+        if kind == ATTACKER and states[at] in q_sets[q_ids[at]]:
+            continue  # copied: the defender wins by copying the attacker
         if kind == ATTACKER and (lowest > 1 or covers is not None):
             if covers is None:
                 covers = [[] for _ in range(n)]
@@ -623,8 +635,12 @@ def extract_contrasimulation(
     roots (all attacker moves, only the strategy's defender moves), the
     swapped pair it commits to.  A parked position keeps its attacker kind
     and has its cover as its one move, so the walk goes on from the cover.
-    It always passes the independent contrasimulation check.  A word game
-    raises ``ValueError``: a defender win there gives no contrasimulation.
+    A copied position, an attacker position that moves to itself, adds
+    ``(s, s)`` for every state ``s`` reachable from its state, since from
+    there the defender copies the attacker; one walk over the system's
+    steps covers all of them.  The relation always passes the independent
+    contrasimulation check.  A word game raises ``ValueError``: a defender
+    win there gives no contrasimulation.
     """
     if game.word_bound is not None:
         raise ValueError("no contrasimulation to extract from a word game")
@@ -641,10 +657,13 @@ def extract_contrasimulation(
 
     reached = set(roots)
     todo = deque(roots)
+    copied = []  # states of the copied positions met
     while todo:
         idx = todo.popleft()
         if kinds[idx] == ATTACKER:
             targets: Iterable[int] = game.graph.moves[idx]
+            if targets == (idx,):
+                copied.append(states[idx])
         else:
             chosen = solution.defender_strategy.move_from(idx)
             if chosen is None:
@@ -657,6 +676,15 @@ def extract_contrasimulation(
             if t not in reached:
                 reached.add(t)
                 todo.append(t)
+
+    # The identity on the states reachable from the copied ones.
+    strong = game.lts._strong
+    seen = set(copied)
+    while copied:
+        for targets in strong[copied.pop()].values():
+            copied += targets - seen
+            seen |= targets
+    pairs.update((s, s) for s in seen)
     return frozenset(pairs)
 
 
@@ -772,22 +800,20 @@ def strategy_from_fc(
     given as its configurations ``configs = fc_pairs(game.lts, preorder)``.
 
     Simulation positions take their unique answer.  Swap positions commit to
-    the lowest-index internally reachable state whose swapped pair still
-    arises from the relation; where none does, the strategy is undefined.
-    When the initial pair is in the relation, the strategy is defined at
-    every defender position it can reach.
+    their first answer, in state order, whose swapped pair still arises
+    from the relation; where none does, the strategy is undefined.  When
+    the initial pair is in the relation, the strategy is defined at every
+    defender position it can reach.
     """
-    lts = game.lts
+    states, q_ids, q_sets, moves = game.states, game.q_ids, game.q_sets, game.graph.moves
     choice: dict[int, int] = {}
-    for idx, pos in enumerate(game.positions):
-        if isinstance(pos, SimPos):
-            (answer,) = game.graph.moves[idx]
-            choice[idx] = answer
-        elif isinstance(pos, SwapPos):
-            single = frozenset((pos.p,))
-            for q2 in sorted(lts.internal_closure(pos.q_set)):
-                if (q2, single) in configs:
-                    choice[idx] = game.index[AttackerPos(q2, single)]
+    for idx, kind in enumerate(game.kinds):
+        if kind == SIM:
+            choice[idx] = moves[idx][0]
+        elif kind == SWAP:
+            for t in moves[idx]:
+                if (states[t], q_sets[q_ids[t]]) in configs:
+                    choice[idx] = t
                     break
     return PositionalStrategy(Player.DEFENDER, choice)
 

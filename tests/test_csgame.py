@@ -235,20 +235,55 @@ def assert_solution_sound(graph, solution) -> None:
             assert all(solution.attacker_rank[t] < rank for t in graph.moves[g])
 
 
+def reachable_states(lts: Lts, start: int) -> set[int]:
+    """Every state reachable from ``start`` by any steps."""
+    seen = {start}
+    todo = [start]
+    while todo:
+        here = frozenset((todo.pop(),))
+        steps = lts.internal_closure(here).union(
+            *(lts.delay_successors(here, a) for a in lts.visible_actions)
+        )
+        todo += steps - seen
+        seen |= steps
+    return seen
+
+
+def copied_states_in_play(game, solution, root: int) -> set[int]:
+    """The states of the copied positions in the play subgraph from
+    ``root``: all attacker moves, only the defender strategy's moves."""
+    reached, todo, out = {root}, [root], set()
+    while todo:
+        i = todo.pop()
+        if game.graph.owner[i] is Player.ATTACKER:
+            targets = game.graph.moves[i]
+        else:
+            targets = (solution.defender_strategy.move_from(i),)
+            if targets == (i,):
+                out.add(game.states[i])
+        todo += [t for t in targets if t not in reached]
+        reached.update(targets)
+    return out
+
+
 def check_local_against_eager(lts: Lts, p: int, q: int, word_bound: int | None = None) -> None:
     """Local solving at both roots agrees with the solved full game: the
     same verdicts, and no more positions or moves than the full game.  Each
     position the local run gives to the attacker is attacker-won in the
     full game, and when every root holds, so is every expanded position's
-    winner the full game's.  Each unexpanded position either loops on
-    itself or is parked on a cover: an expanded, defender-won attacker
-    position of the same state over a strict subset of its set.  Each swap
-    to a state in the closure of its set is mirrored: its one move leads
-    to the attacker's own state, ``AttackerPos(p', {p'})``, which the full
-    game gives to the defender; every other expanded swap has all its
-    answers.  In the set game, relations and formulas are sound, and
-    without parked positions and mirrored swaps the relations are those
-    of the full game."""
+    winner the full game's.  Each unexpanded position is copied, parked or
+    left behind once the attacker has won every root.  A copied position
+    is an attacker position ``(p, Q)`` with ``p`` in ``Q`` that loops on
+    itself and that the full game gives to the defender.  A parked one
+    moves to its cover: an expanded, defender-won attacker position of the
+    same state over a strict subset of its set.  Each swap to a state in
+    the closure of its set is mirrored: its one move leads to the
+    attacker's own state, ``AttackerPos(p', {p'})``, which is copied;
+    every other expanded swap has all its answers.  In the set game,
+    relations and formulas are sound, each relation contains the identity
+    on the states reachable from every copied position its play meets,
+    and without parked, mirrored or copied positions the relations are
+    those of the full game."""
     eager = build_cs_game(lts, p, q, word_bound=word_bound)
     eager_solution = solve(eager.graph)
     eager_roots = (eager.graph.initial, eager.index[AttackerPos(q, frozenset({p}))])
@@ -264,32 +299,41 @@ def check_local_against_eager(lts: Lts, p: int, q: int, word_bound: int | None =
         frontier = set(game.frontier)
         eager_winner = [eager_solution.winner[eager.index[pos]] for pos in game.positions]
         held = all(solution.winner[r] is Player.DEFENDER for r in roots)
+        lost = all(solution.winner[r] is Player.ATTACKER for r in roots)
         for i, winner in enumerate(solution.winner):
             if winner is Player.ATTACKER or (held and i not in frontier):
                 assert winner is eager_winner[i]
-        parked = False
+        parked = copied = False
         for i in game.frontier:
             (cover,) = game.graph.moves[i]
             assert solution.winner[i] is Player.DEFENDER
+            pos = game.positions[i]
             if cover == i:
+                if isinstance(pos, AttackerPos) and pos.p in pos.q_set:
+                    copied = True
+                    assert eager_winner[i] is Player.DEFENDER
+                else:
+                    assert lost
                 continue
             parked = True
-            pos = game.positions[i]
             assert isinstance(pos, AttackerPos) and len(pos.q_set) >= 2
+            assert pos.p not in pos.q_set
             assert cover not in frontier
             assert solution.winner[cover] is Player.DEFENDER
             assert game.positions[cover] == AttackerPos(pos.p, game.positions[cover].q_set)
             assert game.positions[cover].q_set < pos.q_set
         mirrored = False
         for i, pos in enumerate(game.positions):
-            if not isinstance(pos, SwapPos) or i in frontier:
+            if i in frontier:
+                continue
+            assert not (isinstance(pos, AttackerPos) and pos.p in pos.q_set)
+            if not isinstance(pos, SwapPos):
                 continue
             answers = sorted(lts.internal_closure(pos.q_set))
             if pos.p in answers:
                 mirrored = True
                 mirror = AttackerPos(pos.p, frozenset({pos.p}))
                 assert game.graph.moves[i] == (game.index[mirror],)
-                assert eager_solution.winner[eager.index[mirror]] is Player.DEFENDER
             else:
                 single = frozenset({pos.p})
                 assert [game.positions[t] for t in game.graph.moves[i]] == [
@@ -305,7 +349,9 @@ def check_local_against_eager(lts: Lts, p: int, q: int, word_bound: int | None =
                 relation = extract_contrasimulation(game, solution, (root,))
                 assert (left, right) in relation
                 assert is_contrasimulation(lts, relation)
-                if not parked and not mirrored:
+                for s in copied_states_in_play(game, solution, root):
+                    assert {(r, r) for r in reachable_states(lts, s)} <= relation
+                if not (parked or mirrored or copied):
                     assert relation == extract_contrasimulation(eager, eager_solution, (eager_root,))
             else:
                 phi = extract_distinguishing_formula(game, solution, root)
@@ -373,20 +419,21 @@ def test_local_formula_on_chain_as_short_as_on_full_game():
 
 
 def test_local_solving_parks_larger_sets_on_holding_games():
-    """The full phil(8) game has 36,353 positions.  Parking every attacker
-    position whose set contains the set of an explored, undecided one of
-    the same state decides both directions within half of them, and the
-    relation read off the pruned game is a contrasimulation."""
-    lts, pc, pp = phil_shape(8)
-    assert lts.state_count == 25
-    full = build_cs_game(lts, pc, pp).graph.position_count
-    assert full == 36_353
-    game, solution, roots = solve_cs_game_locally(lts, pc, pp, swapped=True)
+    """A random system of 8 states whose full game from states 0 and 5 has
+    501 positions.  Parking every attacker position whose set contains the
+    set of an explored, undecided one of the same state decides both
+    directions within half of them, and the relation read off the pruned
+    game is a contrasimulation."""
+    lts = make_random_lts(random.Random(54), n_states=8, n_actions=2)
+    p, q = 0, 5
+    full = build_cs_game(lts, p, q).graph.position_count
+    assert full == 501
+    game, solution, roots = solve_cs_game_locally(lts, p, q, swapped=True)
     assert all(solution.winner[r] is Player.DEFENDER for r in roots)
     assert game.graph.position_count <= full // 2
     assert any(game.graph.moves[i] != (i,) for i in game.frontier)
     relation = extract_contrasimulation(game, solution, roots)
-    assert {(pc, pp), (pp, pc)} <= relation
+    assert {(p, q), (q, p)} <= relation
     assert is_contrasimulation(lts, relation)
 
 
@@ -410,10 +457,12 @@ def test_defender_wins_are_upward_closed(lts, data):
 @given(random_lts_strategy(), st.data())
 @settings(max_examples=60, deadline=None)
 def test_defender_wins_where_the_attacker_state_is_in_the_set(lts, data):
-    """Reflexivity, which mirror answers rely on: the defender wins every
-    attacker position ``(p, Q)`` with ``p`` in ``Q``.  Mirroring keeps
-    ``p`` in ``Q``: a simulation answer contains ``p``'s own delay step,
-    and a swap to ``p'`` is answered by ``p'`` itself."""
+    """Reflexivity, which copied positions and mirror answers rely on: the
+    defender wins every attacker position ``(p, Q)`` with ``p`` in ``Q``,
+    so the local search leaves each such position to the defender without
+    expanding it.  Copying keeps ``p`` in ``Q``: a simulation answer
+    contains ``p``'s own delay step, and a swap to ``p'`` is answered by
+    ``p'`` itself."""
     p = data.draw(st.integers(0, lts.state_count - 1))
     q = data.draw(st.integers(0, lts.state_count - 1))
     game = build_cs_game(lts, p, q)
@@ -423,18 +472,24 @@ def test_defender_wins_where_the_attacker_state_is_in_the_set(lts, data):
             assert winner[i] is Player.DEFENDER
 
 
-def test_mirror_answers_keep_holding_checks_linear():
-    """The full phil(12) game grows as 2^12, and without mirror answers the
-    local search explores 293,607 of its positions.  Answering each swap
-    to a state in the closure of the defender's set with that state alone
-    decides both directions within 500."""
-    lts, pc, pp = phil_shape(12)
-    game, solution, roots = solve_cs_game_locally(lts, pc, pp, swapped=True)
-    assert all(solution.winner[r] is Player.DEFENDER for r in roots)
-    assert game.graph.position_count <= 500
-    relation = extract_contrasimulation(game, solution, roots)
-    assert {(pc, pp), (pp, pc)} <= relation
-    assert is_contrasimulation(lts, relation)
+def test_copied_positions_keep_holding_checks_constant():
+    """The full phil(k) game grows as 2^k.  Mirror answers alone keep the
+    holding check linear in k (133 positions for k = 4, 277 for k = 12);
+    leaving every attacker position whose state lies in the defender's set
+    to the defender, unexpanded, decides both directions within the same
+    positions for every k, and the relation read off them is a
+    contrasimulation."""
+    counts = set()
+    for k in (4, 8, 12, 16):
+        lts, pc, pp = phil_shape(k)
+        game, solution, roots = solve_cs_game_locally(lts, pc, pp, swapped=True)
+        assert all(solution.winner[r] is Player.DEFENDER for r in roots)
+        counts.add(game.graph.position_count)
+        relation = extract_contrasimulation(game, solution, roots)
+        assert {(pc, pp), (pp, pc)} <= relation
+        if k == 8:
+            assert is_contrasimulation(lts, relation)
+    assert len(counts) == 1
 
 
 # -- deciding the preorder ----------------------------------------------------------
