@@ -32,30 +32,24 @@ graph the DOT export draws, and the reference the local search is tested
 against.  :func:`solve_cs_game_locally`, which decides every query, expands
 positions over the smallest defender sets first, propagates attacker wins
 as soon as a position's moves are known, and stops once the attacker wins
-every queried root.  Defender wins are upward-closed in the defender's set
-(more answers only help the defender), so it also parks an attacker
-position whose set strictly contains that of an expanded, undecided one of
-the same state on that one instead of expanding it, in the manner of the
-antichains of De Wulf, Doyen, Henzinger & Raskin (CAV 2006).  And the
-defender wins every attacker position ``(p, Q)`` with ``p`` in ``Q``, by
-copying the attacker: a simulation answer contains ``p``'s own delay step,
-which keeps ``p`` in ``Q``, and a swap to ``p'`` is answered by ``p'``.  So
-the local search leaves each such position, once taken, to the defender
-without expanding it (it is copied), and answers a swap ``SwapPos(p', Q)``
-with ``p'`` in the internal closure of ``Q`` by that mirror answer alone,
-``AttackerPos(p', {p'})``, which is copied in turn.  A holding check thus
-explores only part of the game.  The certificate extractors read the lists
-directly; the relation takes the identity on the states reachable from each
-copied position.
+every queried root.  The defender wins every attacker position ``(p, Q)``
+with ``p`` in ``Q``, by copying the attacker: a simulation answer contains
+``p``'s own delay step, which keeps ``p`` in ``Q``, and a swap to ``p'`` is
+answered by ``p'``.  So the local search leaves each such position, once
+taken, to the defender without expanding it (it is copied), and answers a
+swap ``SwapPos(p', Q)`` with ``p'`` in the internal closure of ``Q`` by
+that mirror answer alone, ``AttackerPos(p', {p'})``, which is copied in
+turn.  A holding check thus explores only part of the game.  The
+certificate extractors read the lists directly; the relation takes the
+identity on the states reachable from each copied position.
 
 The module also carries two deliberately weaker procedures kept for
 comparison: a single-step fixed point that is unsound for the preorder, and
 a word mode of the same game, in which the attacker challenges with a word
 of at most a given length and a swap (see :func:`cs_successors`).  Its
 empty-word challenges are the reflexive swaps, so it too decides both
-directions in one game.  Its attacker positions are all over one state, so
-it never parks, and its swaps are mirrored and its positions copied the
-same way; the certificate extractors raise ``ValueError`` on it
+directions in one game.  Its swaps are mirrored and its positions copied
+the same way; the certificate extractors raise ``ValueError`` on it
 (:attr:`CsGame.word_bound`).
 """
 
@@ -163,13 +157,11 @@ class CsGame:
 
     A game explored by :func:`solve_cs_game_locally` may stop short of the
     reachable game: ``frontier`` lists the positions whose moves were never
-    generated, and in ``graph`` each of them is a defender position with
-    one move.  A parked attacker position moves to its cover, an expanded
-    attacker position of the same state over a strict subset of its set;
-    any other frontier position moves to itself.  Among those are the
-    copied positions, the attacker positions ``(p, Q)`` with ``p`` in ``Q``,
-    which the defender wins by copying the attacker.  ``word_bound`` is the
-    bound of a word game, ``None`` for the set game.
+    generated, and in ``graph`` each of them is a defender position whose
+    one move leads to itself.  Among them are the copied positions, the
+    attacker positions ``(p, Q)`` with ``p`` in ``Q``, which the defender
+    wins by copying the attacker.  ``word_bound`` is the bound of a word
+    game, ``None`` for the set game.
     """
 
     lts: Lts
@@ -435,41 +427,27 @@ def solve_cs_game_locally(
     Exploration stops when the attacker has won every root, or when no
     unexpanded position is left.
 
-    An attacker position ``(s, Q')`` with two or more states in ``Q'`` is
-    parked instead of expanded when an expanded attacker position
-    ``(s, Q)`` with ``Q`` strictly inside ``Q'`` is not won yet: its cover.
-    If the cover is won later, the positions parked on it are queued again.
-    A parked position is a defender position whose one move leads to its
-    cover.  Every answer from ``Q`` is also one from ``Q'``, so a defender
-    win through the cover is a win of the whole game, and an attacker win
-    never passes through a parked position.  Only attacker positions are
-    parked, so relation pairs still come from real swap answers.  Games
-    whose attacker positions are all over singletons, the word game among
-    them, never list covers.
-
     From any attacker position ``(p, Q)`` with ``p`` in ``Q`` the defender
     keeps ``p`` in ``Q``: a simulation answer contains ``p``'s own delay
     step, and a swap to ``p'`` is answered by ``p'``; in the word game the
     defender answers every word with the attacker's own path.  So such a
-    position is copied: when it is taken, before any parking, it is left
-    unexpanded, a defender position that moves to itself, and it never
-    parks nor covers.  A swap ``SwapPos(p', Q)`` whose ``p'`` lies in the
-    internal closure of ``Q`` is expanded to one move, the mirror answer
-    ``AttackerPos(p', {p'})``, which is copied.  Copied positions and
+    position is copied: when it is taken, it is left unexpanded, a defender
+    position that moves to itself.  A swap ``SwapPos(p', Q)`` whose ``p'``
+    lies in the internal closure of ``Q`` is expanded to one move, the
+    mirror answer ``AttackerPos(p', {p'})``, which is copied.  Copied positions and
     mirrored swaps are defender wins in the whole game and in the pruned
     one, and every other position keeps its winner.
 
-    When the defender wins every root, every position found is expanded,
-    parked or copied, and the propagated region is the exact attractor of
-    that game, so the solution is completed from it with :func:`solve`'s
-    defender rule; without parked, copied or mirrored positions the
-    extracted relation is the one ``solve(build_cs_game(...).graph)``
-    gives.
+    When the defender wins every root, every position found is expanded or
+    copied, and the propagated region is the exact attractor of that game,
+    so the solution is completed from it with :func:`solve`'s defender
+    rule; without copied or mirrored positions the extracted relation is
+    the one ``solve(build_cs_game(...).graph)`` gives.
     Otherwise :func:`solve` runs on the explored game, in which every
     unexpanded position, listed in :attr:`CsGame.frontier`, becomes a
-    defender position whose only move leads to its cover, if it is parked,
-    or to itself, so no attacker win is claimed through it; the attacker's
-    strategy then has minimum rank on what was explored.
+    defender position whose only move leads to itself, so no attacker win
+    is claimed through it; the attacker's strategy then has minimum rank on
+    what was explored.
     """
     lts._check_state(p)
     lts._check_state(q)
@@ -492,11 +470,6 @@ def solve_cs_game_locally(
     buckets[1] += reversed(roots)
     lowest = 1
     undecided = set(roots)
-    # covers[s]: (set, index) of each expanded attacker position of state s,
-    # listed from the first time an attacker position over two or more
-    # states is taken, so that games of singleton sets never pay for it.
-    covers: list[list[tuple[StateSet, int]]] | None = None
-    waiting: dict[int, list[int]] = {}  # cover -> the positions parked on it
 
     while undecided:
         bucket = buckets[lowest]
@@ -511,21 +484,6 @@ def solve_cs_game_locally(
         kind = kinds[at]
         if kind == ATTACKER and states[at] in q_sets[q_ids[at]]:
             continue  # copied: the defender wins by copying the attacker
-        if kind == ATTACKER and (lowest > 1 or covers is not None):
-            if covers is None:
-                covers = [[] for _ in range(n)]
-                for i, done in enumerate(moves):
-                    if done is not None and kinds[i] == ATTACKER and not won[i]:
-                        covers[states[i]].append((q_sets[q_ids[i]], i))
-            s, q_set = states[at], q_sets[q_ids[at]]
-            if lowest > 1:
-                # Won positions cover nothing: drop them for good.
-                mine = covers[s] = [entry for entry in covers[s] if not won[entry[1]]]
-                cover = next((c for c_set, c in mine if c_set < q_set), -1)
-                if cover >= 0:
-                    waiting.setdefault(cover, []).append(at)
-                    continue
-            covers[s].append((q_set, at))
         if kind == SWAP and states[at] in closed(q_ids[at]):
             # The mirror answer: the defender swaps to the attacker's own state.
             row = moves[at] = (attacker(states[at], states[at]),)
@@ -570,13 +528,6 @@ def solve_cs_game_locally(
             w = stack.pop()
             order.append(w)
             undecided.discard(w)
-            if waiting and w in waiting:
-                # A won cover no longer speaks for larger sets: take them up again.
-                for u in waiting.pop(w):
-                    k = len(q_sets[q_ids[u]])
-                    buckets[k].append(u)
-                    if k < lowest:
-                        lowest = k
             for u in preds[w]:
                 if won[u]:
                     continue
@@ -591,11 +542,10 @@ def solve_cs_game_locally(
                         stack.append(u)
             preds[w] = None  # a won position gains no predecessors
 
-    parked = {u: cover for cover, us in waiting.items() for u in us}
-    del preds, pending, buckets, covers, waiting
+    del preds, pending, buckets
     frontier = tuple(i for i, row in enumerate(moves) if row is None)
     for i in frontier:
-        moves[i] = (parked.get(i, i),)
+        moves[i] = (i,)
     game = expander.game(moves, frontier)
     del expander, row_of, attacker  # frees the position index before solving
     if len(undecided) < len(set(roots)):
@@ -633,9 +583,7 @@ def extract_contrasimulation(
     default the initial position.  The result contains the pair of each
     root plus, for every swap answer inside the play subgraph from the
     roots (all attacker moves, only the strategy's defender moves), the
-    swapped pair it commits to.  A parked position keeps its attacker kind
-    and has its cover as its one move, so the walk goes on from the cover.
-    A copied position, an attacker position that moves to itself, adds
+    swapped pair it commits to.  A copied position, an attacker position that moves to itself, adds
     ``(s, s)`` for every state ``s`` reachable from its state, since from
     there the defender copies the attacker; one walk over the system's
     steps covers all of them.  The relation always passes the independent

@@ -54,8 +54,8 @@ class GameGraph:
         cls, owner: Iterable[Player], moves: Iterable[Iterable[int]], initial: int = 0
     ) -> "GameGraph":
         """A graph whose rows are already in range and free of duplicates,
-        as the set game and the word game generate them: the rows are taken
-        without the constructor's checks."""
+        as the set game generates them, in its word mode too: the rows are
+        taken without the constructor's checks."""
         graph = cls.__new__(cls)
         graph.owner = tuple(owner)
         graph.moves = tuple(map(tuple, moves))

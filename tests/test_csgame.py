@@ -271,19 +271,17 @@ def check_local_against_eager(lts: Lts, p: int, q: int, word_bound: int | None =
     same verdicts, and no more positions or moves than the full game.  Each
     position the local run gives to the attacker is attacker-won in the
     full game, and when every root holds, so is every expanded position's
-    winner the full game's.  Each unexpanded position is copied, parked or
-    left behind once the attacker has won every root.  A copied position
-    is an attacker position ``(p, Q)`` with ``p`` in ``Q`` that loops on
-    itself and that the full game gives to the defender.  A parked one
-    moves to its cover: an expanded, defender-won attacker position of the
-    same state over a strict subset of its set.  Each swap to a state in
+    winner the full game's.  Each unexpanded position moves to itself, and
+    it is copied or left behind once the attacker has won every root.  A
+    copied position is an attacker position ``(p, Q)`` with ``p`` in ``Q``
+    that the full game gives to the defender.  Each swap to a state in
     the closure of its set is mirrored: its one move leads to the
     attacker's own state, ``AttackerPos(p', {p'})``, which is copied;
     every other expanded swap has all its answers.  In the set game,
     relations and formulas are sound, each relation contains the identity
     on the states reachable from every copied position its play meets,
-    and without parked, mirrored or copied positions the relations are
-    those of the full game."""
+    and without mirrored or copied positions the relations are those of
+    the full game."""
     eager = build_cs_game(lts, p, q, word_bound=word_bound)
     eager_solution = solve(eager.graph)
     eager_roots = (eager.graph.initial, eager.index[AttackerPos(q, frozenset({p}))])
@@ -303,25 +301,16 @@ def check_local_against_eager(lts: Lts, p: int, q: int, word_bound: int | None =
         for i, winner in enumerate(solution.winner):
             if winner is Player.ATTACKER or (held and i not in frontier):
                 assert winner is eager_winner[i]
-        parked = copied = False
+        copied = False
         for i in game.frontier:
-            (cover,) = game.graph.moves[i]
+            assert game.graph.moves[i] == (i,)
             assert solution.winner[i] is Player.DEFENDER
             pos = game.positions[i]
-            if cover == i:
-                if isinstance(pos, AttackerPos) and pos.p in pos.q_set:
-                    copied = True
-                    assert eager_winner[i] is Player.DEFENDER
-                else:
-                    assert lost
-                continue
-            parked = True
-            assert isinstance(pos, AttackerPos) and len(pos.q_set) >= 2
-            assert pos.p not in pos.q_set
-            assert cover not in frontier
-            assert solution.winner[cover] is Player.DEFENDER
-            assert game.positions[cover] == AttackerPos(pos.p, game.positions[cover].q_set)
-            assert game.positions[cover].q_set < pos.q_set
+            if isinstance(pos, AttackerPos) and pos.p in pos.q_set:
+                copied = True
+                assert eager_winner[i] is Player.DEFENDER
+            else:
+                assert lost
         mirrored = False
         for i, pos in enumerate(game.positions):
             if i in frontier:
@@ -351,7 +340,7 @@ def check_local_against_eager(lts: Lts, p: int, q: int, word_bound: int | None =
                 assert is_contrasimulation(lts, relation)
                 for s in copied_states_in_play(game, solution, root):
                     assert {(r, r) for r in reachable_states(lts, s)} <= relation
-                if not (parked or mirrored or copied):
+                if not (mirrored or copied):
                     assert relation == extract_contrasimulation(eager, eager_solution, (eager_root,))
             else:
                 phi = extract_distinguishing_formula(game, solution, root)
@@ -418,12 +407,11 @@ def test_local_formula_on_chain_as_short_as_on_full_game():
     assert phi == extract_distinguishing_formula(eager, eager_solution, 0)
 
 
-def test_local_solving_parks_larger_sets_on_holding_games():
+def test_local_solving_explores_part_of_a_holding_game():
     """A random system of 8 states whose full game from states 0 and 5 has
-    501 positions.  Parking every attacker position whose set contains the
-    set of an explored, undecided one of the same state decides both
-    directions within half of them, and the relation read off the pruned
-    game is a contrasimulation."""
+    501 positions.  Both directions hold; the local search decides them
+    within half of those positions (it explores 227), and the relation
+    read off the explored part is a contrasimulation."""
     lts = make_random_lts(random.Random(54), n_states=8, n_actions=2)
     p, q = 0, 5
     full = build_cs_game(lts, p, q).graph.position_count
@@ -431,7 +419,6 @@ def test_local_solving_parks_larger_sets_on_holding_games():
     game, solution, roots = solve_cs_game_locally(lts, p, q, swapped=True)
     assert all(solution.winner[r] is Player.DEFENDER for r in roots)
     assert game.graph.position_count <= full // 2
-    assert any(game.graph.moves[i] != (i,) for i in game.frontier)
     relation = extract_contrasimulation(game, solution, roots)
     assert {(p, q), (q, p)} <= relation
     assert is_contrasimulation(lts, relation)
@@ -440,9 +427,9 @@ def test_local_solving_parks_larger_sets_on_holding_games():
 @given(random_lts_strategy(), st.data())
 @settings(max_examples=60, deadline=None)
 def test_defender_wins_are_upward_closed(lts, data):
-    """Monotonicity, which parking relies on: for attacker positions
-    ``(p, Q)`` and ``(p, Q')`` of one game with ``Q`` inside ``Q'``, a
-    defender win at the first gives one at the second."""
+    """Monotonicity: for attacker positions ``(p, Q)`` and ``(p, Q')`` of
+    one game with ``Q`` inside ``Q'``, a defender win at the first gives
+    one at the second."""
     p = data.draw(st.integers(0, lts.state_count - 1))
     q = data.draw(st.integers(0, lts.state_count - 1))
     game = build_cs_game(lts, p, q)
