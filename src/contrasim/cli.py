@@ -28,7 +28,8 @@ For a gameless notion ``solve_ms`` times computing the relation, or the
 classes.
 
 Exit codes: 0 when the checked relation holds, 1 when it fails, 2 on usage,
-parse, file, or budget errors (states or game positions), and 3 on an
+parse, file, or budget errors (states, game positions, or the words a
+``bounded-word-game`` query lists as challenges), and 3 on an
 internal error (a defect), which prints ``internal error: <type>:
 <message>`` after its traceback on stderr.  A failing contrasimulation
 check is certified by a formula that the first failing direction's left
@@ -80,22 +81,6 @@ PARTITIONS = {
 
 
 @dataclass(frozen=True)
-class CheckRequest:
-    input_path: str
-    input_format: str  # "ccs" | "aut"
-    lhs: str
-    rhs: str
-    notion: str = "contrasim"
-    direction: str = "preorder"  # "preorder" | "equivalence"
-    max_states: int = DEFAULT_MAX_STATES
-    max_positions: int = csgame.DEFAULT_MAX_POSITIONS
-    word_bound: Optional[int] = None
-    emit_certificate: bool = False
-    emit_game_dot: Optional[str] = None
-    emit_json: Optional[str] = None
-
-
-@dataclass(frozen=True)
 class Certificate:
     kind: str  # "relation" | "formula"
     formula: Optional[str] = None
@@ -119,18 +104,21 @@ class CheckReport:
 
 
 class UsageError(ValueError):
-    """Request-level errors that map to exit code 2."""
+    """Argument errors that map to exit code 2."""
 
 
-def _load_model(request: CheckRequest) -> tuple[Lts, int, int]:
+def _load_model(args: argparse.Namespace) -> tuple[Lts, int, int]:
+    fmt = args.format or Path(args.input).suffix.lower()[1:]
+    if fmt not in ("aut", "ccs"):
+        raise UsageError(f"cannot infer format of {args.input!r}; pass --format")
     try:
-        text = Path(request.input_path).read_text(encoding="utf-8")
+        text = Path(args.input).read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:
         raise ParseError(f"input is not UTF-8 text: {exc}") from None
-    if request.input_format == "aut":
-        lts, _initial = parse_aut(text, request.max_states)
+    if fmt == "aut":
+        lts, _initial = parse_aut(text, args.max_states)
         try:
-            lhs, rhs = int(request.lhs), int(request.rhs)
+            lhs, rhs = int(args.lhs), int(args.rhs)
         except ValueError:
             raise UsageError(
                 "for .aut input the designators are state indices"
@@ -141,9 +129,7 @@ def _load_model(request: CheckRequest) -> tuple[Lts, int, int]:
         return lts, lhs, rhs
     program = parse_ccs(text)
     try:
-        lts, initials = expand_ccs_roots(
-            program, [request.lhs, request.rhs], request.max_states
-        )
+        lts, initials = expand_ccs_roots(program, [args.lhs, args.rhs], args.max_states)
     except KeyError as exc:
         raise UsageError(str(exc.args[0])) from None
     return lts, initials[0], initials[1]
@@ -171,31 +157,26 @@ def _lifted_certificate(lts: Lts, classes: Sequence[int], pairs) -> Certificate:
     return Certificate(kind="relation", pairs=named)
 
 
-def run_check(request: CheckRequest) -> CheckReport:
-    """Execute a check request; raises UsageError and parse errors for exit 2."""
+def run_check(args: argparse.Namespace) -> CheckReport:
+    """Run the check that the parsed ``args`` (:func:`_build_parser`) ask
+    for; raises UsageError and parse errors for exit 2."""
     started = time.perf_counter()
-    notion = request.notion
-    if notion not in NOTIONS:
-        raise UsageError(f"unknown notion {notion!r}")
-    if request.direction not in ("preorder", "equivalence"):
-        raise UsageError(f"unknown direction {request.direction!r}")
-    if request.input_format not in ("ccs", "aut"):
-        raise UsageError(f"unknown input format {request.input_format!r}")
-    if request.max_states < 1:
+    notion = args.notion
+    if args.max_states < 1:
         raise UsageError("--max-states must be at least 1")
-    if request.max_positions < 1:
+    if args.max_positions < 1:
         raise UsageError("--max-positions must be at least 1")
     if notion == "bounded-word-game":
-        if request.word_bound is None:
+        if args.word_bound is None:
             raise UsageError("--word-bound is required for the bounded word game")
-        if request.word_bound < 1:
+        if args.word_bound < 1:
             raise UsageError("--word-bound must be at least 1")
-    if request.emit_game_dot is not None and notion not in GAME_NOTIONS:
+    if args.emit_game_dot is not None and notion not in GAME_NOTIONS:
         raise UsageError(f"notion {notion!r} builds no game graph to export")
 
-    model, lhs, rhs = _load_model(request)
-    equivalence = request.direction == "equivalence"
-    word_bound = request.word_bound if notion == "bounded-word-game" else None
+    model, lhs, rhs = _load_model(args)
+    equivalence = args.direction == "equivalence"
+    word_bound = args.word_bound if notion == "bounded-word-game" else None
     positions = moves = None
     t0 = time.perf_counter()
     classes = PARTITIONS.get(notion, relations.weak_classes)(model)
@@ -209,7 +190,7 @@ def run_check(request: CheckRequest) -> CheckReport:
         if notion in GAME_NOTIONS:
             # Expansion and solving interleave, so solve_ms times both.
             game, solution, roots = csgame.solve_cs_game_locally(
-                lts, p, q, swapped=equivalence, max_positions=request.max_positions,
+                lts, p, q, swapped=equivalence, max_positions=args.max_positions,
                 word_bound=word_bound,
             )
         elif notion == "weak-sim":
@@ -226,25 +207,25 @@ def run_check(request: CheckRequest) -> CheckReport:
         results = [pair in related for pair in directions]
 
     certificate = None
-    if request.emit_certificate and notion in RELATION_NOTIONS and all(results):
+    if args.emit_certificate and notion in RELATION_NOTIONS and all(results):
         if notion in GAME_NOTIONS:
             related = csgame.extract_contrasimulation(game, solution, roots)
         certificate = _lifted_certificate(model, classes, related)
-    elif request.emit_certificate and notion == "contrasim":
+    elif args.emit_certificate and notion == "contrasim":
         first_lost = roots[results.index(False)]
         formula = csgame.extract_distinguishing_formula(game, solution, first_lost)
         certificate = Certificate(kind="formula", formula=format_formula(formula))
 
-    if request.emit_game_dot is not None:
+    if args.emit_game_dot is not None:
         # The local game may stop short: draw the whole reachable game.
-        drawn = csgame.build_cs_game(lts, p, q, request.max_positions, word_bound)
+        drawn = csgame.build_cs_game(lts, p, q, args.max_positions, word_bound)
         labels = [csgame.format_position(lts, pos) for pos in drawn.positions]
-        Path(request.emit_game_dot).write_text(export_game_dot(drawn.graph, labels))
+        Path(args.emit_game_dot).write_text(export_game_dot(drawn.graph, labels))
 
     report = CheckReport(
         verdict=all(results),
         notion=notion,
-        direction=request.direction,
+        direction=args.direction,
         lhs=model.name_of(lhs),
         rhs=model.name_of(rhs),
         forward=results[0],
@@ -379,43 +360,14 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _request_from_args(args: argparse.Namespace) -> CheckRequest:
-    fmt = args.format
-    if fmt is None:
-        suffix = Path(args.input).suffix.lower()
-        if suffix == ".aut":
-            fmt = "aut"
-        elif suffix == ".ccs":
-            fmt = "ccs"
-        else:
-            raise UsageError(
-                f"cannot infer format of {args.input!r}; pass --format"
-            )
-    return CheckRequest(
-        input_path=args.input,
-        input_format=fmt,
-        lhs=args.lhs,
-        rhs=args.rhs,
-        notion=args.notion,
-        direction=args.direction,
-        max_states=args.max_states,
-        max_positions=args.max_positions,
-        word_bound=args.word_bound,
-        emit_certificate=args.emit_certificate,
-        emit_game_dot=args.emit_game_dot,
-        emit_json=args.emit_json,
-    )
-
-
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        request = _request_from_args(args)
-        report = run_check(request)
+        report = run_check(args)
         _print_report(report, sys.stdout)
-        if request.emit_json is not None:
-            Path(request.emit_json).write_text(report_json(report))
+        if args.emit_json is not None:
+            Path(args.emit_json).write_text(report_json(report))
     except (UsageError, ParseError, StateBudgetError, PositionBudgetError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -56,6 +56,7 @@ the same way; the certificate extractors raise ``ValueError`` on it
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import islice
 from types import SimpleNamespace
 from typing import AbstractSet, Iterable, Mapping, Union
 
@@ -225,7 +226,10 @@ def _expander(lts: Lts, max_positions: int, word_bound: int | None = None) -> Si
     strong steps and internal closure, or from its feasible words.  A word
     challenge's defender set is the fold of the attacker position's set
     through the memoised delay successors.  ``add`` is the one place where
-    positions are created, so it enforces the position budget.
+    positions are created, so it enforces the position budget.  The words
+    are exponential in ``word_bound`` however few positions they reach, so
+    the words listed, over all states, count against the same budget, apart
+    from the positions.
     """
     if word_bound is not None and word_bound < 1:
         raise ValueError("word_bound must be at least 1")
@@ -286,14 +290,21 @@ def _expander(lts: Lts, max_positions: int, word_bound: int | None = None) -> Si
 
     ai_of = {a: ai for ai, a in enumerate(visible)}
 
+    listed = 0  # words listed over all states, budgeted apart from the positions
+
     def word_challenges_of(s: int) -> list[tuple[tuple[int, ...], list[int]]]:
         """(action indices, sorted closure of the delay frontier) of each
         feasible word from ``s``."""
+        nonlocal listed
+        words = islice(lts.feasible_words(s, word_bound), max_positions - listed + 1)
         out = challenges[s] = [
             (tuple(map(ai_of.__getitem__, word)),
              sorted(empty.union(*map(closure.__getitem__, frontier))))
-            for word, frontier in lts.feasible_words(s, word_bound)
+            for word, frontier in words
         ]
+        listed += len(out)
+        if listed > max_positions:
+            raise PositionBudgetError(max_positions)
         return out
 
     def delay_of(qid: int, ai: int) -> int:
@@ -390,8 +401,8 @@ def build_cs_game(
     Produces the positions and moves of a breadth-first search over
     :func:`cs_successors` (with ``word_bound``), in the same order.  The
     construction is finite because there are at most (|actions|+2) * |S| *
-    2^|S| positions; more than ``max_positions`` raise
-    :class:`PositionBudgetError`.
+    2^|S| positions; more than ``max_positions`` positions, or words listed
+    in word mode, raise :class:`PositionBudgetError`.
     """
     lts._check_state(p)
     lts._check_state(q)

@@ -14,7 +14,6 @@ from contrasim.aut import parse_aut, write_aut
 from contrasim.ccs import expand_ccs_roots, parse_ccs
 from contrasim.cli import (
     NOTIONS,
-    CheckRequest,
     Certificate,
     CheckReport,
     export_game_dot,
@@ -124,6 +123,11 @@ def test_aut_input_uses_state_indices(capsys):
         ["check", "--lhs", "X", "--rhs", "X", "/nonexistent/file.ccs"],
         ["check", "--lhs", "0", "--rhs", "1", TESTS / "data" / "not_utf8.aut"],
         ["check", "--lhs", "0", "--rhs", "1", TESTS / "data" / "huge_header.aut"],
+        # state 1 guesses "b" among a/b loops, state 0 loops on both: the
+        # local word game explores 9 positions, but 2^17 - 1 words of up to
+        # 16 letters would be listed from state 1 alone
+        ["check", "--lhs", "1", "--rhs", "0", "--notion", "bounded-word-game",
+         "--word-bound", "16", "--max-positions", "100", TESTS / "data" / "word_blowup.aut"],
     ],
 )
 def test_usage_errors_exit_two(args, capsys):
@@ -162,7 +166,7 @@ def test_budget_error_exits_two(tmp_path, capsys):
 
 
 def test_internal_error_exits_three(monkeypatch, capsys):
-    def broken(request):
+    def broken(args):
         raise RuntimeError("broken invariant")
 
     monkeypatch.setattr("contrasim.cli.run_check", broken)
@@ -179,6 +183,14 @@ def test_unknown_extension_needs_format_flag(tmp_path, capsys):
     model.write_text('des (0,0,1)\n')
     assert run_main(["check", "--lhs", "0", "--rhs", "0", model]) == 2
     assert run_main(["check", "--lhs", "0", "--rhs", "0", "--format", "aut", model]) == 0
+
+
+def test_format_follows_an_upper_case_suffix(tmp_path, capsys):
+    for name, lhs, rhs in (("PHIL.AUT", "1", "2"), ("PHIL.CCS", "Pc", "Pp")):
+        model = tmp_path / name
+        model.write_text((FIXTURES / name.lower()).read_text())
+        assert run_main(["check", "--lhs", lhs, "--rhs", rhs, model]) == 0
+    assert capsys.readouterr().err == ""
 
 
 # -- every notion through the CLI -------------------------------------------------

@@ -202,6 +202,11 @@ def test_position_budget():
     words = build_cs_game(lts, 0, 1, word_bound=2).graph.position_count
     with pytest.raises(PositionBudgetError):
         build_cs_game(lts, 0, 1, max_positions=words - 1, word_bound=2)
+    # The words listed count too: from state 1 of blow(1) every a/b word is
+    # feasible, 2^41 - 1 of at most 40 letters, though the game stays small.
+    for search in (solve_cs_game_locally, build_cs_game):
+        with pytest.raises(PositionBudgetError, match="budget of 1000 "):
+            search(blow(1), 1, 0, max_positions=1000, word_bound=40)
 
 
 @given(random_lts_strategy())
