@@ -45,11 +45,11 @@ LTS level a surviving co-action ``'a`` is rendered as the visible name
 
 import re
 import weakref
-from dataclasses import dataclass
 from functools import lru_cache, partial
 
 from .errors import ParseError, StateBudgetError
 from .lts import Action, Lts, TAU
+from .record import Record
 
 DEFAULT_MAX_STATES = 10_000
 
@@ -223,11 +223,13 @@ def _render(term: CcsTerm) -> str:
     return text
 
 
-@dataclass(frozen=True)
-class CcsProgram:
+class CcsProgram(Record):
     """A set of named process definitions with all identifiers resolved."""
 
-    definitions: dict[str, CcsTerm]
+    _fields = ("definitions",)
+
+    def __init__(self, definitions: dict[str, CcsTerm]):
+        self._set(definitions)
 
 
 # -- parsing ---------------------------------------------------------------

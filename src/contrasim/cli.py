@@ -39,10 +39,8 @@ both are re-checkable.
 
 import argparse
 import functools
-import json
 import sys
 import time
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -53,6 +51,7 @@ from .errors import ParseError, PositionBudgetError, StateBudgetError
 from .game import GameGraph, Player
 from .hml import format_formula
 from .lts import Lts
+from .record import Record
 
 NOTIONS = (
     "contrasim",
@@ -80,27 +79,43 @@ PARTITIONS = {
 }
 
 
-@dataclass(frozen=True)
-class Certificate:
-    kind: str  # "relation" | "formula"
-    formula: Optional[str] = None
-    pairs: Optional[tuple[tuple[str, str], ...]] = None
+class Certificate(Record):
+    _fields = ("kind", "formula", "pairs")
+
+    def __init__(
+        self,
+        kind: str,  # "relation" | "formula"
+        formula: Optional[str] = None,
+        pairs: Optional[tuple[tuple[str, str], ...]] = None,
+    ):
+        self._set(kind, formula, pairs)
 
 
-@dataclass
-class CheckReport:
-    verdict: bool
-    notion: str
-    direction: str
-    lhs: str
-    rhs: str
-    forward: bool
-    backward: Optional[bool]
-    certificate: Optional[Certificate]
-    game_positions: Optional[int]
-    game_moves: Optional[int]
-    solve_ms: Optional[float]
-    total_ms: float = 0.0
+class CheckReport(Record):
+    """The outcome of one check.  Its fields are read-only, except
+    ``total_ms``, which is set once the report is complete."""
+
+    _fields = (
+        "verdict", "notion", "direction", "lhs", "rhs", "forward", "backward", "certificate",
+        "game_positions", "game_moves", "solve_ms", "total_ms",
+    )
+
+    def __init__(
+        self, verdict: bool, notion: str, direction: str, lhs: str, rhs: str, forward: bool,
+        backward: Optional[bool], certificate: Optional[Certificate],
+        game_positions: Optional[int], game_moves: Optional[int], solve_ms: Optional[float],
+        total_ms: float = 0.0,
+    ):
+        self._set(
+            verdict, notion, direction, lhs, rhs, forward, backward, certificate,
+            game_positions, game_moves, solve_ms, total_ms,
+        )
+
+    def __setattr__(self, name, value):
+        if name == "total_ms":
+            object.__setattr__(self, name, value)
+        else:
+            super().__setattr__(name, value)
 
 
 class UsageError(ValueError):
@@ -273,6 +288,8 @@ def _certificate_json(certificate: Optional[Certificate]):
 
 def report_json(report: CheckReport) -> str:
     """Serialize a report with a stable field set and key order."""
+    import json  # only --emit-json needs it; every other query skips its import
+
     payload = {
         "verdict": report.verdict,
         "notion": report.notion,

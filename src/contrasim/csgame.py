@@ -26,7 +26,7 @@ equivalence, the reverse one at the second root of
 One expander does the per-position work: it keys positions by ints over
 interned defender sets, generates each position's moves, and records the
 positions in the parallel lists of :class:`CsGame`, which decodes them into
-the dataclasses above on demand.  Two searches run it.
+the position records above on demand.  Two searches run it.
 :func:`build_cs_game` expands the whole reachable game breadth-first: the
 graph the DOT export draws, and the reference the local search is tested
 against.  :func:`solve_cs_game_locally`, which decides every query, expands
@@ -54,7 +54,6 @@ the same way; the certificate extractors raise ``ValueError`` on it
 """
 
 from collections import deque
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import islice
 from types import SimpleNamespace
@@ -72,25 +71,32 @@ from .game import (
 )
 from .hml import DelayNor, DelayObs, HmlFormula
 from .lts import Action, Lts, StateSet
+from .record import Record
 
 
-@dataclass(frozen=True, slots=True)
-class AttackerPos:
-    p: int
-    q_set: StateSet
+class AttackerPos(Record):
+    __slots__ = _fields = ("p", "q_set")
+
+    def __init__(self, p: int, q_set: StateSet):
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "q_set", q_set)
 
 
-@dataclass(frozen=True, slots=True)
-class SimPos:
-    action: Action
-    p: int
-    q_set: StateSet
+class SimPos(Record):
+    __slots__ = _fields = ("action", "p", "q_set")
+
+    def __init__(self, action: Action, p: int, q_set: StateSet):
+        object.__setattr__(self, "action", action)
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "q_set", q_set)
 
 
-@dataclass(frozen=True, slots=True)
-class SwapPos:
-    p: int
-    q_set: StateSet
+class SwapPos(Record):
+    __slots__ = _fields = ("p", "q_set")
+
+    def __init__(self, p: int, q_set: StateSet):
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "q_set", q_set)
 
 
 CsPosition = Union[AttackerPos, SimPos, SwapPos]
@@ -144,8 +150,7 @@ ATTACKER, SIM, SWAP = 0, 1, 2
 _OWNER = (Player.ATTACKER, Player.DEFENDER, Player.DEFENDER)
 
 
-@dataclass(frozen=True)
-class CsGame:
+class CsGame(Record):
     """The reachable part of the set game, index-aligned with its GameGraph.
 
     Position ``i`` is stored in parallel lists: its kind ``kinds[i]``
@@ -165,15 +170,16 @@ class CsGame:
     game, ``None`` for the set game.
     """
 
-    lts: Lts
-    graph: GameGraph
-    kinds: list[int]
-    states: list[int]
-    q_ids: list[int]
-    actions: list[int]
-    q_sets: list[StateSet]
-    frontier: tuple[int, ...] = ()
-    word_bound: int | None = None
+    _fields = (
+        "lts", "graph", "kinds", "states", "q_ids", "actions", "q_sets", "frontier", "word_bound"
+    )
+
+    def __init__(
+        self, lts: Lts, graph: GameGraph, kinds: list[int], states: list[int],
+        q_ids: list[int], actions: list[int], q_sets: list[StateSet],
+        frontier: tuple[int, ...] = (), word_bound: int | None = None,
+    ):
+        self._set(lts, graph, kinds, states, q_ids, actions, q_sets, frontier, word_bound)
 
     @cached_property
     def positions(self) -> tuple[CsPosition, ...]:
@@ -304,7 +310,7 @@ def _expander(lts: Lts, max_positions: int, word_bound: int | None = None) -> Si
         ]
         listed += len(out)
         if listed > max_positions:
-            raise PositionBudgetError(max_positions)
+            raise PositionBudgetError(max_positions, "words listed as challenges")
         return out
 
     def delay_of(qid: int, ai: int) -> int:

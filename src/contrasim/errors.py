@@ -34,11 +34,13 @@ class StateBudgetError(RuntimeError):
 
 
 class PositionBudgetError(RuntimeError):
-    """Raised when a game grows past the position budget."""
+    """Raised when a game grows past the position budget; ``counted`` names
+    what passed it, the game's positions or the words a word game lists as
+    challenges."""
 
-    def __init__(self, budget: int):
+    def __init__(self, budget: int, counted: str = "game positions"):
         self.budget = budget
         super().__init__(
-            f"position budget of {budget} game positions exceeded; "
+            f"position budget of {budget} {counted} exceeded; "
             f"raise max_positions if the game really is this large"
         )

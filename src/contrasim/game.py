@@ -8,9 +8,10 @@ reverse edges and per-position out-degree counters.
 """
 
 from collections import deque
-from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable, Iterable, Optional, Sequence
+
+from .record import Record
 
 
 class Player(Enum):
@@ -71,28 +72,33 @@ class GameGraph:
         return sum(len(row) for row in self.moves)
 
 
-@dataclass(frozen=True)
-class PositionalStrategy:
+class PositionalStrategy(Record):
     """A partial next-move map for one player, keyed by position index."""
 
-    player: Player
-    choice: dict[int, int] = field(default_factory=dict)
+    _fields = ("player", "choice")
+
+    def __init__(self, player: Player, choice: Optional[dict[int, int]] = None):
+        self._set(player, {} if choice is None else choice)
 
     def move_from(self, position: int) -> Optional[int]:
         return self.choice.get(position)
 
 
-@dataclass(frozen=True)
-class GameSolution:
-    winner: tuple[Player, ...]
-    attacker_strategy: PositionalStrategy
-    defender_strategy: PositionalStrategy
-    # Per position: 0 on stuck defender positions, one more than the chosen
-    # successor along attacker wins, one more than the highest-ranked
-    # successor on other won defender positions, None (infinity) on
-    # defender-won positions.  solve() gives the least such ranks, the
-    # attractor levels.
-    attacker_rank: tuple[Optional[int], ...]
+class GameSolution(Record):
+    """The winner of each position, both players' strategies and the
+    attacker ranks.  ``attacker_rank`` is, per position, 0 on stuck defender
+    positions, one more than the chosen successor along attacker wins, one
+    more than the highest-ranked successor on other won defender positions,
+    and None (infinity) on defender-won positions.  solve() gives the least
+    such ranks, the attractor levels."""
+
+    _fields = ("winner", "attacker_strategy", "defender_strategy", "attacker_rank")
+
+    def __init__(
+        self, winner: tuple[Player, ...], attacker_strategy: PositionalStrategy,
+        defender_strategy: PositionalStrategy, attacker_rank: tuple[Optional[int], ...],
+    ):
+        self._set(winner, attacker_strategy, defender_strategy, attacker_rank)
 
 
 def solve(graph: GameGraph) -> GameSolution:

@@ -14,33 +14,33 @@ every state.  This fragment is exactly expressive enough to certify failed
 contrasimulation checks.
 """
 
-from dataclasses import dataclass
-
 from .lts import Action, Lts
+from .record import Record
 
 
-class HmlFormula:
+class HmlFormula(Record):
     __slots__ = ()
 
 
-@dataclass(frozen=True, slots=True)
 class Truth(HmlFormula):
-    pass
+    __slots__ = ()
 
 
-@dataclass(frozen=True, slots=True)
 class DelayObs(HmlFormula):
-    action: Action
-    body: HmlFormula
+    __slots__ = _fields = ("action", "body")
 
-    def __post_init__(self):
-        if self.action.is_tau:
+    def __init__(self, action: Action, body: HmlFormula):
+        if action.is_tau:
             raise ValueError("observations are of visible actions")
+        object.__setattr__(self, "action", action)
+        object.__setattr__(self, "body", body)
 
 
-@dataclass(frozen=True, slots=True)
 class DelayNor(HmlFormula):
-    branches: tuple[HmlFormula, ...]
+    __slots__ = _fields = ("branches",)
+
+    def __init__(self, branches: tuple[HmlFormula, ...]):
+        object.__setattr__(self, "branches", branches)
 
 
 TRUTH = Truth()

@@ -46,11 +46,11 @@ system they are given and are the oracles it is tested against.
 """
 
 from collections import deque
-from dataclasses import dataclass
 from itertools import compress, repeat
 from typing import AbstractSet, Hashable, Iterable, Mapping, Optional, Sequence
 
 from .lts import Action, Lts, StateSet, TAU, Word
+from .record import Record
 
 Pair = tuple[int, int]
 
@@ -66,14 +66,13 @@ def _as_relation(lts: Lts, relation: Iterable[Pair]) -> frozenset[Pair]:
 # -- weak simulation -----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SimulationViolation:
+class SimulationViolation(Record):
     """A strong step of the left state that the right state cannot answer."""
 
-    p: int
-    q: int
-    action: Action
-    p_after: int
+    _fields = ("p", "q", "action", "p_after")
+
+    def __init__(self, p: int, q: int, action: Action, p_after: int):
+        self._set(p, q, action, p_after)
 
 
 def weak_simulation_violation(
@@ -114,17 +113,16 @@ def is_weak_simulation_words(
 # -- contrasimulation ----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ContrasimulationViolation:
+class ContrasimulationViolation(Record):
     """A synchronized configuration where some internally reachable left
     state has no related answer in the right set."""
 
-    p: int
-    q: int
-    word: Word
-    config_state: int
-    config_set: StateSet
-    p_after: int
+    _fields = ("p", "q", "word", "config_state", "config_set", "p_after")
+
+    def __init__(
+        self, p: int, q: int, word: Word, config_state: int, config_set: StateSet, p_after: int
+    ):
+        self._set(p, q, word, config_state, config_set, p_after)
 
 
 def _configs(lts: Lts, seeds: Iterable[Pair]):

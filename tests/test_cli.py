@@ -2,6 +2,8 @@ import io
 import json
 import random
 import re
+import subprocess
+import sys
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
@@ -163,6 +165,41 @@ def test_budget_error_exits_two(tmp_path, capsys):
     )
     assert code == 2
     assert "budget" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "args, counted",
+    [
+        (["--lhs", "1", "--rhs", "2", "--max-positions", "40", FIXTURES / "phil.aut"],
+         "40 game positions"),
+        # blow(1): its a/b loops have 2^41 - 1 words of at most 40 letters
+        (["--lhs", "0", "--rhs", "1", "--notion", "bounded-word-game", "--word-bound", "40",
+          "--max-positions", "1000", TESTS / "data" / "word_blowup.aut"],
+         "1000 words listed as challenges"),
+    ],
+)
+def test_position_budget_error_names_what_passed_it(args, counted, capsys):
+    assert run_main(["check", *args]) == 2
+    assert capsys.readouterr().err == (
+        f"error: position budget of {counted} exceeded; "
+        "raise max_positions if the game really is this large\n"
+    )
+
+
+def test_cli_import_loads_no_dataclasses_inspect_or_json():
+    """Every query pays for importing the CLI; a module that only one option
+    needs is imported on that option's path."""
+    code = (
+        "import sys; sys.path.insert(0, sys.argv[1]); before = set(sys.modules); "
+        "import contrasim.cli; print(*sorted(set(sys.modules) - before))"
+    )
+    done = subprocess.run(
+        [sys.executable, "-I", "-c", code, str(TESTS.parent / "src")],
+        capture_output=True, text=True, timeout=60, check=True,
+    )
+    loaded = set(done.stdout.split())
+    assert "contrasim.cli" in loaded
+    assert not loaded & {"dataclasses", "inspect", "json"}
 
 
 def test_internal_error_exits_three(monkeypatch, capsys):
