@@ -26,14 +26,18 @@ operands and built only when a restriction keeps the step or the step
 becomes a state, so an interleaving that a restriction blocks builds no
 term, and a successor state that changed one component of a parallel
 composition builds only the nodes above that component.  Expansion is
-linear in the distinct subterms and the transitions, plus the length of the
-state names, which are the full terms.  A term keeps its text once printed,
-and printing copies that text whole wherever the term occurs inside
-another.  The states and the operands that a parallel step leaves unchanged
-are printed, so a state's name copies its untouched components and its
-successor in a prefix chain, and walks only what moved.  Parsing, step
-derivation and printing are loops over explicit stacks, so terms of any
-depth are accepted.
+linear in the distinct subterms and the transitions.
+
+Each state is named by its full term, printed only when a name is asked
+for.  A term keeps its text once printed, and printing copies that text
+whole wherever the term occurs inside another.  The names of the roots,
+identifiers, cost nothing to print.  The first request for any other name
+prints the operands that parallel steps left unchanged and then every
+state, last-found first, so a state's name copies its untouched components
+and its successor in a prefix chain, and walks only what moved; that costs
+the length of all the names.  A check that prints only its two processes
+thus never prints the other states.  Parsing, step derivation and printing
+are loops over explicit stacks, so terms of any depth are accepted.
 
 Expansion states are reachable terms compared structurally (no structural
 congruence, no merging of distinct deadlocked terms).  Parallel components
@@ -48,7 +52,7 @@ import weakref
 from functools import lru_cache, partial
 
 from .errors import ParseError, StateBudgetError
-from .lts import Action, Lts, TAU
+from .lts import Action, Lts, StateNames, TAU
 from .record import Record
 
 DEFAULT_MAX_STATES = 10_000
@@ -463,7 +467,11 @@ def _guarded(term: CcsTerm) -> bool:
 
 
 def _steps(
-    term: CcsTerm, defs: dict[str, CcsTerm], guarded: frozenset[str], memo: dict[CcsTerm, _Steps]
+    term: CcsTerm,
+    defs: dict[str, CcsTerm],
+    guarded: frozenset[str],
+    memo: dict[CcsTerm, _Steps],
+    unchanged: list[CcsTerm],
 ) -> _Steps:
     """Outgoing transitions of a term, in canonical derivation order.
 
@@ -498,9 +506,11 @@ def _steps(
     at once: a restricted successor is met again by every state that shares
     its restriction, which would otherwise build it again each time.
 
-    Each operand that a parallel step leaves unchanged keeps its printed
-    text, so the names of the successor states copy it instead of walking
-    it again.  Only these operands, not every subterm, keep their text.
+    Each operand that a parallel step leaves unchanged is appended to
+    ``unchanged``, to be printed before the states when their names are
+    first asked for: it then keeps its text, so the names of the successor
+    states copy it instead of walking it again.  Only these operands, not
+    every subterm, keep their text.
     """
     done: list[_Steps] = []
     # (number of operand results to combine, or 0 to derive; term; unfolding)
@@ -522,9 +532,9 @@ def _steps(
                             if b == partner:
                                 out.append((TAU, [l2, r2, None]))
                 if left_steps:
-                    str(right)
+                    unchanged.append(right)
                 if right_steps:
-                    str(left)
+                    unchanged.append(left)
             elif kind is Restrict:
                 out = [
                     (a, Restrict(_term(k), t.names))
@@ -580,7 +590,8 @@ def expand_ccs_roots(
 
     Structurally identical reachable terms are shared between the roots, so
     the result is suitable for comparing two processes of one program.
-    States are numbered in breadth-first order.
+    States are numbered in breadth-first order.  Their names, the terms,
+    are printed when first asked for (see the module docstring).
     """
     for root in roots:
         if root not in program.definitions:
@@ -603,18 +614,28 @@ def expand_ccs_roots(
     defs = program.definitions
     guarded = frozenset(name for name, body in defs.items() if _guarded(body))
     memo: dict[CcsTerm, _Steps] = {}
+    unchanged: list[CcsTerm] = []
     src = 0
     while src < len(states):
         # a step derived twice is one transition, which Lts keeps once
-        edges += [(src, a, intern(_term(k))) for a, k in _steps(states[src], defs, guarded, memo)]
+        steps = _steps(states[src], defs, guarded, memo, unchanged)
+        edges += [(src, a, intern(_term(k))) for a, k in steps]
         src += 1
 
-    # Render the states last-found first, so that a state whose successor
-    # is its own subterm (a prefix chain) copies that successor's text.
-    for term in reversed(states):
-        str(term)
-    names = {idx: str(term) for idx, term in enumerate(states)}
-    return Lts(len(states), edges, names), initials
+    def name(idx: int) -> str:
+        term = states[idx]
+        if term._text is None and type(term) is not Ident:
+            # Print the states last-found first, so that a state whose
+            # successor is its own subterm (a prefix chain) copies that
+            # successor's text.
+            for t in unchanged:
+                str(t)
+            unchanged.clear()
+            for t in reversed(states):
+                str(t)
+        return str(term)
+
+    return Lts(len(states), edges, StateNames(len(states), name)), initials
 
 
 def expand_ccs(

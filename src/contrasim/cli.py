@@ -127,7 +127,8 @@ def _load_model(args: argparse.Namespace) -> tuple[Lts, int, int]:
     if fmt not in ("aut", "ccs"):
         raise UsageError(f"cannot infer format of {args.input!r}; pass --format")
     try:
-        text = Path(args.input).read_text(encoding="utf-8")
+        # utf-8-sig: a leading byte-order mark is not part of the model
+        text = Path(args.input).read_text(encoding="utf-8-sig")
     except UnicodeDecodeError as exc:
         raise ParseError(f"input is not UTF-8 text: {exc}") from None
     if fmt == "aut":
@@ -166,7 +167,11 @@ def _lifted_certificate(lts: Lts, classes: Sequence[int], pairs) -> Certificate:
         related: list[list[int]] = [[] for _ in members]
         for x, y in pairs:
             related[x] += members[y]
-        names = [lts.name_of(s) for s in range(lts.state_count)]
+        # Only the members of related classes are named: naming a CCS state
+        # can print every state's term.
+        shown = {s for row in related for s in row}
+        shown.update(p for p, c in enumerate(classes) if related[c])
+        names = {s: lts.name_of(s) for s in shown}
         rows = [[names[q] for q in sorted(row)] for row in related]
         named = tuple([(names[p], name) for p, c in enumerate(classes) for name in rows[c]])
     return Certificate(kind="relation", pairs=named)
@@ -382,20 +387,29 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         report = run_check(args)
-        _print_report(report, sys.stdout)
+        # Written first, so that a run that exits 2 prints no verdict.
         if args.emit_json is not None:
             Path(args.emit_json).write_text(report_json(report))
+        _print_report(report, sys.stdout)
     except (UsageError, ParseError, StateBudgetError, PositionBudgetError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:
-        # A defect, never a verdict: exit 1 would read as "relation fails".
-        # Imported here because only this path needs it, and importing it
-        # up front would add milliseconds to every start.
-        import traceback
+        # A defect, never a verdict: exit 1 would read as "relation fails",
+        # so the exit code stays 3 even when reporting the defect fails too,
+        # as it may after a MemoryError.  traceback is imported here because
+        # only this path needs it, and importing it up front would add
+        # milliseconds to every start.
+        try:
+            import traceback
 
-        traceback.print_exc(file=sys.stderr)
-        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+            traceback.print_exc(file=sys.stderr)
+        except Exception:
+            pass
+        try:
+            print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        except Exception:
+            pass
         return 3
     return 0 if report.verdict else 1
 

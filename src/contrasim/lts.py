@@ -1,7 +1,9 @@
 """Finite labeled transition systems and their derived step relations.
 
 States are dense indices ``0 .. state_count-1``; display names live in an
-optional side map.  A transition carries an :class:`Action`, which is either
+optional side map, which may compute them on demand (:class:`StateNames`),
+so a system whose names are long, such as CCS terms, names only the states
+a report prints.  A transition carries an :class:`Action`, which is either
 a visible action name or the internal action ``TAU``.  Sets of states are
 plain ``frozenset[int]`` throughout.
 
@@ -18,7 +20,7 @@ set-lifted delay step over the letters.
 
 import weakref
 from collections import deque
-from typing import Iterable, Iterator, Mapping, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence
 
 StateSet = frozenset[int]
 Word = tuple["Action", ...]
@@ -90,6 +92,33 @@ def act(name: str) -> Action:
 Transition = tuple[int, Action, int]
 
 
+class StateNames(Mapping[int, str]):
+    """The names of states ``0 .. count-1``, each computed by ``name(state)``
+    when it is asked for.  ``name`` may cache, or compute several names at
+    once; the mapping itself keeps nothing."""
+
+    __slots__ = ("_count", "_name")
+
+    def __init__(self, count: int, name: Callable[[int], str]):
+        self._count = count
+        self._name = name
+
+    def __getitem__(self, state: int) -> str:
+        if type(state) is not int or not 0 <= state < self._count:
+            raise KeyError(state)
+        return self._name(state)
+
+    def __len__(self) -> int:
+        return self._count
+
+    def __iter__(self) -> Iterator[int]:
+        return iter(range(self._count))
+
+    def __reduce__(self):
+        # A copy or pickle holds the names themselves, not the function.
+        return dict, (dict(self),)
+
+
 class Lts:
     """An immutable labeled transition system over dense state indices.
 
@@ -102,6 +131,10 @@ class Lts:
     game's move generation: a state without internal steps is its own
     closure, and a breadth-first search over internal steps runs from each
     of the others.  All queries afterwards are pure.
+
+    ``state_names`` is kept as given when it is a :class:`StateNames`, whose
+    names are computed only when asked for; any other mapping is copied,
+    and every name must belong to a state.
     """
 
     __slots__ = (
@@ -152,11 +185,16 @@ class Lts:
             row[action] = frozenset(row[action])
         self.transitions: tuple[Transition, ...] = tuple(kept)
 
-        names = dict(state_names) if state_names else {}
-        for idx in names:
-            if not (0 <= idx < state_count):
-                raise IndexError(f"state name for unknown state {idx}")
-        self.state_names: dict[int, str] = names
+        if isinstance(state_names, StateNames):
+            if len(state_names) > state_count:
+                raise IndexError(f"state name for unknown state {state_count}")
+            names = state_names
+        else:
+            names = dict(state_names) if state_names else {}
+            for idx in names:
+                if not (0 <= idx < state_count):
+                    raise IndexError(f"state name for unknown state {idx}")
+        self.state_names: Mapping[int, str] = names
 
         self._strong: tuple[dict[Action, frozenset[int]], ...] = tuple(strong)
 
@@ -188,7 +226,8 @@ class Lts:
         :func:`contrasim.relations.weak_classes` number them.
 
         Classes are numbered ``0, 1, ...`` in the order of their smallest
-        members, and each is named after its smallest member.  A class takes
+        members, and each is named after its smallest member, through this
+        system's names and only when the name is asked for.  A class takes
         every step of every member, mapped to classes, except internal steps
         to itself.  For a partition finer than weak bisimilarity, a class
         then reaches by each weak word step the classes its members reach
@@ -211,7 +250,8 @@ class Lts:
         ]
         if len(smallest) == self.state_count and len(steps) == len(self.transitions):
             return self
-        return Lts(len(smallest), steps, {c: self.name_of(s) for c, s in enumerate(smallest)})
+        names = StateNames(len(smallest), lambda c: self.name_of(smallest[c]))
+        return Lts(len(smallest), steps, names)
 
     # -- naming ----------------------------------------------------------
 

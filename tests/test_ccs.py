@@ -1,7 +1,7 @@
 import copy
 import gc
 import pickle
-from collections import deque
+from collections import Counter, deque
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -24,6 +24,7 @@ from contrasim.ccs import (
 )
 from contrasim.errors import ParseError, StateBudgetError
 from contrasim.lts import TAU, Lts, act
+from contrasim.relations import weak_classes
 
 from conftest import fixture_text
 
@@ -452,6 +453,69 @@ def test_expansion_keeps_text_on_few_subterms(body):
     lts, _ = expand_ccs(program, "X")
     names = sum(len(lts.name_of(s)) for s in range(lts.state_count))
     assert retained_text() - before <= 3 * names
+
+
+def named_program(tag: str) -> str:
+    """A program whose action names start with ``tag``: with a tag no other
+    test uses, no state's term has been printed before the test expands it."""
+    return (
+        f"NamedL = ({tag}a.{tag}b.0 | {tag}c.'{tag}d.0 | {tag}d.{tag}e.0) \\ {{{tag}d}};\n"
+        f"NamedR = {tag}a.({tag}b.0 | {tag}c.0) + {tag}g.tau.{tag}b.0;\n"
+    )
+
+
+def recorded_renders(monkeypatch) -> list:
+    """The terms printed from now on, in order."""
+    rendered = []
+    render = ccs._render
+
+    def recording(term):
+        rendered.append(term)
+        return render(term)
+
+    monkeypatch.setattr(ccs, "_render", recording)
+    return rendered
+
+
+def test_root_names_print_no_other_state(monkeypatch):
+    rendered = recorded_renders(monkeypatch)
+    lts, roots = expand_ccs_roots(parse_ccs(named_program("root")), ["NamedL", "NamedR"])
+    assert rendered == []
+    assert [lts.name_of(r) for r in roots] == ["NamedL", "NamedR"]
+    assert set(rendered) <= {Ident("NamedL"), Ident("NamedR")}
+
+
+def test_first_other_name_prints_each_state_once(monkeypatch):
+    rendered = recorded_renders(monkeypatch)
+    text = named_program("once")
+    lts, roots = expand_ccs_roots(parse_ccs(text), ["NamedL", "NamedR"])
+    other = next(s for s in range(lts.state_count) if s not in roots)
+    lts.name_of(other)
+    printed = len(rendered)
+    names = [lts.name_of(s) for s in range(lts.state_count)]
+    assert len(rendered) == printed  # the first request printed them all
+    # Terms are interned, so the names parse back to the state terms.
+    parsed = defs(text + "".join(f"State{s} = {name};\n" for s, name in enumerate(names)))
+    states = [parsed[f"State{s}"] for s in range(lts.state_count)]
+    counts = Counter(rendered)
+    assert set(counts.values()) == {1}
+    assert all(counts[t] == 1 for t in states if t is not NIL)
+    assert [str(t) for t in states] == names
+
+
+def test_quotient_names_classes_by_their_smallest_members(monkeypatch):
+    rendered = recorded_renders(monkeypatch)
+    lts, _ = expand_ccs_roots(parse_ccs(named_program("quot")), ["NamedL", "NamedR"])
+    classes = weak_classes(lts)
+    quotient = lts.quotient(classes)
+    assert quotient is not lts
+    assert rendered == []  # naming the classes waits for a request
+    smallest = {}
+    for s, c in enumerate(classes):
+        smallest.setdefault(c, s)
+    assert [quotient.name_of(c) for c in range(quotient.state_count)] == [
+        lts.name_of(smallest[c]) for c in range(quotient.state_count)
+    ]
 
 
 # -- equivalence with a plain recursive SOS expander ---------------------------------

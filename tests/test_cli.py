@@ -1,3 +1,4 @@
+import builtins
 import io
 import json
 import random
@@ -11,7 +12,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from contrasim import csgame, relations
+from contrasim import ccs, csgame, relations
 from contrasim.aut import parse_aut, write_aut
 from contrasim.ccs import expand_ccs_roots, parse_ccs
 from contrasim.cli import (
@@ -213,6 +214,60 @@ def test_internal_error_exits_three(monkeypatch, capsys):
     assert captured.out == ""
     assert "Traceback" in captured.err
     assert captured.err.endswith("internal error: RuntimeError: broken invariant\n")
+
+
+@pytest.mark.parametrize("failing", ["import", "print_exc"])
+def test_internal_error_exits_three_when_its_report_fails(failing, monkeypatch, capsys):
+    """Out of memory, importing traceback or printing the traceback may fail
+    again; the exit code must still say defect, not "relation fails"."""
+
+    def exhausted(args):
+        raise MemoryError
+
+    def fail(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr("contrasim.cli.run_check", exhausted)
+    if failing == "import":
+        real_import = builtins.__import__
+
+        def no_traceback(name, *args, **kwargs):
+            if name == "traceback":
+                raise MemoryError
+            return real_import(name, *args, **kwargs)
+
+        monkeypatch.setattr(builtins, "__import__", no_traceback)
+    else:
+        import traceback
+
+        monkeypatch.setattr(traceback, "print_exc", fail)
+    code = run_main(["check", "--lhs", "1", "--rhs", "2", FIXTURES / "phil.aut"])
+    monkeypatch.undo()
+    assert code == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "internal error: MemoryError: \n"
+
+
+@pytest.mark.parametrize("name, lhs, rhs", [("phil.aut", "1", "2"), ("phil.ccs", "Pc", "Pp")])
+def test_byte_order_mark_is_skipped(name, lhs, rhs, tmp_path, capsys):
+    model = tmp_path / name
+    model.write_bytes(b"\xef\xbb\xbf" + (FIXTURES / name).read_bytes())
+    assert run_main(["check", "--lhs", lhs, "--rhs", rhs, model]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert f"lhs:       {lhs}\n" in captured.out
+
+
+def test_unwritable_json_path_prints_no_verdict(tmp_path, capsys):
+    unwritable = tmp_path / "missing" / "report.json"
+    code = run_main(
+        ["check", "--lhs", "Pc", "--rhs", "Pp", "--emit-json", unwritable, FIXTURES / "phil.ccs"]
+    )
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
 
 
 def test_unknown_extension_needs_format_flag(tmp_path, capsys):
@@ -741,6 +796,36 @@ def test_game_dot_only_draws(model, lhs, rhs, direction, tmp_path, capsys):
         lts, (p, q) = expand_ccs_roots(parse_ccs((FIXTURES / model).read_text()), [lhs, rhs])
     full = build_cs_game(lts, p, q).graph
     assert lint_dot(dot.read_text()) == (full.position_count, full.move_count)
+
+
+PHIL2 = (
+    "L = (pla.spa.aEatsa.0 | pla.spa.bEatsa.0 | 'pla.0 | opa.'spa.0) \\ {pla, spa}"
+    " | (plb.spb.aEatsb.0 | plb.spb.bEatsb.0 | opb.'plb.0 | 'spb.0) \\ {plb, spb};\n"
+    "R = (pla.opa.spa.aEatsa.0 | pla.opa.spa.bEatsa.0 | 'pla.0 | 'spa.0) \\ {pla, spa}"
+    " | (plb.spb.aEatsb.0 | plb.spb.bEatsb.0 | opb.'plb.0 | 'spb.0) \\ {plb, spb};\n"
+)
+
+
+def test_failing_check_prints_only_its_roots(monkeypatch, tmp_path, capsys):
+    """Two philosopher copies have 152 states, but a failing bisimilarity
+    check prints only lhs and rhs, so no other state's term is printed."""
+    model = tmp_path / "phil2.ccs"
+    model.write_text(PHIL2)
+    rendered = []
+    render = ccs._render
+
+    def recording(term):
+        rendered.append(term)
+        return render(term)
+
+    monkeypatch.setattr(ccs, "_render", recording)
+    code = run_main(
+        ["check", "--notion", "strong-bisim", "--direction", "equivalence",
+         "--lhs", "R", "--rhs", "L", "--emit-certificate", model]
+    )
+    assert code == 1
+    assert "lhs:       R\nrhs:       L\n" in capsys.readouterr().out
+    assert set(rendered) <= {ccs.Ident("L"), ccs.Ident("R")}
 
 
 def test_contrasim_relation_is_the_models_own(tmp_path, capsys):

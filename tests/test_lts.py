@@ -6,7 +6,7 @@ from collections import deque
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from contrasim.lts import Action, Lts, TAU, act
+from contrasim.lts import Action, Lts, StateNames, TAU, act
 from contrasim.relations import strong_classes
 
 from conftest import make_random_lts
@@ -176,6 +176,26 @@ def test_constructor_tables_match_reference_on_edge_cases(n, transitions):
 def test_out_of_range_transition_rejected():
     with pytest.raises(IndexError):
         Lts(2, [(0, act("a"), 2)])
+
+
+def test_names_computed_on_demand_are_kept_as_given():
+    asked = []
+
+    def name(state):
+        asked.append(state)
+        return f"s{state}"
+
+    names = StateNames(2, name)
+    lts = Lts(3, [(0, act("a"), 1)], names)
+    assert lts.state_names is names and asked == []
+    assert [lts.name_of(s) for s in range(3)] == ["s0", "s1", "2"]
+    assert asked == [0, 1]
+    assert dict(names) == {0: "s0", 1: "s1"}
+    assert pickle.loads(pickle.dumps(lts)).state_names == {0: "s0", 1: "s1"}
+    with pytest.raises(IndexError):
+        Lts(1, [], names)
+    with pytest.raises(IndexError):
+        Lts(1, [], {1: "x"})
 
 
 def test_state_index_checked_on_queries():

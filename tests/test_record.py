@@ -50,6 +50,14 @@ def test_records_of_different_classes_with_equal_fields_are_unequal():
     assert SimPos(a, 1, Q) != SimPos(b, 1, Q)
 
 
+def test_records_hash_and_compare_as_the_tuple_of_their_fields():
+    assert hash(AttackerPos(1, Q)) == hash((1, Q))
+    assert hash(DelayNor((TRUTH,))) == hash(((TRUTH,),))
+    assert hash(TRUTH) == hash(())
+    assert AttackerPos(1, Q) != SwapPos(1, Q) and not AttackerPos(1, Q) == SwapPos(1, Q)
+    assert AttackerPos(1, Q) != (1, Q)
+
+
 def test_formulas_compare_by_value():
     assert DelayObs(a, DelayNor((TRUTH,))) == DelayObs(a, DelayNor((Truth(),)))
     assert hash(DelayObs(a, TRUTH)) == hash(DelayObs(a, Truth()))
