@@ -512,6 +512,8 @@ def _steps(
     states copy it instead of walking it again.  Only these operands, not
     every subterm, keep their text.
     """
+    if type(term) is Prefix:  # most states of a prefix chain: no stacks to set up
+        return [(term.action, term.continuation)]
     done: list[_Steps] = []
     # (number of operand results to combine, or 0 to derive; term; unfolding)
     todo: list[tuple[int, CcsTerm, frozenset[str]]] = [(0, term, frozenset())]

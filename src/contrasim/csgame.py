@@ -676,6 +676,8 @@ def extract_distinguishing_formula(
         raise ValueError("no distinguishing formula: the defender wins here")
 
     visible = game.lts.visible_actions
+    choice = solution.attacker_strategy.choice
+    moves, kinds, actions = game.graph.moves, game.kinds, game.actions
     memo: dict[int, HmlFormula] = {}
     stack = [idx]
     while stack:
@@ -683,19 +685,22 @@ def extract_distinguishing_formula(
         if at in memo:
             stack.pop()
             continue
-        challenge = solution.attacker_strategy.move_from(at)
-        assert challenge is not None
-        answers = game.graph.moves[challenge]
-        missing = [t for t in answers if t not in memo]
-        if missing:
-            stack.extend(missing)
-            continue
-        stack.pop()
-        if game.kinds[challenge] == SIM:
+        challenge = choice[at]
+        answers = moves[challenge]
+        if kinds[challenge] == SIM:
             (answer,) = answers
-            memo[at] = DelayObs(visible[game.actions[challenge]], memo[answer])
+            body = memo.get(answer)
+            if body is None:
+                stack.append(answer)
+                continue
+            memo[at] = DelayObs(visible[actions[challenge]], body)
         else:
-            memo[at] = DelayNor(tuple(memo[t] for t in answers))
+            missing = [t for t in answers if t not in memo]
+            if missing:
+                stack += missing
+                continue
+            memo[at] = DelayNor(tuple([memo[t] for t in answers]))
+        stack.pop()
     return memo[idx]
 
 

@@ -19,28 +19,84 @@ from .record import Record
 
 
 class HmlFormula(Record):
+    """A formula.  Extracted formulas nest thousands of levels deep, so
+    equality and ``repr`` walk explicit stacks, and the two operators keep
+    the hash of their field tuple, computed at construction from their
+    operands' kept hashes."""
+
     __slots__ = ()
+
+    def __eq__(self, other):
+        if not isinstance(other, HmlFormula):
+            return NotImplemented
+        stack = [(self, other)]
+        while stack:
+            x, y = stack.pop()
+            if x is y:
+                continue
+            if x.__class__ is not y.__class__ or hash(x) != hash(y):
+                return False
+            if x.__class__ is DelayObs:
+                if x.action != y.action:
+                    return False
+                stack.append((x.body, y.body))
+            elif x.__class__ is DelayNor:
+                if len(x.branches) != len(y.branches):
+                    return False
+                stack += zip(x.branches, y.branches)
+            elif x._values(x) != y._values(y):
+                return False
+        return True
+
+    def __hash__(self):
+        return self._hash
+
+    def __repr__(self) -> str:
+        out: list[str] = []
+        stack: list[HmlFormula | str] = [self]
+        while stack:
+            item = stack.pop()
+            if isinstance(item, str):
+                out.append(item)
+            elif isinstance(item, DelayObs):
+                out.append(f"DelayObs(action={item.action!r}, body=")
+                stack += (")", item.body)
+            elif isinstance(item, DelayNor):
+                out.append("DelayNor(branches=(")
+                stack.append(",))" if len(item.branches) == 1 else "))")
+                for i, branch in enumerate(reversed(item.branches)):
+                    if i:
+                        stack.append(", ")
+                    stack.append(branch)
+            else:
+                out.append(Record.__repr__(item))
+        return "".join(out)
 
 
 class Truth(HmlFormula):
     __slots__ = ()
+    _hash = hash(())  # of its empty field tuple
 
 
 class DelayObs(HmlFormula):
-    __slots__ = _fields = ("action", "body")
+    __slots__ = ("action", "body", "_hash")
+    _fields = ("action", "body")
 
     def __init__(self, action: Action, body: HmlFormula):
         if action.is_tau:
             raise ValueError("observations are of visible actions")
         object.__setattr__(self, "action", action)
         object.__setattr__(self, "body", body)
+        object.__setattr__(self, "_hash", hash((action, body)))
 
 
 class DelayNor(HmlFormula):
-    __slots__ = _fields = ("branches",)
+    __slots__ = ("branches", "_hash")
+    _fields = ("branches",)
 
     def __init__(self, branches: tuple[HmlFormula, ...]):
         object.__setattr__(self, "branches", branches)
+        object.__setattr__(self, "_hash", hash((branches,)))
 
 
 TRUTH = Truth()

@@ -1,4 +1,5 @@
 import builtins
+import gc
 import io
 import json
 import random
@@ -873,6 +874,105 @@ def test_dot_export_rejected_for_gameless_notions(tmp_path, capsys):
          "--emit-game-dot", tmp_path / "x.dot", FIXTURES / "phil.aut"]
     )
     assert code == 2
+
+
+# -- the collector is paused during a check ---------------------------------------------
+
+
+@pytest.fixture
+def collector():
+    """Restores the collector's setting after a test that changes it."""
+    collecting = gc.isenabled()
+    yield
+    if collecting:
+        gc.enable()
+    else:
+        gc.disable()
+
+
+def test_check_runs_with_the_collector_paused(monkeypatch, collector, capsys):
+    seen = []
+
+    def recording(args):
+        seen.append(gc.isenabled())
+        return run_check(args)
+
+    monkeypatch.setattr("contrasim.cli.run_check", recording)
+    gc.enable()
+    assert run_main(["check", "--lhs", "1", "--rhs", "2", FIXTURES / "phil.aut"]) == 0
+    assert seen == [False]
+    assert gc.isenabled()
+
+
+def _broken(args):
+    raise RuntimeError("broken invariant")
+
+
+@pytest.mark.parametrize("collecting", [True, False])
+@pytest.mark.parametrize(
+    "args, run_check_replaced, code",
+    [
+        (["--lhs", "1", "--rhs", "2", FIXTURES / "phil.aut"], None, 0),
+        (["--lhs", "Pc", "--rhs", "Pl", FIXTURES / "locked.ccs"], None, 1),
+        (["--lhs", "1", "--rhs", "2", "--max-positions", 40, FIXTURES / "phil.aut"], None, 2),
+        (["--lhs", "1", "--rhs", "2", FIXTURES / "phil.aut"], _broken, 3),
+    ],
+)
+def test_main_restores_the_callers_collector(
+    args, run_check_replaced, code, collecting, monkeypatch, collector, capsys
+):
+    if run_check_replaced is not None:
+        monkeypatch.setattr("contrasim.cli.run_check", run_check_replaced)
+    if collecting:
+        gc.enable()
+    else:
+        gc.disable()
+    assert run_main(["check", *args]) == code
+    assert gc.isenabled() is collecting
+
+
+def test_checks_leave_no_cyclic_garbage(tmp_path, collector, capsys):
+    """Pausing the collector is safe because a check leaves nothing for it
+    to free: once the first call has built the parser, every object a check
+    makes is freed by reference counting.  The one exception is
+    ``--emit-json``, whose indenting encoder in the standard library leaves
+    one small cycle per call, the same whatever the report holds."""
+    n = 600
+    records = [f'({i},"a",{i + 1})' for i in range(n)]
+    records += [f'({n + 1 + i},"a",{n + 2 + i})' for i in range(n)]
+    records += [f'({n},"b",{2 * n + 2})', f'({2 * n + 1},"c",{2 * n + 2})']
+    chain_aut = tmp_path / "chain.aut"
+    chain_aut.write_text("\n".join([f"des (0,{len(records)},{2 * n + 3})", *records]) + "\n")
+    chain_ccs = tmp_path / "chain.ccs"
+    chain_ccs.write_text(f"L = {'a.' * n}b.0;\nR = {'a.' * n}c.0;\n")
+    phil2 = tmp_path / "phil2.ccs"
+    phil2.write_text(PHIL2)
+    queries = [
+        ["--lhs", 0, "--rhs", n + 1, chain_aut],
+        ["--lhs", "L", "--rhs", "R", chain_ccs],
+        ["--lhs", "R", "--rhs", "L", "--direction", "equivalence", phil2],
+    ]
+    for name in FIXTURE_TEXTS:
+        lhs, rhs = _designators(name)[1:3] if name.endswith(".aut") else _designators(name)[:2]
+        for notion in NOTIONS:
+            queries.append(
+                ["--lhs", lhs, "--rhs", rhs, "--notion", notion, "--direction", "equivalence",
+                 "--word-bound", 2, FIXTURES / name]
+            )
+
+    gc.disable()
+    run_main(["check", *queries[0]])
+    for query in queries:
+        gc.collect()
+        run_main(["check", *query, "--emit-certificate"])
+        assert gc.collect() == 0, query
+    report = tmp_path / "report.json"
+    left = []
+    for query in queries[:1] + queries[-1:]:
+        gc.collect()
+        run_main(["check", *query, "--emit-certificate", "--emit-json", report])
+        left.append(gc.collect())
+    assert left[0] == left[1]
 
 
 # -- robustness: mutated fixtures ------------------------------------------------------

@@ -395,10 +395,11 @@ def test_local_solving_decides_blow_twelve_early():
 
 
 def test_local_formula_on_chain_as_short_as_on_full_game():
-    """An a-chain of 300 steps ending in b against one ending in c: the
+    """An a-chain of 1,200 steps ending in b against one ending in c: the
     attacker's strategy on the explored part is no longer than on the full
-    game, so neither is the formula."""
-    n = 300
+    game, so neither is the formula, which is nested deeper than the
+    recursion limit."""
+    n = 1200
     a = act("a")
     edges = [(i, a, i + 1) for i in range(n)] + [(n + 1 + i, a, n + 2 + i) for i in range(n)]
     edges += [(n, act("b"), 2 * n + 2), (2 * n + 1, act("c"), 2 * n + 2)]

@@ -69,3 +69,23 @@ def test_state_index_validated(phil):
 )
 def test_formula_serialization(formula, rendered):
     assert format_formula(formula) == rendered
+
+
+def _nested(depth: int, bottom=TRUTH):
+    phi = bottom
+    for _ in range(depth):
+        phi = DelayObs(OP, DelayNor((TRUTH, phi)))
+    return phi
+
+
+def test_deep_formulas_compare_hash_and_print_without_recursion():
+    """Extracted formulas are thousands of levels deep: equality, hashing
+    and ``repr`` must not be bounded by the recursion limit."""
+    depth = 5000
+    phi, same, other = _nested(depth), _nested(depth), _nested(depth, DelayNor(()))
+    assert phi == same and not phi != same
+    assert hash(phi) == hash(same) == hash((OP, phi.body))
+    assert {phi: "found"}[same] == "found"
+    assert phi != other and not phi == other
+    prefix = "DelayObs(action=Action(name='op'), body=DelayNor(branches=(Truth(), "
+    assert repr(phi) == prefix * depth + "Truth()" + ")))" * depth

@@ -105,6 +105,8 @@ def test_cached_properties_of_a_game():
 def test_repr_names_the_fields():
     assert repr(AttackerPos(1, Q)) == "AttackerPos(p=1, q_set=frozenset({2}))"
     assert repr(DelayObs(a, TRUTH)) == "DelayObs(action=Action(name='a'), body=Truth())"
+    assert repr(DelayNor(())) == "DelayNor(branches=())"
+    assert repr(DelayNor((TRUTH,))) == "DelayNor(branches=(Truth(),))"
     assert repr(Certificate(kind="formula", formula="T")) == (
         "Certificate(kind='formula', formula='T', pairs=None)"
     )
