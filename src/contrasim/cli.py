@@ -28,8 +28,7 @@ For a gameless notion ``solve_ms`` times computing the relation, or the
 classes.
 
 Exit codes: 0 when the checked relation holds, 1 when it fails, 2 on usage,
-parse, file, or budget errors (states, game positions, or the words a
-``bounded-word-game`` query lists as challenges), and 3 on an
+parse, file, or budget errors (states or game positions), and 3 on an
 internal error (a defect), which prints ``internal error: <type>:
 <message>`` after its traceback on stderr.  A failing contrasimulation
 check is certified by a formula that the first failing direction's left

@@ -55,7 +55,6 @@ the same way; the certificate extractors raise ``ValueError`` on it
 
 from collections import deque
 from functools import cached_property
-from itertools import islice
 from types import SimpleNamespace
 from typing import AbstractSet, Iterable, Mapping, Union
 
@@ -119,7 +118,8 @@ def cs_successors(
     instead: for each feasible word ``w`` of at most ``word_bound`` letters
     (:meth:`Lts.feasible_words`) and each ``p'`` in the internal closure of
     its delay frontier from ``p``, a swap ``SwapPos(p', Q after w)``, each
-    distinct swap listed once.
+    distinct swap listed once.  The expander lists the same swaps in the
+    order of the configurations it walks, not by word.
     """
     if isinstance(pos, AttackerPos) and word_bound is not None:
         out = []
@@ -218,24 +218,29 @@ def _expander(lts: Lts, max_positions: int, word_bound: int | None = None) -> Si
 
     Returns the lists that :class:`CsGame` keeps, as far as the game is
     expanded, and three functions.  ``row(i)`` lists the moves of position
-    ``i`` in :func:`cs_successors` order (with ``word_bound``, word
-    challenges) and adds the positions they reach if they are new;
-    ``attacker(p, q)`` is the index of ``AttackerPos(p, {q})``, added if it
-    is new; ``game(moves, frontier)`` wraps the lists and the given rows into
-    a :class:`CsGame`, each position owned as its kind says, except that the
-    frontier positions are the defender's.
+    ``i`` and adds the positions they reach if they are new: in
+    :func:`cs_successors` order, except that a word-game attacker row lists
+    its swaps in configuration order (below); ``attacker(p, q)`` is the
+    index of ``AttackerPos(p, {q})``, added if it is new; ``game(moves,
+    frontier)`` wraps the lists and the given rows into a :class:`CsGame`,
+    each position owned as its kind says, except that the frontier
+    positions are the defender's.
 
     A position is keyed by one int, ``((q_id * width + a) * n + s) * 3 +
     kind``.  Each distinct set is interned once; its internal closure and
     its delay successor per action are computed on first use and then
     looked up, and each state's challenges are listed once, from its own
-    strong steps and internal closure, or from its feasible words.  A word
-    challenge's defender set is the fold of the attacker position's set
-    through the memoised delay successors.  ``add`` is the one place where
-    positions are created, so it enforces the position budget.  The words
-    are exponential in ``word_bound`` however few positions they reach, so
-    the words listed, over all states, count against the same budget, apart
-    from the positions.
+    strong steps and internal closure.  ``add`` is the one place where
+    positions are created, so it enforces the position budget.
+
+    The word game lists no words.  Its attacker at ``(s, Q)`` walks the
+    configurations ``(s', Q')`` that at most ``word_bound`` synchronized
+    delay steps reach, breadth-first and each once: a simulation challenge
+    of ``s'`` by ``a`` leads to ``(s'', Q' after a)``.  The row is the swaps
+    of each configuration, from ``s'`` over ``Q'``, in the order the walk
+    finds them, each listed once.  ``s'`` lies in its own internal closure,
+    so each configuration is itself one of the row's swaps: the walk is no
+    longer than the row, and the position budget bounds both.
     """
     if word_bound is not None and word_bound < 1:
         raise ValueError("word_bound must be at least 1")
@@ -252,7 +257,7 @@ def _expander(lts: Lts, max_positions: int, word_bound: int | None = None) -> Si
     answers: list[list[int] | None] = []  # sorted internal closure per set id
     delay: list[int] = []  # delay[q_id * width + a]: set id of the a-step, -1 if not yet known
     singleton = [-1] * n  # set id of {s}, -1 if not yet known
-    challenges: list[list | None] = [None] * n  # per state: challenges_of or word_challenges_of
+    challenges: list[list | None] = [None] * n  # per state: challenges_of(s), once listed
 
     def intern(q_set: StateSet) -> int:
         qid = q_index.get(q_set)
@@ -294,25 +299,6 @@ def _expander(lts: Lts, max_positions: int, word_bound: int | None = None) -> Si
         challenges[s] = out
         return out
 
-    ai_of = {a: ai for ai, a in enumerate(visible)}
-
-    listed = 0  # words listed over all states, budgeted apart from the positions
-
-    def word_challenges_of(s: int) -> list[tuple[tuple[int, ...], list[int]]]:
-        """(action indices, sorted closure of the delay frontier) of each
-        feasible word from ``s``."""
-        nonlocal listed
-        words = islice(lts.feasible_words(s, word_bound), max_positions - listed + 1)
-        out = challenges[s] = [
-            (tuple(map(ai_of.__getitem__, word)),
-             sorted(empty.union(*map(closure.__getitem__, frontier))))
-            for word, frontier in words
-        ]
-        listed += len(out)
-        if listed > max_positions:
-            raise PositionBudgetError(max_positions, "words listed as challenges")
-        return out
-
     def delay_of(qid: int, ai: int) -> int:
         here = closed(qid)
         a = visible[ai]
@@ -350,17 +336,25 @@ def _expander(lts: Lts, max_positions: int, word_bound: int | None = None) -> Si
         kind, s, qid = kinds[at], states[at], q_ids[at]
         out = []
         if kind == ATTACKER and word_bound is not None:
-            for word, targets in challenges[s] or word_challenges_of(s):
-                target = qid
-                for ai in word:
-                    step = delay[target * width + ai]
-                    target = step if step >= 0 else delay_of(target, ai)
-                base = target * stride
-                for s2 in targets:
-                    key = base + s2 * 3 + SWAP
-                    idx = index.get(key)
-                    out.append(add(key, SWAP, s2, target, -1) if idx is None else idx)
-            out = list(dict.fromkeys(out))  # two words may reach one swap
+            # The configuration walk, breadth-first, each (s', Q') once.
+            configs = [(s, qid, word_bound)]  # with the delay steps left
+            seen = {qid * n + s}
+            for s1, q1, left in configs:  # grows while it is walked: the queue
+                base = q1 * stride
+                for offset, kind2, s2, ai in challenges[s1] or challenges_of(s1):
+                    if kind2 == SWAP:
+                        key = base + offset
+                        idx = index.get(key)
+                        out.append(add(key, SWAP, s2, q1, -1) if idx is None else idx)
+                    elif left:
+                        target = delay[q1 * width + ai]
+                        if target < 0:
+                            target = delay_of(q1, ai)
+                        config = target * n + s2
+                        if config not in seen:
+                            seen.add(config)
+                            configs.append((s2, target, left - 1))
+            out = list(dict.fromkeys(out))  # two configurations may offer one swap
         elif kind == ATTACKER:
             base = qid * stride
             for offset, kind2, s2, ai in challenges[s] or challenges_of(s):
@@ -405,10 +399,11 @@ def build_cs_game(
     """Breadth-first closure of the move relation from ``AttackerPos(p, {q})``.
 
     Produces the positions and moves of a breadth-first search over
-    :func:`cs_successors` (with ``word_bound``), in the same order.  The
-    construction is finite because there are at most (|actions|+2) * |S| *
-    2^|S| positions; more than ``max_positions`` positions, or words listed
-    in word mode, raise :class:`PositionBudgetError`.
+    :func:`cs_successors`, in the same order; with ``word_bound``, the same
+    positions and the same successor set per position, each word-game
+    attacker row in configuration order.  The construction is finite
+    because there are at most (|actions|+2) * |S| * 2^|S| positions; more
+    than ``max_positions`` raise :class:`PositionBudgetError`.
     """
     lts._check_state(p)
     lts._check_state(q)
@@ -430,7 +425,8 @@ def solve_cs_game_locally(
     """Decide the set game at ``AttackerPos(p, {q})`` (with ``swapped``, also
     at ``AttackerPos(q, {p})``), expanding only the positions it needs; with
     ``word_bound``, the bounded word game, whose attacker challenges with
-    words (:func:`cs_successors`).
+    words (:func:`cs_successors`), walked as delay steps over configurations
+    and bounded by the same ``max_positions``.
 
     Returns the explored game, its solution and the indices of the roots.
     This is the local algorithm of Liu & Smolka (ICALP 1998): once a

@@ -34,13 +34,12 @@ class StateBudgetError(RuntimeError):
 
 
 class PositionBudgetError(RuntimeError):
-    """Raised when a game grows past the position budget; ``counted`` names
-    what passed it, the game's positions or the words a word game lists as
-    challenges."""
+    """Raised when a game, the set game or its word mode, grows past the
+    position budget."""
 
-    def __init__(self, budget: int, counted: str = "game positions"):
+    def __init__(self, budget: int):
         self.budget = budget
         super().__init__(
-            f"position budget of {budget} {counted} exceeded; "
+            f"position budget of {budget} game positions exceeded; "
             f"raise max_positions if the game really is this large"
         )

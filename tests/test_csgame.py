@@ -162,18 +162,28 @@ def reference_game(lts, p, q, word_bound=None):
 @given(random_lts_strategy(), st.data())
 @settings(max_examples=60, deadline=None)
 def test_builder_matches_reference_bfs(lts, data):
-    """Index for index, in the set game and in the word game at bounds 1-3."""
+    """Index for index in the set game.  In the word game at bounds 1-3 the
+    rows list their swaps in configuration order, not in word order: the
+    same positions, the same successor set per position, no duplicate in a
+    row."""
     p = data.draw(st.integers(0, lts.state_count - 1))
     q = data.draw(st.integers(0, lts.state_count - 1))
     for word_bound in (None, 1, 2, 3):
         game = build_cs_game(lts, p, q, word_bound=word_bound)
         positions, moves = reference_game(lts, p, q, word_bound)
-        assert list(game.positions) == positions
-        assert list(game.graph.moves) == moves
         assert game.graph.initial == 0
         assert game.initial_position == AttackerPos(p, frozenset({q}))
         for idx, pos in enumerate(game.positions):
             assert game.index[pos] == idx
+        if word_bound is None:
+            assert list(game.positions) == positions
+            assert list(game.graph.moves) == moves
+            continue
+        assert set(game.positions) == set(positions)
+        reference = {pos: {positions[t] for t in row} for pos, row in zip(positions, moves)}
+        for pos, row in zip(game.positions, game.graph.moves):
+            assert len(set(row)) == len(row)
+            assert {game.positions[t] for t in row} == reference[pos]
 
 
 def blow(k: int) -> Lts:
@@ -202,11 +212,44 @@ def test_position_budget():
     words = build_cs_game(lts, 0, 1, word_bound=2).graph.position_count
     with pytest.raises(PositionBudgetError):
         build_cs_game(lts, 0, 1, max_positions=words - 1, word_bound=2)
-    # The words listed count too: from state 1 of blow(1) every a/b word is
-    # feasible, 2^41 - 1 of at most 40 letters, though the game stays small.
-    for search in (solve_cs_game_locally, build_cs_game):
-        with pytest.raises(PositionBudgetError, match="budget of 1000 "):
-            search(blow(1), 1, 0, max_positions=1000, word_bound=40)
+    # From state 1 of blow(1) every a/b word is feasible, 2^41 - 1 of at
+    # most 40 letters, but they reach few configurations: both searches
+    # decide within a budget of 1000.
+    game, solution, (root,) = solve_cs_game_locally(
+        blow(1), 1, 0, max_positions=1000, word_bound=40
+    )
+    assert solution.winner[root] is Player.ATTACKER
+    assert game.graph.position_count == 9
+    game = build_cs_game(blow(1), 1, 0, max_positions=1000, word_bound=40)
+    assert solve(game.graph).winner[game.graph.initial] is Player.ATTACKER
+    assert game.graph.position_count == 10
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_word_rows_are_the_word_successors(seed):
+    """On cyclic systems with tau loops, each attacker row of the word game
+    holds the swaps that :func:`cs_successors` lists by word, as a set."""
+    rng = random.Random(seed)
+    for _ in range(5):
+        lts = make_random_lts(rng, n_states=rng.randint(2, 7), n_actions=2)
+        p, q = rng.randrange(lts.state_count), rng.randrange(lts.state_count)
+        for word_bound in (1, 2, 3, 4):
+            game = build_cs_game(lts, p, q, word_bound=word_bound)
+            for pos, row in zip(game.positions, game.graph.moves):
+                assert len(set(row)) == len(row)
+                assert {game.positions[t] for t in row} == set(
+                    cs_successors(lts, pos, word_bound)
+                )
+
+
+@pytest.mark.parametrize("k, bound, explored", [(1, 1000, 9), (8, 40, 277)])
+def test_word_game_walks_past_the_word_count(k, bound, explored):
+    """blow(k) has exponentially many words of up to ``bound`` letters
+    (2^1001 - 1 from state 1 of blow(1)), but the word game walks its
+    configurations and decides within the default budget."""
+    game, solution, (root,) = solve_cs_game_locally(blow(k), 1, 0, word_bound=bound)
+    assert solution.winner[root] is Player.ATTACKER
+    assert game.graph.position_count == explored
 
 
 @given(random_lts_strategy())
