@@ -37,10 +37,9 @@ both are re-checkable.
 
 :func:`main` runs the check with the cyclic garbage collector paused and
 restores the caller's setting on every exit.  Once the parser exists, a
-check leaves no reference cycle behind (``--emit-json``'s encoder in the
-standard library leaves one small one per call), so automatic collections
-would only walk the game.  :func:`run_check` leaves the collector to its
-caller.
+check leaves no reference cycle behind, ``--emit-json`` included, so
+automatic collections would only walk the game.  :func:`run_check` leaves
+the collector to its caller.
 """
 
 import argparse
@@ -99,8 +98,7 @@ class Certificate(Record):
 
 
 class CheckReport(Record):
-    """The outcome of one check.  Its fields are read-only, except
-    ``total_ms``, which is set once the report is complete."""
+    """The outcome of one check."""
 
     _fields = (
         "verdict", "notion", "direction", "lhs", "rhs", "forward", "backward", "certificate",
@@ -111,18 +109,12 @@ class CheckReport(Record):
         self, verdict: bool, notion: str, direction: str, lhs: str, rhs: str, forward: bool,
         backward: Optional[bool], certificate: Optional[Certificate],
         game_positions: Optional[int], game_moves: Optional[int], solve_ms: Optional[float],
-        total_ms: float = 0.0,
+        total_ms: float,
     ):
         self._set(
             verdict, notion, direction, lhs, rhs, forward, backward, certificate,
             game_positions, game_moves, solve_ms, total_ms,
         )
-
-    def __setattr__(self, name, value):
-        if name == "total_ms":
-            object.__setattr__(self, name, value)
-        else:
-            super().__setattr__(name, value)
 
 
 class UsageError(ValueError):
@@ -249,7 +241,7 @@ def run_check(args: argparse.Namespace) -> CheckReport:
         labels = [csgame.format_position(lts, pos) for pos in drawn.positions]
         Path(args.emit_game_dot).write_text(export_game_dot(drawn.graph, labels))
 
-    report = CheckReport(
+    return CheckReport(
         verdict=all(results),
         notion=notion,
         direction=args.direction,
@@ -261,9 +253,8 @@ def run_check(args: argparse.Namespace) -> CheckReport:
         game_positions=positions,
         game_moves=moves,
         solve_ms=round(solve_ms, 3),
+        total_ms=round((time.perf_counter() - started) * 1000.0, 3),
     )
-    report.total_ms = round((time.perf_counter() - started) * 1000.0, 3)
-    return report
 
 
 # -- output -------------------------------------------------------------------
@@ -298,6 +289,24 @@ def _certificate_json(certificate: Optional[Certificate]):
     return {"kind": "relation", "pairs": [list(pair) for pair in certificate.pairs]}
 
 
+def _indented(value, dumps, indent: str = "") -> str:
+    """``value`` in the layout of ``json.dumps(value, indent=2)``, each key
+    and scalar encoded by ``dumps`` alone: the indenting encoder is pure
+    Python and leaves a reference cycle per call, the plain one does not."""
+    inner = indent + "  "
+    if isinstance(value, dict):
+        brackets = "{}"
+        items = [f"{inner}{dumps(k)}: {_indented(v, dumps, inner)}" for k, v in value.items()]
+    elif isinstance(value, list):
+        brackets = "[]"
+        items = [inner + _indented(v, dumps, inner) for v in value]
+    else:
+        return dumps(value)
+    if not items:
+        return brackets
+    return brackets[0] + "\n" + ",\n".join(items) + "\n" + indent + brackets[1]
+
+
 def report_json(report: CheckReport) -> str:
     """Serialize a report with a stable field set and key order."""
     import json  # only --emit-json needs it; every other query skips its import
@@ -313,7 +322,7 @@ def report_json(report: CheckReport) -> str:
         "game_moves": report.game_moves,
         "solve_ms": report.solve_ms,
     }
-    return json.dumps(payload, indent=2) + "\n"
+    return _indented(payload, json.dumps) + "\n"
 
 
 def _print_report(report: CheckReport, out) -> None:

@@ -65,7 +65,6 @@ from .game import (
     GameSolution,
     Player,
     PositionalStrategy,
-    solution_from_attractor,
     solve,
 )
 from .hml import DelayNor, DelayObs, HmlFormula
@@ -451,16 +450,12 @@ def solve_cs_game_locally(
     mirrored swaps are defender wins in the whole game and in the pruned
     one, and every other position keeps its winner.
 
-    When the defender wins every root, every position found is expanded or
-    copied, and the propagated region is the exact attractor of that game,
-    so the solution is completed from it with :func:`solve`'s defender
-    rule; without copied or mirrored positions the extracted relation is
-    the one ``solve(build_cs_game(...).graph)`` gives.
-    Otherwise :func:`solve` runs on the explored game, in which every
-    unexpanded position, listed in :attr:`CsGame.frontier`, becomes a
-    defender position whose only move leads to itself, so no attacker win
-    is claimed through it; the attacker's strategy then has minimum rank on
-    what was explored.
+    In the explored game every unexpanded position, listed in
+    :attr:`CsGame.frontier`, is a defender position whose only move leads to
+    itself, so no attacker win is claimed through it.  The solution is
+    ``solve(game.graph)``; :func:`solve` ranks only the region the search
+    found won, which is that game's attractor, since each win is propagated
+    over the known moves before the next position is expanded.
     """
     lts._check_state(p)
     lts._check_state(q)
@@ -476,8 +471,6 @@ def solve_cs_game_locally(
     preds: list[list[int] | None] = [[] for _ in range(count)]  # expanded predecessors
     pending = [0] * count  # moves not yet won, per expanded defender position
     won = [False] * count
-    order: list[int] = []  # won positions, each after the successors it was won by
-    choice: dict[int, int] = {}
     # buckets[k]: positions over a set of k states, to be expanded last in, first out.
     buckets: list[list[int]] = [[] for _ in range(n + 1)]
     buckets[1] += reversed(roots)
@@ -517,7 +510,6 @@ def solve_cs_game_locally(
             for t in row:
                 if won[t]:
                     won[at] = True
-                    choice[at] = t
                     break
                 preds[t].append(at)  # left behind if ``at`` is won: then skipped
             else:
@@ -539,14 +531,12 @@ def solve_cs_game_locally(
         stack = [at]
         while stack:
             w = stack.pop()
-            order.append(w)
             undecided.discard(w)
             for u in preds[w]:
                 if won[u]:
                     continue
                 if kinds[u] == ATTACKER:
                     won[u] = True
-                    choice[u] = w
                     stack.append(u)
                 else:
                     pending[u] -= 1
@@ -561,15 +551,7 @@ def solve_cs_game_locally(
         moves[i] = (i,)
     game = expander.game(moves, frontier)
     del expander, row_of, attacker  # frees the position index before solving
-    if len(undecided) < len(set(roots)):
-        return game, solve(game.graph), roots
-    rank: list[int | None] = [None] * count
-    for w in order:
-        if kinds[w] == ATTACKER:
-            rank[w] = rank[choice[w]] + 1
-        else:
-            rank[w] = max(map(rank.__getitem__, moves[w]), default=-1) + 1
-    return game, solution_from_attractor(game.graph, won, rank, choice), roots
+    return game, solve(game.graph, won), roots
 
 
 def decide_preorder(lts: Lts, p: int, q: int) -> bool:

@@ -9,6 +9,7 @@ reverse edges and per-position out-degree counters.
 
 from collections import deque
 from enum import Enum
+from itertools import compress
 from typing import Callable, Iterable, Optional, Sequence
 
 from .record import Record
@@ -90,7 +91,7 @@ class GameSolution(Record):
     positions, one more than the chosen successor along attacker wins, one
     more than the highest-ranked successor on other won defender positions,
     and None (infinity) on defender-won positions.  solve() gives the least
-    such ranks, the attractor levels."""
+    such ranks, the attractor levels, also when it is handed a won region."""
 
     _fields = ("winner", "attacker_strategy", "defender_strategy", "attacker_rank")
 
@@ -101,80 +102,66 @@ class GameSolution(Record):
         self._set(winner, attacker_strategy, defender_strategy, attacker_rank)
 
 
-def solve(graph: GameGraph) -> GameSolution:
+def solve(graph: GameGraph, won: Optional[Sequence[bool]] = None) -> GameSolution:
     """Compute winning regions, positional strategies, and attacker ranks.
 
     The attacker-won region is the least set that contains every defender
     position without moves and is closed under attacker positions with some
     won successor and defender positions with only won successors.  The BFS
     order makes ranks strictly decrease along attacker strategy moves and
-    along every move out of a won defender position.
+    along every move out of a won defender position.  The defender takes
+    its first move that is not won.
+
+    ``won``, when given, flags a set of positions that contains every
+    attacker-won one, such as the region a local search found won.  Only the
+    moves out of it are walked backward; since the pass meets the won
+    positions in the same order, the solution is the one without ``won``.
     """
     n = graph.position_count
+    owner, moves = graph.owner, graph.moves
     preds: list[list[int]] = [[] for _ in range(n)]
-    for src, row in enumerate(graph.moves):
-        for dst in row:
+    for src in range(n) if won is None else compress(range(n), won):
+        for dst in moves[src]:
             preds[dst].append(src)
 
-    won = [False] * n
+    attacker, defender = Player.ATTACKER, Player.DEFENDER
     rank: list[Optional[int]] = [None] * n
-    pending = [len(row) for row in graph.moves]
+    pending = [len(row) for row in moves]
     attacker_choice: dict[int, int] = {}
     queue: deque[int] = deque()
 
     for g in range(n):
-        if graph.owner[g] is Player.DEFENDER and not graph.moves[g]:
-            won[g] = True
+        if owner[g] is defender and not moves[g]:
             rank[g] = 0
             queue.append(g)
 
     while queue:
         w = queue.popleft()
         for u in preds[w]:
-            if won[u]:
+            if rank[u] is not None:
                 continue
-            if graph.owner[u] is Player.ATTACKER:
-                won[u] = True
+            if owner[u] is attacker:
                 rank[u] = rank[w] + 1
                 attacker_choice[u] = w
                 queue.append(u)
             else:
                 pending[u] -= 1
                 if pending[u] == 0:
-                    won[u] = True
                     rank[u] = rank[w] + 1
                     queue.append(u)
 
-    return solution_from_attractor(graph, won, rank, attacker_choice)
-
-
-def solution_from_attractor(
-    graph: GameGraph,
-    won: Sequence[bool],
-    rank: Sequence[Optional[int]],
-    attacker_choice: dict[int, int],
-) -> GameSolution:
-    """Complete an attacker-won region into a :class:`GameSolution`.
-
-    ``won`` must be the exact attractor of ``graph``, with ``attacker_choice``
-    a won successor of every won attacker position and ``rank`` strictly
-    decreasing along those choices and along every move out of a won
-    defender position.  The defender takes its first move that is not won.
-    """
-    attacker, defender = Player.ATTACKER, Player.DEFENDER
     defender_choice: dict[int, int] = {}
-    for g, (owner, row) in enumerate(zip(graph.owner, graph.moves)):
-        if owner is defender and not won[g]:
+    for g, (who, row) in enumerate(zip(owner, moves)):
+        if who is defender and rank[g] is None:
             for t in row:
-                if not won[t]:
+                if rank[t] is None:
                     defender_choice[g] = t
                     break
 
-    winner = tuple([attacker if w else defender for w in won])
     return GameSolution(
-        winner=winner,
-        attacker_strategy=PositionalStrategy(Player.ATTACKER, attacker_choice),
-        defender_strategy=PositionalStrategy(Player.DEFENDER, defender_choice),
+        winner=tuple([defender if r is None else attacker for r in rank]),
+        attacker_strategy=PositionalStrategy(attacker, attacker_choice),
+        defender_strategy=PositionalStrategy(defender, defender_choice),
         attacker_rank=tuple(rank),
     )
 

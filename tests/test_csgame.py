@@ -319,7 +319,9 @@ def check_local_against_eager(lts: Lts, p: int, q: int, word_bound: int | None =
     same verdicts, and no more positions or moves than the full game.  Each
     position the local run gives to the attacker is attacker-won in the
     full game, and when every root holds, so is every expanded position's
-    winner the full game's.  Each unexpanded position moves to itself, and
+    winner the full game's.  The solution is the one ``solve`` gives on the
+    explored game, its least ranks included.  Each unexpanded position moves
+    to itself, and
     it is copied or left behind once the attacker has won every root.  A
     copied position is an attacker position ``(p, Q)`` with ``p`` in ``Q``
     that the full game gives to the defender.  Each swap to a state in
@@ -339,6 +341,7 @@ def check_local_against_eager(lts: Lts, p: int, q: int, word_bound: int | None =
             lts, p, q, swapped=swapped, word_bound=word_bound
         )
         assert len(roots) == 1 + swapped
+        assert solution == solve(game.graph)
         assert game.positions[roots[0]] == AttackerPos(p, frozenset({q}))
         assert game.graph.position_count <= eager.graph.position_count
         assert game.move_count <= eager.graph.move_count

@@ -151,6 +151,19 @@ def test_unique_rows_taken_as_they_are(graph):
     assert fast.move_count == graph.move_count
 
 
+@given(small_game(), st.integers(0, 2**32 - 1))
+def test_solve_on_a_won_superset_is_solve(graph, seed):
+    """Handed the attacker-won region, or any superset of it, solve walks
+    only the moves out of it and gives the same solution."""
+    solution = solve(graph)
+    won = [w is A for w in solution.winner]
+    rng = random.Random(seed)
+    superset = [w or rng.random() < 0.5 for w in won]
+    assert solve(graph, won) == solution
+    assert solve(graph, superset) == solution
+    assert solve(graph, [True] * graph.position_count) == solution
+
+
 @given(small_game())
 def test_determinacy(graph):
     winners = set(solve(graph).winner)

@@ -22,7 +22,7 @@ def report(**changes):
     fields = dict(
         verdict=True, notion="contrasim", direction="preorder", lhs="1", rhs="2",
         forward=True, backward=None, certificate=Certificate(kind="formula", formula="T"),
-        game_positions=3, game_moves=4, solve_ms=0.5,
+        game_positions=3, game_moves=4, solve_ms=0.5, total_ms=0.0,
     )
     return CheckReport(**{**fields, **changes})
 
@@ -69,7 +69,7 @@ def test_formulas_compare_by_value():
 
 def test_record_fields_are_read_only():
     for record in one_of_each():
-        for name in set(record._fields) - {"total_ms"}:  # a report's one exception
+        for name in record._fields:
             with pytest.raises(AttributeError):
                 setattr(record, name, None)
             with pytest.raises(AttributeError):
@@ -77,12 +77,14 @@ def test_record_fields_are_read_only():
     assert AttackerPos(1, Q).p == 1
 
 
-def test_report_total_time_is_assignable():
-    done = report()
-    assert done.total_ms == 0.0
-    done.total_ms = 12.5
-    assert done.total_ms == 12.5
-    assert report(total_ms=3.0).total_ms == 3.0
+def test_report_total_time_is_read_only():
+    """A report is complete when it is made: its total time is read-only
+    like every other field."""
+    done = report(total_ms=3.0)
+    assert done.total_ms == 3.0
+    with pytest.raises(AttributeError):
+        done.total_ms = 12.5
+    assert done.total_ms == 3.0
 
 
 def test_keyword_construction_and_defaults():
