@@ -14,18 +14,22 @@ whose system is the model itself: the benchmark's traced pass
 game gives, and lifted from the quotient it would relate more pairs.
 Dropping it from ``PARTITIONS`` moves it onto the weak classes.
 
-Each query decides on one game or computes one relation: under
-``--direction equivalence`` the backward verdict is read off the
-lhs-vs-rhs game at its reverse root, and ``game_positions``,
-``game_moves`` and ``solve_ms`` describe that one game, for
-``bounded-word-game`` the quotient's.  Both game notions run one driver,
+Each query but the bisimilarities decides on one game: under
+``--direction equivalence`` the backward verdict is read off the same
+game, at its reverse root.  The set game notions run one driver,
 :func:`contrasim.csgame.solve_cs_game_locally`, the word game in its word
 mode: it explores the game locally and stops once the attacker wins every
-queried root, so the counts are those of the explored part.
-``--emit-game-dot`` only draws: it builds the whole reachable game, writes
-it and leaves the verdict, the certificate and the counts as they are.
-For a gameless notion ``solve_ms`` times computing the relation, or the
-classes.
+queried root, so ``game_positions`` and ``game_moves`` count the explored
+part, for ``bounded-word-game`` on the quotient.  ``--emit-game-dot`` only
+draws: it builds the whole reachable game, writes it and leaves the
+verdict, the certificate and the counts as they are.  ``weak-sim`` and
+``naive-contrasim-1step`` build a pair game on the quotient from the
+queried pairs (:func:`contrasim.relations.solve_pair_game`) and report no
+counts.  A holding ``weak-sim`` check prints the greatest weak
+simulation, which :func:`contrasim.relations.weak_sim_preorder` computes
+whole on the quotient, outside the game and its budget.
+``--max-positions`` bounds every game.  ``solve_ms`` times the game, for
+a bisimilarity the classes.
 
 Exit codes: 0 when the checked relation holds, 1 when it fails, 2 on usage,
 parse, file, or budget errors (states or game positions), and 3 on an
@@ -54,7 +58,7 @@ from . import csgame, relations
 from .aut import parse_aut
 from .ccs import DEFAULT_MAX_STATES, expand_ccs_roots, parse_ccs
 from .errors import ParseError, PositionBudgetError, StateBudgetError
-from .game import GameGraph, Player
+from .game import DEFAULT_MAX_POSITIONS, GameGraph, Player
 from .hml import format_formula
 from .lts import Lts
 from .record import Record
@@ -132,12 +136,10 @@ def _load_model(args: argparse.Namespace) -> tuple[Lts, int, int]:
         raise ParseError(f"input is not UTF-8 text: {exc}") from None
     if fmt == "aut":
         lts, _initial = parse_aut(text, args.max_states)
-        try:
-            lhs, rhs = int(args.lhs), int(args.rhs)
-        except ValueError:
-            raise UsageError(
-                "for .aut input the designators are state indices"
-            ) from None
+        # ASCII digits only: int() also takes "1_0", "+1", " 1" and "١"
+        if not all(d.isascii() and d.isdigit() for d in (args.lhs, args.rhs)):
+            raise UsageError("for .aut input the designators are state indices")
+        lhs, rhs = int(args.lhs), int(args.rhs)
         for s in (lhs, rhs):
             if not (0 <= s < lts.state_count):
                 raise UsageError(f"state {s} outside 0..{lts.state_count - 1}")
@@ -200,6 +202,7 @@ def run_check(args: argparse.Namespace) -> CheckReport:
     t0 = time.perf_counter()
     classes = PARTITIONS.get(notion, relations.weak_classes)(model)
     p, q = classes[lhs], classes[rhs]
+    directions = [(p, q), (q, p)] if equivalence else [(p, q)]
     if notion in BISIMILARITIES:
         # Bisimilar means in one class, so solve_ms times the classes.
         related = {(c, c) for c in range(max(classes) + 1)}
@@ -212,23 +215,29 @@ def run_check(args: argparse.Namespace) -> CheckReport:
                 lts, p, q, swapped=equivalence, max_positions=args.max_positions,
                 word_bound=word_bound,
             )
-        elif notion == "weak-sim":
-            related = relations.weak_sim_preorder(lts)
         else:
-            related = csgame.naive_single_step_relation(lts)
+            # A pair game from the queried pairs: strong steps against weak
+            # ones for weak-sim, weak against weak and swapped for the naive
+            # fixed point.
+            naive = notion == "naive-contrasim-1step"
+            weak = relations.step_tables(lts, weak=True)
+            left = weak if naive else relations.step_tables(lts, weak=False)
+            related = relations.solve_pair_game(left, weak, directions, naive, args.max_positions)
     solve_ms = (time.perf_counter() - t0) * 1000.0
     if notion in GAME_NOTIONS:
         results = [solution.winner[root] is Player.DEFENDER for root in roots]
         positions = game.graph.position_count
         moves = game.move_count
     else:
-        directions = [(p, q), (q, p)] if equivalence else [(p, q)]
         results = [pair in related for pair in directions]
 
     certificate = None
     if args.emit_certificate and notion in RELATION_NOTIONS and all(results):
         if notion in GAME_NOTIONS:
             related = csgame.extract_contrasimulation(game, solution, roots)
+        elif notion == "weak-sim":
+            # The greatest weak simulation, by the counter refinement.
+            related = relations.weak_sim_preorder(lts)
         certificate = _lifted_certificate(model, classes, related)
     elif args.emit_certificate and notion == "contrasim":
         first_lost = roots[results.index(False)]
@@ -383,7 +392,7 @@ def _build_parser() -> argparse.ArgumentParser:
     check.add_argument(
         "--max-positions",
         type=int,
-        default=csgame.DEFAULT_MAX_POSITIONS,
+        default=DEFAULT_MAX_POSITIONS,
         help="position budget for the game a query builds",
     )
     check.add_argument(

@@ -61,6 +61,7 @@ from typing import AbstractSet, Iterable, Mapping, Union
 from . import relations
 from .errors import PositionBudgetError
 from .game import (
+    DEFAULT_MAX_POSITIONS,
     GameGraph,
     GameSolution,
     Player,
@@ -207,9 +208,6 @@ class CsGame(Record):
         """Moves of the expanded positions: the one move of each frontier
         position is not counted."""
         return self.graph.move_count - len(self.frontier)
-
-
-DEFAULT_MAX_POSITIONS = 1_000_000
 
 
 def _expander(lts: Lts, max_positions: int, word_bound: int | None = None) -> SimpleNamespace:
@@ -695,15 +693,18 @@ def naive_single_step_relation(lts: Lts) -> Relation:
     executable counterexample and for the tau-free case, where it agrees
     with the game.
     """
-    weak = relations._step_tables(lts, weak=True)
+    weak = relations.step_tables(lts, weak=True)
     return relations._greatest_fixed_point(weak, weak, swapped=True)
 
 
 def naive_single_step_preorder(lts: Lts, p: int, q: int) -> bool:
-    """Whether ``(p, q)`` lies in :func:`naive_single_step_relation`."""
+    """Whether ``(p, q)`` lies in :func:`naive_single_step_relation`, decided
+    by the pair game built from ``(p, q)`` alone
+    (:func:`contrasim.relations.solve_pair_game`)."""
     lts._check_state(p)
     lts._check_state(q)
-    return (p, q) in naive_single_step_relation(lts)
+    weak = relations.step_tables(lts, weak=True)
+    return bool(relations.solve_pair_game(weak, weak, ((p, q),), swapped=True))
 
 
 def build_word_game(

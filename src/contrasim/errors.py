@@ -34,8 +34,8 @@ class StateBudgetError(RuntimeError):
 
 
 class PositionBudgetError(RuntimeError):
-    """Raised when a game, the set game or its word mode, grows past the
-    position budget."""
+    """Raised when a game, the set game, its word mode or a pair game,
+    grows past the position budget."""
 
     def __init__(self, budget: int):
         self.budget = budget

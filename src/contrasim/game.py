@@ -14,6 +14,9 @@ from typing import Callable, Iterable, Optional, Sequence
 
 from .record import Record
 
+# The default bound on the positions of a game that a query builds.
+DEFAULT_MAX_POSITIONS = 1_000_000
+
 
 class Player(Enum):
     ATTACKER = "attacker"
@@ -56,8 +59,9 @@ class GameGraph:
         cls, owner: Iterable[Player], moves: Iterable[Iterable[int]], initial: int = 0
     ) -> "GameGraph":
         """A graph whose rows are already in range and free of duplicates,
-        as the set game generates them, in its word mode too: the rows are
-        taken without the constructor's checks."""
+        as the set game generates them, in its word mode too, and as the
+        pair games of :mod:`contrasim.relations` do: the rows are taken
+        without the constructor's checks."""
         graph = cls.__new__(cls)
         graph.owner = tuple(owner)
         graph.moves = tuple(map(tuple, moves))

@@ -8,13 +8,17 @@ and a pair-deletion fixed point, written to be audited.  All of them treat
 relations as plain sets of ordered state-index pairs over one LTS.
 
 Weak similarity and the naive single-step fixed point of
-:mod:`contrasim.csgame` answer queries of the command line, so they share
-one counter-based refinement, :func:`_greatest_fixed_point`, which handles
-each deleted pair once.  The pair-deletion loops it replaced are kept in
-the tests as its reference.  Strong and weak bisimilarity come from
-partition refinement instead: :func:`strong_classes` and
-:func:`weak_classes` class the states, and the bisimilarity relates the
-states of one class.
+:mod:`contrasim.csgame` have two deciders, one per job.  A few queried
+pairs are decided by a pair game, :func:`solve_pair_game`, built from
+those pairs only and solved by :func:`contrasim.game.solve`.  The whole
+relation comes from a counter-based refinement,
+:func:`_greatest_fixed_point`, which handles each deleted pair once and
+keeps a byte per pair, where the pair game with every pair a root would
+hold (|actions| + 2)·n² positions.  Pair-deletion loops are kept in the
+tests as the reference of both.
+Strong and weak bisimilarity come from partition refinement instead:
+:func:`strong_classes` and :func:`weak_classes` class the states, and the
+bisimilarity relates the states of one class.
 
 Weak classes give a smaller system on which every notion defined by
 transferring weak steps has the same answer:
@@ -40,15 +44,18 @@ transferring weak steps has the same answer:
   strong class".
 
 The command line decides weak similarity, the naive fixed point and the
-bounded word game on ``S/≈``, and the bisimilarities by class;
-contrasimilarity stays on the model.  The library deciders run on the
-system they are given and are the oracles it is tested against.
+bounded word game on ``S/≈``, each on a game built from the queried pairs
+only, and the bisimilarities by class; contrasimilarity stays on the
+model.  The library deciders run on the system they are given and are the
+oracles it is tested against.
 """
 
 from collections import deque
 from itertools import compress, repeat
 from typing import AbstractSet, Hashable, Iterable, Mapping, Optional, Sequence
 
+from .errors import PositionBudgetError
+from .game import DEFAULT_MAX_POSITIONS, GameGraph, Player, solve
 from .lts import Action, Lts, StateSet, TAU, Word
 from .record import Record
 
@@ -242,7 +249,7 @@ def contrasim_preorder(lts: Lts) -> frozenset[Pair]:
     return frozenset(rel)
 
 
-def _step_tables(lts: Lts, *, weak: bool) -> list[list[AbstractSet[int]]]:
+def step_tables(lts: Lts, *, weak: bool) -> list[list[AbstractSet[int]]]:
     """Per action of ``visible_actions + (TAU,)``, every state's strong
     successors, or its weak ones (for tau, its internal closure)."""
     empty: StateSet = frozenset()
@@ -307,7 +314,9 @@ def _greatest_fixed_point(
     popped from the worklist once, decrementing the counters of the right
     predecessors of its answer side; a counter that reaches zero deletes the
     left predecessors of ``t`` paired with ``q``.  Cost is O(n * m) for n
-    states and m table entries.
+    states and m table entries.  It always computes every pair, which is
+    what the whole relation needs; :func:`solve_pair_game` decides a few
+    queried pairs without touching the rest.
     """
     n = len(left[0])
     actions = range(len(left))
@@ -366,6 +375,64 @@ def _greatest_fixed_point(
                         row[q] = 0
                         work.append((q, p) if swapped else (p, q))
     return frozenset((x, y) for x in states for y in compress(states, rel[x]))
+
+
+def solve_pair_game(
+    left: Sequence[Sequence[AbstractSet[int]]],
+    right: Sequence[Sequence[AbstractSet[int]]],
+    roots: Iterable[Pair],
+    swapped: bool = False,
+    max_positions: int = DEFAULT_MAX_POSITIONS,
+) -> frozenset[Pair]:
+    """The pairs of ``roots`` in the greatest relation ``R`` in which, for
+    every ``(x, y)`` in ``R``, every action index ``a`` and every ``x2`` in
+    ``left[a][x]``, some ``y2`` in ``right[a][y]`` has ``(x2, y2)`` in ``R``
+    (``(y2, x2)`` if ``swapped``), the relation :func:`_greatest_fixed_point`
+    computes whole: the defender's wins of a game built breadth-first from
+    the roots and solved by :func:`solve`.
+
+    The attacker at ``(x, y)`` picks ``a`` and ``x2`` and moves to the
+    defender position ``(a, x2, y)``, which every ``x`` shares; the defender
+    answers with ``y2`` and moves to ``(x2, y2)``, or ``(y2, x2)``, and is
+    stuck without answers.  More than ``max_positions`` positions raise
+    :class:`PositionBudgetError`.
+    """
+    n = len(left[0])
+    square = n * n  # (x, y) is keyed x*n + y, (a, x2, y) (a+1)*n*n + x2*n + y
+    x_step, y_step = (1, n) if swapped else (n, 1)  # the key of a defender's answer
+    index: dict[int, int] = {}  # position key -> position index
+    keys: list[int] = []
+
+    def add(key: int) -> int:
+        idx = index.get(key)
+        if idx is None:
+            idx = len(keys)
+            if idx == max_positions:
+                raise PositionBudgetError(max_positions)
+            index[key] = idx
+            keys.append(key)
+        return idx
+
+    for x, y in roots:
+        add(x * n + y)
+    root_count = len(keys)
+    moves: list[list[int]] = []
+    for key in keys:  # grows while it is walked: the breadth-first queue
+        a, rest = divmod(key, square)
+        x, y = divmod(rest, n)
+        if a:
+            moves.append([add(x * x_step + y2 * y_step) for y2 in right[a - 1][y]])
+        else:
+            moves.append(
+                [add(a2 * square + x2 * n + y) for a2, row in enumerate(left, 1) for x2 in row[x]]
+            )
+    owner = [Player.ATTACKER if key < square else Player.DEFENDER for key in keys]
+    # Distinct choices lead to distinct positions, so no row holds a duplicate.
+    graph = GameGraph.from_unique_rows(owner, moves)
+    del index, moves, owner, keys[root_count:]  # freed before solving
+    winner = solve(graph).winner
+    won = [divmod(keys[i], n) for i in range(root_count) if winner[i] is Player.DEFENDER]
+    return frozenset(won)
 
 
 def _classes(
@@ -593,7 +660,7 @@ def _same_class(classes: Sequence[int]) -> frozenset[Pair]:
 
 def weak_sim_preorder(lts: Lts) -> frozenset[Pair]:
     """The weak simulation preorder (the greatest weak simulation)."""
-    return _greatest_fixed_point(_step_tables(lts, weak=False), _step_tables(lts, weak=True))
+    return _greatest_fixed_point(step_tables(lts, weak=False), step_tables(lts, weak=True))
 
 
 def weak_bisimilarity(lts: Lts) -> frozenset[Pair]:

@@ -60,6 +60,16 @@ def run_main(args):
     return main([str(a) for a in args])
 
 
+def chain_aut(path: Path, n: int, ends: tuple[str, str] = ("b", "c")) -> Path:
+    """Write two n-step a-chains, state 0's ending in ``ends[0]`` and state
+    n+1's in ``ends[1]``, both into state 2n+2, as an .aut file."""
+    records = [f'({i},"a",{i + 1})' for i in range(n)]
+    records += [f'({n + 1 + i},"a",{n + 2 + i})' for i in range(n)]
+    records += [f'({n},"{ends[0]}",{2 * n + 2})', f'({2 * n + 1},"{ends[1]}",{2 * n + 2})']
+    path.write_text("\n".join([f"des (0,{len(records)},{2 * n + 3})", *records]) + "\n")
+    return path
+
+
 # -- exit codes on the shipped fixtures ------------------------------------------
 
 
@@ -103,6 +113,12 @@ def test_aut_input_uses_state_indices(capsys):
     [
         ["check", "--lhs", "Pc", "--rhs", "Missing", FIXTURES / "phil.ccs"],
         ["check", "--lhs", "banana", "--rhs", "2", FIXTURES / "phil.aut"],
+        # .aut designators are ASCII decimal digits: int() would read each of
+        # these as state 1
+        ["check", "--lhs", "0_1", "--rhs", "2", FIXTURES / "phil.aut"],
+        ["check", "--lhs", "+1", "--rhs", "2", FIXTURES / "phil.aut"],
+        ["check", "--lhs", "1", "--rhs", " 1", FIXTURES / "phil.aut"],
+        ["check", "--lhs", "\u0661", "--rhs", "2", FIXTURES / "phil.aut"],
         ["check", "--lhs", "1", "--rhs", "99", FIXTURES / "phil.aut"],
         ["check", "--lhs", "Pab", "--rhs", "Pb", "--notion", "bounded-word-game",
          FIXTURES / "instable.ccs"],
@@ -189,6 +205,23 @@ def test_position_budget_error_names_what_passed_it(args, counted, capsys):
         f"error: position budget of {counted} exceeded; "
         "raise max_positions if the game really is this large\n"
     )
+
+
+@pytest.mark.parametrize("direction", ["preorder", "equivalence"])
+@pytest.mark.parametrize("notion", ["weak-sim", "naive-contrasim-1step"])
+def test_pair_games_fit_the_position_budget(notion, direction, tmp_path, capsys):
+    """Two 500-step chains (1,003 states): the pair game is built from the
+    queried pairs only, so a budget linear in n decides them, and a tiny one
+    stops the query."""
+    n = 500
+    query = ["check", "--lhs", 0, "--rhs", n + 1, "--notion", notion,
+             "--direction", direction, chain_aut(tmp_path / "chain.aut", n)]
+    assert run_main([*query, "--max-positions", 10]) == 2
+    assert capsys.readouterr().err == (
+        "error: position budget of 10 game positions exceeded; "
+        "raise max_positions if the game really is this large\n"
+    )
+    assert run_main([*query, "--max-positions", 8 * n]) == 1
 
 
 def test_cli_import_loads_no_dataclasses_inspect_or_json():
@@ -489,19 +522,21 @@ def test_weak_quotient_verdicts_and_lifted_certificates(seed, tmp_path):
     [
         ("contrasim", "solve_cs_game_locally"),
         ("bounded-word-game", "solve_cs_game_locally"),
-        ("naive-contrasim-1step", "naive_single_step_relation"),
+        ("naive-contrasim-1step", "solve_pair_game"),
     ],
 )
 def test_equivalence_does_the_work_once(notion, work, monkeypatch, capsys):
-    """Both directions are read off one game or one relation."""
+    """Both directions are read off one game: the set game, its word mode or
+    a pair game built once from both queried pairs."""
     calls = []
-    original = getattr(csgame, work)
+    module = relations if work == "solve_pair_game" else csgame
+    original = getattr(module, work)
 
     def counted(*args, **kwargs):
         calls.append(args)
         return original(*args, **kwargs)
 
-    monkeypatch.setattr(csgame, work, counted)
+    monkeypatch.setattr(module, work, counted)
     run_main(
         ["check", "--notion", notion, "--direction", "equivalence",
          "--lhs", INSTABLE_AUT["bE"], "--rhs", INSTABLE_AUT["AB"], "--word-bound", 2,
@@ -534,11 +569,7 @@ def test_deep_chain_certificate(tmp_path, capsys):
     """A 3,000-step a-chain ending in b against one ending in c: the formula
     is 3,000 observations deep, far past the recursion limit."""
     n = 3000
-    records = [f'({i},"a",{i + 1})' for i in range(n)]
-    records += [f'({n + 1 + i},"a",{n + 2 + i})' for i in range(n)]
-    records += [f'({n},"b",{2 * n + 2})', f'({2 * n + 1},"c",{2 * n + 2})']
-    chain = tmp_path / "chain.aut"
-    chain.write_text("\n".join([f"des (0,{len(records)},{2 * n + 3})", *records]) + "\n")
+    chain = chain_aut(tmp_path / "chain.aut", n)
     lhs, rhs = 0, n + 1
 
     code = run_main(
@@ -578,20 +609,12 @@ def test_deep_ccs_chain_certificate(tmp_path, capsys):
 
 
 def test_gameless_notions_on_long_chain(tmp_path, capsys):
-    """300-step chains (603 states) under the four fixed-point notions: each
-    deleted pair is handled once, where re-sweeping every remaining pair
-    after each deletion took minutes."""
+    """300-step chains (603 states) under the four gameless notions, where
+    re-sweeping every remaining pair after each deletion took minutes; a
+    holding weak-sim check prints the greatest weak simulation, which is
+    computed whole, outside the position budget that bounds its game."""
     n = 300
-
-    def chain_file(name: str, ends: tuple[str, str]) -> Path:
-        records = [f'({i},"a",{i + 1})' for i in range(n)]
-        records += [f'({n + 1 + i},"a",{n + 2 + i})' for i in range(n)]
-        records += [f'({n},"{ends[0]}",{2 * n + 2})', f'({2 * n + 1},"{ends[1]}",{2 * n + 2})']
-        path = tmp_path / name
-        path.write_text("\n".join([f"des (0,{len(records)},{2 * n + 3})", *records]) + "\n")
-        return path
-
-    chain = chain_file("chain.aut", ("b", "c"))
+    chain = chain_aut(tmp_path / "chain.aut", n)
     for notion in ("weak-sim", "weak-bisim", "strong-bisim", "naive-contrasim-1step"):
         code = run_main(
             ["check", "--lhs", 0, "--rhs", n + 1, "--notion", notion,
@@ -599,11 +622,11 @@ def test_gameless_notions_on_long_chain(tmp_path, capsys):
         )
         assert code == 1, notion
 
-    twins = chain_file("twins.aut", ("b", "b"))
+    twins = chain_aut(tmp_path / "twins.aut", n, ("b", "b"))
     capsys.readouterr()
     code = run_main(
         ["check", "--lhs", 0, "--rhs", n + 1, "--notion", "weak-sim",
-         "--emit-certificate", twins]
+         "--emit-certificate", "--max-positions", 8 * n, twins]
     )
     assert code == 0
     line = re.search(r"^relation: (.+)$", capsys.readouterr().out, re.MULTILINE)
@@ -941,17 +964,13 @@ def test_checks_leave_no_cyclic_garbage(tmp_path, collector, capsys):
     makes is freed by reference counting, ``--emit-json``'s report
     included."""
     n = 600
-    records = [f'({i},"a",{i + 1})' for i in range(n)]
-    records += [f'({n + 1 + i},"a",{n + 2 + i})' for i in range(n)]
-    records += [f'({n},"b",{2 * n + 2})', f'({2 * n + 1},"c",{2 * n + 2})']
-    chain_aut = tmp_path / "chain.aut"
-    chain_aut.write_text("\n".join([f"des (0,{len(records)},{2 * n + 3})", *records]) + "\n")
+    chain = chain_aut(tmp_path / "chain.aut", n)
     chain_ccs = tmp_path / "chain.ccs"
     chain_ccs.write_text(f"L = {'a.' * n}b.0;\nR = {'a.' * n}c.0;\n")
     phil2 = tmp_path / "phil2.ccs"
     phil2.write_text(PHIL2)
     queries = [
-        ["--lhs", 0, "--rhs", n + 1, chain_aut],
+        ["--lhs", 0, "--rhs", n + 1, chain],
         ["--lhs", "L", "--rhs", "R", chain_ccs],
         ["--lhs", "R", "--rhs", "L", "--direction", "equivalence", phil2],
     ]

@@ -1,6 +1,7 @@
 import random
 import sys
 from contextlib import contextmanager
+from itertools import product
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -9,6 +10,7 @@ from contrasim import relations
 from contrasim.aut import parse_aut
 from contrasim.csgame import (
     extract_contrasimulation,
+    naive_single_step_preorder,
     naive_single_step_relation,
     solve_cs_game_locally,
 )
@@ -21,6 +23,8 @@ from contrasim.relations import (
     is_contrasimulation,
     is_weak_simulation,
     is_weak_simulation_words,
+    solve_pair_game,
+    step_tables,
     strong_bisimilarity,
     strong_classes,
     weak_bisimilarity,
@@ -375,10 +379,20 @@ def reference_naive_relation(lts: Lts):
 
 
 def assert_engine_matches_reference(lts: Lts) -> None:
-    assert weak_sim_preorder(lts) == reference_gfp_simulation(lts, True, False)
+    weak_sim = reference_gfp_simulation(lts, True, False)
+    naive = reference_naive_relation(lts)
+    assert weak_sim_preorder(lts) == weak_sim
     assert weak_bisimilarity(lts) == reference_gfp_simulation(lts, True, True)
     assert strong_bisimilarity(lts) == reference_gfp_simulation(lts, False, True)
-    assert naive_single_step_relation(lts) == reference_naive_relation(lts)
+    assert naive_single_step_relation(lts) == naive
+    # Each pair decided on the game built from it and its reverse alone, as
+    # the command line decides an equivalence, and from the pair alone.
+    strong, weak = step_tables(lts, weak=False), step_tables(lts, weak=True)
+    for p, q in product(range(lts.state_count), repeat=2):
+        roots = [(p, q), (q, p)]
+        assert solve_pair_game(strong, weak, roots) == weak_sim.intersection(roots)
+        assert solve_pair_game(weak, weak, roots, swapped=True) == naive.intersection(roots)
+        assert naive_single_step_preorder(lts, p, q) == ((p, q) in naive)
 
 
 @given(random_lts_strategy(max_states=7))
