@@ -26,8 +26,8 @@ verdict, the certificate and the counts as they are.  ``weak-sim`` and
 ``naive-contrasim-1step`` build a pair game on the quotient from the
 queried pairs (:func:`contrasim.relations.solve_pair_game`) and report no
 counts.  A holding ``weak-sim`` check prints the greatest weak
-simulation, which :func:`contrasim.relations.weak_sim_preorder` computes
-whole on the quotient, outside the game and its budget.
+simulation, computed whole on the pair game's step tables by a counter
+refinement, outside the game and its budget.
 ``--max-positions`` bounds every game.  ``solve_ms`` times the game, for
 a bisimilarity the classes.
 
@@ -237,7 +237,7 @@ def run_check(args: argparse.Namespace) -> CheckReport:
             related = csgame.extract_contrasimulation(game, solution, roots)
         elif notion == "weak-sim":
             # The greatest weak simulation, by the counter refinement.
-            related = relations.weak_sim_preorder(lts)
+            related = relations._greatest_fixed_point(left, weak)
         certificate = _lifted_certificate(model, classes, related)
     elif args.emit_certificate and notion == "contrasim":
         first_lost = roots[results.index(False)]

@@ -44,13 +44,13 @@ certificate extractors read the lists directly; the relation takes the
 identity on the states reachable from each copied position.
 
 The module also carries two deliberately weaker procedures kept for
-comparison: a single-step fixed point that is unsound for the preorder, and
-a word mode of the same game, in which the attacker challenges with a word
-of at most a given length and a swap (see :func:`cs_successors`).  Its
-empty-word challenges are the reflexive swaps, so it too decides both
-directions in one game.  Its swaps are mirrored and its positions copied
-the same way; the certificate extractors raise ``ValueError`` on it
-(:attr:`CsGame.word_bound`).
+comparison: a single-step fixed point, decided one pair at a time, that is
+unsound for the preorder, and a word mode of the same game, in which the
+attacker challenges with a word of at most a given length and a swap (see
+:func:`cs_successors`).  Its empty-word challenges are the reflexive
+swaps, so it too decides both directions in one game.  Its swaps are
+mirrored and its positions copied the same way; the certificate extractors
+raise ``ValueError`` on it (:attr:`CsGame.word_bound`).
 """
 
 from collections import deque
@@ -683,24 +683,16 @@ def extract_distinguishing_formula(
 # -- deliberately weaker procedures -------------------------------------------
 
 
-def naive_single_step_relation(lts: Lts) -> Relation:
-    """Greatest fixed point of the single-step swap condition.
-
-    Every weak single step of the left state must be answered by a weak step
-    of the right state with the pair re-entering the relation swapped.  This
-    is *unsound* for the contrasimulation preorder: word challenges through
-    instable states are lost when broken into single steps.  Kept as an
-    executable counterexample and for the tau-free case, where it agrees
-    with the game.
-    """
-    weak = relations.step_tables(lts, weak=True)
-    return relations._greatest_fixed_point(weak, weak, swapped=True)
-
-
 def naive_single_step_preorder(lts: Lts, p: int, q: int) -> bool:
-    """Whether ``(p, q)`` lies in :func:`naive_single_step_relation`, decided
-    by the pair game built from ``(p, q)`` alone
-    (:func:`contrasim.relations.solve_pair_game`)."""
+    """Whether ``(p, q)`` lies in the greatest fixed point of the single-step
+    swap condition: every weak step of the left state is answered by a weak
+    step of the right one with the pair re-entering the relation swapped.
+    Decided by the pair game from ``(p, q)`` alone
+    (:func:`contrasim.relations.solve_pair_game`).  *Unsound* for the
+    contrasimulation preorder, as word challenges through instable states
+    are lost when broken into single steps; kept as an executable
+    counterexample and for the tau-free case, where it agrees with the game.
+    """
     lts._check_state(p)
     lts._check_state(q)
     weak = relations.step_tables(lts, weak=True)

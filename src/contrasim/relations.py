@@ -7,15 +7,15 @@ game procedures are checked against: exhaustive configuration enumeration
 and a pair-deletion fixed point, written to be audited.  All of them treat
 relations as plain sets of ordered state-index pairs over one LTS.
 
-Weak similarity and the naive single-step fixed point of
-:mod:`contrasim.csgame` have two deciders, one per job.  A few queried
-pairs are decided by a pair game, :func:`solve_pair_game`, built from
-those pairs only and solved by :func:`contrasim.game.solve`.  The whole
-relation comes from a counter-based refinement,
-:func:`_greatest_fixed_point`, which handles each deleted pair once and
-keeps a byte per pair, where the pair game with every pair a root would
-hold (|actions| + 2)·n² positions.  Pair-deletion loops are kept in the
-tests as the reference of both.
+Queried pairs of weak similarity and of the naive single-step fixed
+point of :mod:`contrasim.csgame` are decided by a pair game,
+:func:`solve_pair_game`, built from those pairs only and solved by
+:func:`contrasim.game.solve`.  The whole weak simulation preorder, which
+:func:`weak_sim_preorder` and a holding ``weak-sim`` certificate need,
+comes from a counter-based refinement, :func:`_greatest_fixed_point`,
+which handles each deleted pair once and keeps a byte per pair, where the
+pair game with every pair a root would hold (|actions| + 2)·n² positions.
+Pair-deletion loops are kept in the tests as the reference of both.
 Strong and weak bisimilarity come from partition refinement instead:
 :func:`strong_classes` and :func:`weak_classes` class the states, and the
 bisimilarity relates the states of one class.
@@ -291,22 +291,13 @@ def _weak_steps(lts: Lts, classes: Sequence[int]) -> list[dict[Action, AbstractS
     return rows
 
 
-_FLIP = bytes.maketrans(b"\0\1", b"\1\0")
-
-
-def _flags(bits: Iterable[bool]) -> int:
-    """Booleans as one byte each, packed little-endian into an int."""
-    return int.from_bytes(bytes(bits), "little")
-
-
 def _greatest_fixed_point(
-    left: list[list[StateSet]],
-    right: list[list[StateSet]],
-    swapped: bool = False,
+    left: list[list[StateSet]], right: list[list[StateSet]]
 ) -> frozenset[Pair]:
     """The greatest relation ``R`` in which, for every ``(x, y)`` in ``R``,
     every action ``a`` and every ``x2`` in ``left[a][x]``, some ``y2`` in
-    ``right[a][y]`` has ``(x2, y2)`` in ``R`` (``(y2, x2)`` if ``swapped``).
+    ``right[a][y]`` has ``(x2, y2)`` in ``R``: on the strong and the weak
+    step tables, the greatest weak simulation.
 
     Counter-based refinement (Henzinger, Henzinger & Kopke, FOCS 1995):
     ``count[t][a*n + q]`` is the number of q's right ``a``-answers still
@@ -314,9 +305,7 @@ def _greatest_fixed_point(
     popped from the worklist once, decrementing the counters of the right
     predecessors of its answer side; a counter that reaches zero deletes the
     left predecessors of ``t`` paired with ``q``.  Cost is O(n * m) for n
-    states and m table entries.  It always computes every pair, which is
-    what the whole relation needs; :func:`solve_pair_game` decides a few
-    queried pairs without touching the rest.
+    states and m table entries: every pair is decided.
     """
     n = len(left[0])
     actions = range(len(left))
@@ -342,20 +331,18 @@ def _greatest_fixed_point(
                     right_pred[y2].append((a * n + q, q, left_pred[a]))
 
     # Start from the pairs whose right side answers every action the left
-    # side can take.
+    # side can take; per left action mask, a byte per right state.
     states = range(n)
-    covers = {m: _flags(not m & ~r for r in right_mask) for m in set(left_mask)}
-    rel = [bytearray(covers[m].to_bytes(n, "little")) for m in left_mask]
-    initially_gone = [row.translate(_FLIP) for row in rel]
+    covers = {m: bytes([not m & ~r for r in right_mask]) for m in set(left_mask)}
+    gaps = {m: bytes([bool(m & ~r) for r in right_mask]) for m in covers}
+    rel = [bytearray(covers[m]) for m in left_mask]
 
-    # The worklist holds each deleted pair as (t, y2): the left successor
-    # and the right answer it no longer relates.  The pairs missing from
-    # the start are fed in one row at a time, which keeps the list short.
+    # The worklist holds each deleted pair.  The pairs missing from the start
+    # are fed in one row at a time, which keeps the list short.
     count: list[Optional[list[int]]] = [None] * n
     work: list[Pair] = []
     for x in states:
-        gone = compress(states, initially_gone[x])
-        work.extend(zip(gone, repeat(x)) if swapped else zip(repeat(x), gone))
+        work.extend(zip(repeat(x), compress(states, gaps[left_mask[x]])))
         while work:
             t, y2 = work.pop()
             preds = right_pred[y2]
@@ -373,7 +360,7 @@ def _greatest_fixed_point(
                     row = rel[p]
                     if row[q]:
                         row[q] = 0
-                        work.append((q, p) if swapped else (p, q))
+                        work.append((p, q))
     return frozenset((x, y) for x in states for y in compress(states, rel[x]))
 
 
@@ -387,9 +374,9 @@ def solve_pair_game(
     """The pairs of ``roots`` in the greatest relation ``R`` in which, for
     every ``(x, y)`` in ``R``, every action index ``a`` and every ``x2`` in
     ``left[a][x]``, some ``y2`` in ``right[a][y]`` has ``(x2, y2)`` in ``R``
-    (``(y2, x2)`` if ``swapped``), the relation :func:`_greatest_fixed_point`
-    computes whole: the defender's wins of a game built breadth-first from
-    the roots and solved by :func:`solve`.
+    (``(y2, x2)`` if ``swapped``): the defender's wins of a game built
+    breadth-first from the roots and solved by :func:`solve`.  Unswapped,
+    that relation is the one :func:`_greatest_fixed_point` computes whole.
 
     The attacker at ``(x, y)`` picks ``a`` and ``x2`` and moves to the
     defender position ``(a, x2, y)``, which every ``x`` shares; the defender

@@ -18,7 +18,6 @@ from contrasim.csgame import (
     extract_distinguishing_formula,
     fc_pairs,
     naive_single_step_preorder,
-    naive_single_step_relation,
     solve_cs_game_locally,
     strategy_from_fc,
 )
@@ -672,11 +671,6 @@ def test_one_game_decides_both_directions(lts, data):
         assert (solve(words.graph).winner[back] is Player.DEFENDER) == bounded_word_game_preorder(
             lts, q, p, bound
         )
-
-    naive = naive_single_step_relation(lts)
-    for x in range(lts.state_count):
-        for y in range(lts.state_count):
-            assert ((x, y) in naive) == naive_single_step_preorder(lts, x, y)
 
 
 # -- agreement with the independent oracle --------------------------------------------
