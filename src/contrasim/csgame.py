@@ -635,10 +635,11 @@ def extract_distinguishing_formula(
     """Turn the attacker's winning strategy at an attacker position into a formula.
 
     A simulation challenge becomes a delayed observation over the unique
-    defender answer; a swap challenge becomes a delayed nor over all defender
-    answers (all of them attacker-won).  The attacker rank strictly
-    decreases from a position to each answer of its challenge, so the
-    explicit stack below never revisits a position it is still building.
+    defender answer; a swap challenge becomes a delayed nor over the distinct
+    formulas of all defender answers (all of them attacker-won), in the
+    order of their first answers.  The attacker rank strictly decreases from
+    a position to each answer of its challenge, so the explicit stack below
+    never revisits a position it is still building.
     The result is satisfied by the position's process and refuted by every
     member of its set.  A word game raises ``ValueError``: its challenges
     are a word then a swap, not one step.
@@ -675,7 +676,7 @@ def extract_distinguishing_formula(
             if missing:
                 stack += missing
                 continue
-            memo[at] = DelayNor(tuple([memo[t] for t in answers]))
+            memo[at] = DelayNor(tuple(dict.fromkeys([memo[t] for t in answers])))
         stack.pop()
     return memo[idx]
 

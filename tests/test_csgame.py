@@ -23,7 +23,7 @@ from contrasim.csgame import (
 )
 from contrasim.errors import PositionBudgetError
 from contrasim.game import GameGraph, Player, PlayOutcome, simulate_play, solve, validate_play
-from contrasim.hml import DelayNor, hml_satisfies
+from contrasim.hml import DelayNor, DelayObs, hml_satisfies
 from contrasim.lts import TAU, Lts, act
 from contrasim.relations import contrasim_preorder, is_contrasimulation
 
@@ -635,6 +635,31 @@ def test_certificates_sound_on_random_instances(lts):
         phi = extract_distinguishing_formula(game, solution, game.graph.initial)
         assert hml_satisfies(lts, p, phi)
         assert not hml_satisfies(lts, q, phi)
+
+
+@given(random_lts_strategy())
+@settings(max_examples=60, deadline=None)
+def test_formulas_have_no_repeated_disjuncts(lts):
+    """Every formula extracted at a lost root separates its pair, and no
+    delayed nor in it has two equal branches."""
+    for p in range(lts.state_count):
+        for q in range(lts.state_count):
+            game, solution, (root,) = solve_cs_game_locally(lts, p, q)
+            if solution.winner[root] is Player.DEFENDER:
+                continue
+            phi = extract_distinguishing_formula(game, solution, root)
+            assert hml_satisfies(lts, p, phi) and not hml_satisfies(lts, q, phi)
+            todo, seen = [phi], set()
+            while todo:
+                node = todo.pop()
+                if id(node) in seen:
+                    continue
+                seen.add(id(node))
+                if isinstance(node, DelayNor):
+                    assert len(set(node.branches)) == len(node.branches)
+                    todo += node.branches
+                elif isinstance(node, DelayObs):
+                    todo.append(node.body)
 
 
 @given(random_lts_strategy(), st.data())
