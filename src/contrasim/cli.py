@@ -27,17 +27,17 @@ verdict, the certificate and the counts as they are.  ``weak-sim`` and
 queried pairs (:func:`contrasim.relations.solve_pair_game`) and report no
 counts.  A holding ``weak-sim`` check prints the greatest weak
 simulation, computed whole on the pair game's step tables by a counter
-refinement, outside the game and its budget.
-``--max-positions`` bounds every game.  ``solve_ms`` times the game, for
-a bisimilarity the classes.
+refinement, outside the game.  ``--max-positions`` bounds every game, and
+the pairs a relation certificate names, counted before any is named.
+``solve_ms`` times the game, for a bisimilarity the classes.
 
 Exit codes: 0 when the checked relation holds, 1 when it fails, 2 on usage,
-parse, file, or budget errors (states or game positions), and 3 on an
-internal error (a defect), which prints ``internal error: <type>:
-<message>`` after its traceback on stderr.  A failing contrasimulation
-check is certified by a formula that the first failing direction's left
-side satisfies and its right side refutes, a holding one by a relation;
-both are re-checkable.
+parse, file, or budget errors (states, game positions or certificate
+pairs), and 3 on an internal error (a defect), which prints ``internal
+error: <type>: <message>`` after its traceback on stderr.  A failing
+contrasimulation check is certified by a formula that the first failing
+direction's left side satisfies and its right side refutes, a holding one
+by a relation; both are re-checkable.
 
 :func:`main` runs the check with the cyclic garbage collector paused and
 restores the caller's setting on every exit.  Once the parser exists, a
@@ -152,12 +152,15 @@ def _load_model(args: argparse.Namespace) -> tuple[Lts, int, int]:
     return lts, initials[0], initials[1]
 
 
-def _lifted_certificate(lts: Lts, classes: Sequence[int], pairs) -> Certificate:
+def _lifted_certificate(lts: Lts, classes: Sequence[int], pairs, max_pairs: int) -> Certificate:
     """Name each pair of states of ``lts`` whose classes ``pairs`` relates,
-    in the order of the state indices."""
+    in the order of the state indices.  More than ``max_pairs`` pairs raise
+    :class:`PositionBudgetError` before any is named."""
     if classes[-1] == len(classes) - 1:
         # Classes are numbered by their smallest members, so the last state
         # has the last of n ids only when each class is its one member.
+        if len(pairs) > max_pairs:
+            raise PositionBudgetError(max_pairs, len(pairs))
         ordered = sorted(pairs)
         names = {s: lts.name_of(s) for s in set().union(*ordered)}
         named = tuple([(names[p], names[q]) for p, q in ordered])
@@ -165,6 +168,9 @@ def _lifted_certificate(lts: Lts, classes: Sequence[int], pairs) -> Certificate:
         members: list[list[int]] = [[] for _ in range(max(classes) + 1)]
         for s, c in enumerate(classes):
             members[c].append(s)
+        size = sum([len(members[x]) * len(members[y]) for x, y in pairs])
+        if size > max_pairs:
+            raise PositionBudgetError(max_pairs, size)
         related: list[list[int]] = [[] for _ in members]
         for x, y in pairs:
             related[x] += members[y]
@@ -238,7 +244,7 @@ def run_check(args: argparse.Namespace) -> CheckReport:
         elif notion == "weak-sim":
             # The greatest weak simulation, by the counter refinement.
             related = relations._greatest_fixed_point(left, weak)
-        certificate = _lifted_certificate(model, classes, related)
+        certificate = _lifted_certificate(model, classes, related, args.max_positions)
     elif args.emit_certificate and notion == "contrasim":
         first_lost = roots[results.index(False)]
         formula = csgame.extract_distinguishing_formula(game, solution, first_lost)

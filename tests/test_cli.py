@@ -224,6 +224,36 @@ def test_pair_games_fit_the_position_budget(notion, direction, tmp_path, capsys)
     assert run_main([*query, "--max-positions", 8 * n]) == 1
 
 
+@pytest.mark.parametrize(
+    "notion, rhs, size",
+    [
+        # one strong class: every pair of the ring's states
+        ("strong-bisim", 1, lambda n: n * n),
+        # one copied position: the identity on the states it reaches
+        ("contrasim", 0, lambda n: n),
+    ],
+    ids=["strong-bisim", "contrasim"],
+)
+def test_relation_certificates_fit_the_position_budget(notion, rhs, size, tmp_path, capsys):
+    """A ring of n a-steps: the pairs a holding check's relation would name
+    are counted before any is named, and more than ``--max-positions`` stop
+    the query with a message that blames the certificate, not a game."""
+    n = 30
+    ring = tmp_path / "ring.aut"
+    ring.write_text(f"des (0,{n},{n})\n" + "".join(f'({i},"a",{(i + 1) % n})\n' for i in range(n)))
+    query = ["check", "--lhs", 0, "--rhs", rhs, "--notion", notion, "--emit-certificate", ring]
+    assert run_main([*query, "--max-positions", size(n) - 1]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"error: the relation certificate, not a game, exceeds the position budget of "
+        f"{size(n) - 1}: it names {size(n)} pairs; raise max_positions to print it\n"
+    )
+    assert run_main([*query, "--max-positions", size(n)]) == 0
+    line = re.search(r"^relation: (.+)$", capsys.readouterr().out, re.MULTILINE)
+    assert len(re.findall(r"\((\d+), (\d+)\)", line.group(1))) == size(n)
+
+
 def test_cli_import_loads_no_dataclasses_inspect_or_json():
     """Every query pays for importing the CLI; a module that only one option
     needs is imported on that option's path."""
