@@ -1,12 +1,17 @@
 """The command line's outputs on every small fixture query, pinned line by line.
 
-Every ordered state pair of ``fixtures/{phil,locked,instable}.aut`` is
+Every ordered state pair of ``fixtures/{phil,locked,instable}.aut``, and
+every ordered pair of the two processes each ``.ccs`` twin defines, is
 checked under all six notions and both directions, with
-``--emit-certificate`` and ``--word-bound 2``: 2,952 runs of
-:func:`contrasim.cli.main` in process.  Each run is one line of
+``--emit-certificate`` and ``--word-bound 2``: 2,952 + 144 = 3,096 runs of
+:func:`contrasim.cli.main` in process.  The ``.ccs`` runs pin the CCS
+state names that certificates print.  Each run is one line of
 ``tests/data/sweep.txt``::
 
     <fixture>:<lhs>:<rhs>:<notion>:<direction> <exit> <positions> <moves> <stdout> <json>
+
+where ``<fixture>`` is ``phil`` for ``phil.aut`` and ``phil.ccs`` for
+``phil.ccs``.
 
 with the exit code, the report's ``game_positions`` and ``game_moves``, and
 short sha256 hashes of stdout and of the ``--emit-json`` report, their
@@ -33,6 +38,8 @@ TESTS = Path(__file__).resolve().parent
 FIXTURES = TESTS.parent / "fixtures"
 EXPECTED = TESTS / "data" / "sweep.txt"
 MODELS = ("phil", "locked", "instable")
+# The two processes each .ccs fixture defines, in the order of definition.
+CCS_ROOTS = {"phil": ("Pc", "Pp"), "locked": ("Pc", "Pl"), "instable": ("Pab", "Pb")}
 DIRECTIONS = ("preorder", "equivalence")
 
 _TIMES = re.compile(r"(solved in |total: +|\"solve_ms\": )[0-9.]+")
@@ -51,6 +58,10 @@ def _run_ids():
             range(states), range(states), NOTIONS, DIRECTIONS
         ):
             yield f"{model}:{lhs}:{rhs}:{notion}:{direction}", path, lhs, rhs, notion, direction
+    for model, roots in CCS_ROOTS.items():
+        path = FIXTURES / f"{model}.ccs"
+        for lhs, rhs, notion, direction in product(roots, roots, NOTIONS, DIRECTIONS):
+            yield f"{path.name}:{lhs}:{rhs}:{notion}:{direction}", path, lhs, rhs, notion, direction
 
 
 def sweep_lines() -> list[str]:
@@ -81,7 +92,7 @@ def sweep_lines() -> list[str]:
 def test_outputs_match_the_checked_in_sweep():
     expected = {line.split(" ", 1)[0]: line for line in EXPECTED.read_text().splitlines()}
     actual = {line.split(" ", 1)[0]: line for line in sweep_lines()}
-    assert len(actual) == 2952
+    assert len(actual) == 3096
     changed = [
         f"{run_id}: {actual.get(run_id, '(no run)')}  (was {expected.get(run_id, '(no line)')})"
         for run_id in sorted(expected.keys() | actual.keys())
