@@ -16,15 +16,17 @@ Dropping it from ``PARTITIONS`` moves it onto the weak classes.
 
 Each query but the bisimilarities decides on one game: under
 ``--direction equivalence`` the backward verdict is read off the same
-game, at its reverse root.  The set game notions run one driver,
-:func:`contrasim.csgame.solve_cs_game_locally`, the word game in its word
-mode: it explores the game locally and stops once the attacker wins every
-queried root, so ``game_positions`` and ``game_moves`` count the explored
-part, for ``bounded-word-game`` on the quotient.  ``--emit-game-dot`` only
-draws: it builds the whole reachable game, writes it and leaves the
-verdict, the certificate and the counts as they are.  ``weak-sim`` and
-``naive-contrasim-1step`` build a pair game on the quotient from the
-queried pairs (:func:`contrasim.relations.solve_pair_game`) and report no
+game, at its reverse root.  The game notions run one driver,
+:func:`contrasim.csgame.solve_cs_game_locally`: ``contrasim`` the set
+game, ``bounded-word-game`` its word mode at ``--word-bound``, and
+``naive-contrasim-1step`` the word mode at bound 1, whose words are single
+weak steps.  The driver explores the game locally and stops once the
+attacker wins every queried root, so ``game_positions`` and
+``game_moves`` count the explored part, for the word games on the
+quotient.  ``--emit-game-dot`` only draws: it builds the whole reachable
+game, writes it and leaves the verdict, the certificate and the counts as
+they are.  ``weak-sim`` builds a pair game on the quotient from the
+queried pairs (:func:`contrasim.relations.solve_pair_game`) and reports no
 counts.  A holding ``weak-sim`` check prints the greatest weak
 simulation, computed whole on the pair game's step tables by a counter
 refinement, outside the game.  ``--max-positions`` bounds every game, and
@@ -72,7 +74,7 @@ NOTIONS = (
     "bounded-word-game",
 )
 
-GAME_NOTIONS = ("contrasim", "bounded-word-game")
+GAME_NOTIONS = ("contrasim", "bounded-word-game", "naive-contrasim-1step")
 
 # Notions whose holding checks print their relation.
 RELATION_NOTIONS = ("contrasim", "weak-sim", "weak-bisim", "strong-bisim")
@@ -203,7 +205,8 @@ def run_check(args: argparse.Namespace) -> CheckReport:
 
     model, lhs, rhs = _load_model(args)
     equivalence = args.direction == "equivalence"
-    word_bound = args.word_bound if notion == "bounded-word-game" else None
+    # The naive fixed point is the word game whose words are single steps.
+    word_bound = {"bounded-word-game": args.word_bound, "naive-contrasim-1step": 1}.get(notion)
     positions = moves = None
     t0 = time.perf_counter()
     classes = PARTITIONS.get(notion, relations.weak_classes)(model)
@@ -222,13 +225,11 @@ def run_check(args: argparse.Namespace) -> CheckReport:
                 word_bound=word_bound,
             )
         else:
-            # A pair game from the queried pairs: strong steps against weak
-            # ones for weak-sim, weak against weak and swapped for the naive
-            # fixed point.
-            naive = notion == "naive-contrasim-1step"
+            # weak-sim: a pair game from the queried pairs, strong steps
+            # against weak ones.
+            left = relations.step_tables(lts, weak=False)
             weak = relations.step_tables(lts, weak=True)
-            left = weak if naive else relations.step_tables(lts, weak=False)
-            related = relations.solve_pair_game(left, weak, directions, naive, args.max_positions)
+            related = relations.solve_pair_game(left, weak, directions, args.max_positions)
     solve_ms = (time.perf_counter() - t0) * 1000.0
     if notion in GAME_NOTIONS:
         results = [solution.winner[root] is Player.DEFENDER for root in roots]

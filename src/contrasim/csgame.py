@@ -43,14 +43,15 @@ turn.  A holding check thus explores only part of the game.  The
 certificate extractors read the lists directly; the relation takes the
 identity on the states reachable from each copied position.
 
-The module also carries two deliberately weaker procedures kept for
-comparison: a single-step fixed point, decided one pair at a time, that is
-unsound for the preorder, and a word mode of the same game, in which the
-attacker challenges with a word of at most a given length and a swap (see
+The module also carries a deliberately weaker procedure kept for
+comparison: a word mode of the same game, in which the attacker challenges
+with a word of at most a given length and a swap (see
 :func:`cs_successors`).  Its empty-word challenges are the reflexive
 swaps, so it too decides both directions in one game.  Its swaps are
 mirrored and its positions copied the same way; the certificate extractors
-raise ``ValueError`` on it (:attr:`CsGame.word_bound`).
+raise ``ValueError`` on it (:attr:`CsGame.word_bound`).  At bound 1 its
+words are single weak steps, and it decides the naive single-step fixed
+point, which is unsound for the preorder.
 """
 
 from collections import deque
@@ -688,16 +689,13 @@ def naive_single_step_preorder(lts: Lts, p: int, q: int) -> bool:
     """Whether ``(p, q)`` lies in the greatest fixed point of the single-step
     swap condition: every weak step of the left state is answered by a weak
     step of the right one with the pair re-entering the relation swapped.
-    Decided by the pair game from ``(p, q)`` alone
-    (:func:`contrasim.relations.solve_pair_game`).  *Unsound* for the
+    That is the word game at bound 1 (:func:`bounded_word_game_preorder`):
+    a word of at most one letter is a single weak step.  *Unsound* for the
     contrasimulation preorder, as word challenges through instable states
     are lost when broken into single steps; kept as an executable
     counterexample and for the tau-free case, where it agrees with the game.
     """
-    lts._check_state(p)
-    lts._check_state(q)
-    weak = relations.step_tables(lts, weak=True)
-    return bool(relations.solve_pair_game(weak, weak, ((p, q),), swapped=True))
+    return bounded_word_game_preorder(lts, p, q, 1)
 
 
 def build_word_game(

@@ -7,8 +7,7 @@ game procedures are checked against: exhaustive configuration enumeration
 and a pair-deletion fixed point, written to be audited.  All of them treat
 relations as plain sets of ordered state-index pairs over one LTS.
 
-Queried pairs of weak similarity and of the naive single-step fixed
-point of :mod:`contrasim.csgame` are decided by a pair game,
+Queried pairs of weak similarity are decided by a pair game,
 :func:`solve_pair_game`, built from those pairs only and solved by
 :func:`contrasim.game.solve`.  The whole weak simulation preorder, which
 :func:`weak_sim_preorder` and a holding ``weak-sim`` certificate need,
@@ -45,8 +44,8 @@ transferring weak steps has the same answer:
 
 The command line decides weak similarity, the naive fixed point and the
 bounded word game on ``S/≈``, each on a game built from the queried pairs
-only, and the bisimilarities by class; contrasimilarity stays on the
-model.  The library deciders run on the system they are given and are the
+only (the naive fixed point is the word game at bound 1), and the
+bisimilarities by class; contrasimilarity stays on the model.  The library deciders run on the system they are given and are the
 oracles it is tested against.
 """
 
@@ -368,25 +367,24 @@ def solve_pair_game(
     left: Sequence[Sequence[AbstractSet[int]]],
     right: Sequence[Sequence[AbstractSet[int]]],
     roots: Iterable[Pair],
-    swapped: bool = False,
     max_positions: int = DEFAULT_MAX_POSITIONS,
 ) -> frozenset[Pair]:
     """The pairs of ``roots`` in the greatest relation ``R`` in which, for
     every ``(x, y)`` in ``R``, every action index ``a`` and every ``x2`` in
-    ``left[a][x]``, some ``y2`` in ``right[a][y]`` has ``(x2, y2)`` in ``R``
-    (``(y2, x2)`` if ``swapped``): the defender's wins of a game built
-    breadth-first from the roots and solved by :func:`solve`.  Unswapped,
-    that relation is the one :func:`_greatest_fixed_point` computes whole.
+    ``left[a][x]``, some ``y2`` in ``right[a][y]`` has ``(x2, y2)`` in ``R``:
+    the defender's wins of a game built breadth-first from the roots and
+    solved by :func:`solve`.  That relation is the one
+    :func:`_greatest_fixed_point` computes whole; on the strong and the weak
+    step tables, the greatest weak simulation.
 
     The attacker at ``(x, y)`` picks ``a`` and ``x2`` and moves to the
     defender position ``(a, x2, y)``, which every ``x`` shares; the defender
-    answers with ``y2`` and moves to ``(x2, y2)``, or ``(y2, x2)``, and is
-    stuck without answers.  More than ``max_positions`` positions raise
+    answers with ``y2`` and moves to ``(x2, y2)``, and is stuck without
+    answers.  More than ``max_positions`` positions raise
     :class:`PositionBudgetError`.
     """
     n = len(left[0])
     square = n * n  # (x, y) is keyed x*n + y, (a, x2, y) (a+1)*n*n + x2*n + y
-    x_step, y_step = (1, n) if swapped else (n, 1)  # the key of a defender's answer
     index: dict[int, int] = {}  # position key -> position index
     keys: list[int] = []
 
@@ -408,7 +406,7 @@ def solve_pair_game(
         a, rest = divmod(key, square)
         x, y = divmod(rest, n)
         if a:
-            moves.append([add(x * x_step + y2 * y_step) for y2 in right[a - 1][y]])
+            moves.append([add(x * n + y2) for y2 in right[a - 1][y]])
         else:
             moves.append(
                 [add(a2 * square + x2 * n + y) for a2, row in enumerate(left, 1) for x2 in row[x]]

@@ -355,7 +355,7 @@ def test_format_follows_an_upper_case_suffix(tmp_path, capsys):
 # -- every notion through the CLI -------------------------------------------------
 
 WORD_BOUND = 2
-GAMELESS = {"weak-sim", "weak-bisim", "strong-bisim", "naive-contrasim-1step"}
+GAMELESS = {"weak-sim", "weak-bisim", "strong-bisim"}
 ORACLES = {
     "weak-sim": relations.weak_sim_preorder,
     "weak-bisim": relations.weak_bisimilarity,
@@ -552,21 +552,20 @@ def test_weak_quotient_verdicts_and_lifted_certificates(seed, tmp_path):
     [
         ("contrasim", "solve_cs_game_locally"),
         ("bounded-word-game", "solve_cs_game_locally"),
-        ("naive-contrasim-1step", "solve_pair_game"),
+        ("naive-contrasim-1step", "solve_cs_game_locally"),
     ],
 )
 def test_equivalence_does_the_work_once(notion, work, monkeypatch, capsys):
-    """Both directions are read off one game: the set game, its word mode or
-    a pair game built once from both queried pairs."""
+    """Both directions are read off one game: the set game or its word mode,
+    at ``--word-bound`` or, for the naive fixed point, at bound 1."""
     calls = []
-    module = relations if work == "solve_pair_game" else csgame
-    original = getattr(module, work)
+    original = getattr(csgame, work)
 
     def counted(*args, **kwargs):
         calls.append(args)
         return original(*args, **kwargs)
 
-    monkeypatch.setattr(module, work, counted)
+    monkeypatch.setattr(csgame, work, counted)
     run_main(
         ["check", "--notion", notion, "--direction", "equivalence",
          "--lhs", INSTABLE_AUT["bE"], "--rhs", INSTABLE_AUT["AB"], "--word-bound", 2,
@@ -790,7 +789,7 @@ def test_dot_labels_escape_quotes():
     assert '\\"hi\\"' in text
 
 
-@pytest.mark.parametrize("notion", ["contrasim", "bounded-word-game"])
+@pytest.mark.parametrize("notion", ["contrasim", "bounded-word-game", "naive-contrasim-1step"])
 def test_cli_writes_dot_file(notion, tmp_path):
     path = tmp_path / "game.dot"
     run_main(

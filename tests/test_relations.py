@@ -13,6 +13,7 @@ from contrasim.csgame import (
     naive_single_step_preorder,
     solve_cs_game_locally,
 )
+from contrasim.game import Player
 from contrasim.lts import Lts, TAU, act
 from contrasim.relations import (
     check_coupling,
@@ -384,12 +385,16 @@ def assert_engine_matches_reference(lts: Lts) -> None:
     assert weak_bisimilarity(lts) == reference_gfp_simulation(lts, True, True)
     assert strong_bisimilarity(lts) == reference_gfp_simulation(lts, False, True)
     # Each pair decided on the game built from it and its reverse alone, as
-    # the command line decides an equivalence, and from the pair alone.
+    # the command line decides an equivalence, and from the pair alone: the
+    # pair game for weak similarity, the word game at bound 1 for the naive
+    # fixed point.
     strong, weak = step_tables(lts, weak=False), step_tables(lts, weak=True)
     for p, q in product(range(lts.state_count), repeat=2):
         roots = [(p, q), (q, p)]
         assert solve_pair_game(strong, weak, roots) == weak_sim.intersection(roots)
-        assert solve_pair_game(weak, weak, roots, swapped=True) == naive.intersection(roots)
+        _, solution, game_roots = solve_cs_game_locally(lts, p, q, swapped=True, word_bound=1)
+        won = [solution.winner[root] is Player.DEFENDER for root in game_roots]
+        assert won == [pair in naive for pair in roots]
         assert naive_single_step_preorder(lts, p, q) == ((p, q) in naive)
 
 
