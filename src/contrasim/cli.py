@@ -243,8 +243,9 @@ def run_check(args: argparse.Namespace) -> CheckReport:
         if notion in GAME_NOTIONS:
             related = csgame.extract_contrasimulation(game, solution, roots)
         elif notion == "weak-sim":
-            # The greatest weak simulation, by the counter refinement.
-            related = relations._greatest_fixed_point(left, weak)
+            # The greatest weak simulation, by the counter refinement,
+            # counted before its pairs are built.
+            related = relations._greatest_fixed_point(left, weak, args.max_positions)
         certificate = _lifted_certificate(model, classes, related, args.max_positions)
     elif args.emit_certificate and notion == "contrasim":
         first_lost = roots[results.index(False)]

@@ -36,14 +36,16 @@ class StateBudgetError(RuntimeError):
 class PositionBudgetError(RuntimeError):
     """Raised when a game, the set game, its word mode or a pair game,
     grows past the position budget, or, given ``pairs``, when a relation
-    certificate would name more pairs than it."""
+    certificate would name more pairs than it (``at_least`` that many, when
+    only a lower bound was counted)."""
 
-    def __init__(self, budget: int, pairs: int | None = None):
+    def __init__(self, budget: int, pairs: int | None = None, at_least: bool = False):
         self.budget = budget
         super().__init__(
             f"position budget of {budget} game positions exceeded; "
             f"raise max_positions if the game really is this large"
             if pairs is None
             else f"the relation certificate, not a game, exceeds the position budget of "
-            f"{budget}: it names {pairs} pairs; raise max_positions to print it"
+            f"{budget}: it names {'at least ' if at_least else ''}{pairs} pairs; "
+            f"raise max_positions to print it"
         )

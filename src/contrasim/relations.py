@@ -291,12 +291,15 @@ def _weak_steps(lts: Lts, classes: Sequence[int]) -> list[dict[Action, AbstractS
 
 
 def _greatest_fixed_point(
-    left: list[list[StateSet]], right: list[list[StateSet]]
+    left: list[list[StateSet]], right: list[list[StateSet]], max_pairs: Optional[int] = None
 ) -> frozenset[Pair]:
     """The greatest relation ``R`` in which, for every ``(x, y)`` in ``R``,
     every action ``a`` and every ``x2`` in ``left[a][x]``, some ``y2`` in
     ``right[a][y]`` has ``(x2, y2)`` in ``R``: on the strong and the weak
-    step tables, the greatest weak simulation.
+    step tables, the greatest weak simulation.  More than ``max_pairs``
+    pairs raise :class:`PositionBudgetError`, counted before any pair is
+    built; the pairs of a quotient lift to at least as many, hence "at
+    least".
 
     Counter-based refinement (Henzinger, Henzinger & Kopke, FOCS 1995):
     ``count[t][a*n + q]`` is the number of q's right ``a``-answers still
@@ -360,6 +363,10 @@ def _greatest_fixed_point(
                     if row[q]:
                         row[q] = 0
                         work.append((p, q))
+    if max_pairs is not None:
+        size = sum(map(sum, rel))
+        if size > max_pairs:
+            raise PositionBudgetError(max_pairs, size, at_least=True)
     return frozenset((x, y) for x in states for y in compress(states, rel[x]))
 
 

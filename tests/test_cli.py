@@ -7,6 +7,7 @@ import re
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -252,6 +253,32 @@ def test_relation_certificates_fit_the_position_budget(notion, rhs, size, tmp_pa
     assert run_main([*query, "--max-positions", size(n)]) == 0
     line = re.search(r"^relation: (.+)$", capsys.readouterr().out, re.MULTILINE)
     assert len(re.findall(r"\((\d+), (\d+)\)", line.group(1))) == size(n)
+
+
+def test_weak_sim_certificate_is_counted_before_it_is_built(tmp_path, capsys):
+    """An a-chain of n steps: state 1 is weakly simulated by state 0, and the
+    greatest weak simulation relates each state to every state at least as
+    far from the end, (n + 1)(n + 2)/2 pairs.  Over ``--max-positions`` they
+    are counted on the refinement's bytes, before any pair is built.  As a
+    frozenset of tuples those pairs alone take about 5 MB; the whole check,
+    refinement included, peaks near 2.3 MB, where building them first
+    peaked near 7 MB."""
+    n = 300
+    chain = tmp_path / "chain.aut"
+    chain.write_text(f"des (0,{n},{n + 1})\n" + "".join(f'({i},"a",{i + 1})\n' for i in range(n)))
+    tracemalloc.start()
+    try:
+        code = run_main(["check", "--lhs", 1, "--rhs", 0, "--notion", "weak-sim",
+                         "--emit-certificate", "--max-positions", 20_000, chain])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 2
+    assert capsys.readouterr().err == (
+        "error: the relation certificate, not a game, exceeds the position budget of 20000: "
+        f"it names at least {(n + 1) * (n + 2) // 2} pairs; raise max_positions to print it\n"
+    )
+    assert peak < 4_000_000
 
 
 def test_cli_import_loads_no_dataclasses_inspect_or_json():
