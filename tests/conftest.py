@@ -2,6 +2,7 @@ import random
 from pathlib import Path
 
 import pytest
+from hypothesis import strategies as st
 
 from contrasim.ccs import expand_ccs_roots, parse_ccs
 from contrasim.csgame import AttackerPos, SimPos, SwapPos
@@ -99,6 +100,30 @@ def make_tau_free_lts(rng: random.Random, n_states: int = 5, n_actions: int = 2)
         attempts += 1
         edges.add((rng.randrange(n_states), rng.choice(actions), rng.randrange(n_states)))
     return Lts(n_states, sorted(edges, key=lambda t: (t[0], str(t[1]), t[2])))
+
+
+@st.composite
+def random_lts(draw, max_states=5, tau_free=False, acyclic=False):
+    """A random system of 1 to ``max_states`` states: a seed, then a state
+    count, then :func:`make_tau_free_lts` or :func:`make_random_lts`."""
+    seed = draw(st.integers(0, 2**32 - 1))
+    n = draw(st.integers(1, max_states))
+    rng = random.Random(seed)
+    if tau_free:
+        return make_tau_free_lts(rng, n_states=n)
+    return make_random_lts(rng, n_states=n, acyclic=acyclic)
+
+
+def two_chains_aut(n: int, ends: tuple[str, str] = ("b", "c"), looped: bool = False) -> str:
+    """Two n-step a-chains as .aut text (2n + 3 states): state 0's ends in
+    an ``ends[0]``-step and state n+1's in an ``ends[1]``-step, both into
+    state 2n+2; looped, each end step loops on its chain's last state."""
+    records = [f'({i},"a",{i + 1})' for i in range(n)]
+    records += [f'({n + 1 + i},"a",{n + 2 + i})' for i in range(n)]
+    last = (n, 2 * n + 1)
+    targets = last if looped else (2 * n + 2, 2 * n + 2)
+    records += [f'({s},"{end}",{t})' for s, end, t in zip(last, ends, targets)]
+    return "\n".join([f"des (0,{len(records)},{2 * n + 3})", *records]) + "\n"
 
 
 def phil_shape(k: int) -> tuple[Lts, int, int]:

@@ -40,7 +40,9 @@ from contrasim.game import GameGraph, Player, solve
 from contrasim.hml import DelayNor, DelayObs, TRUTH, format_formula, hml_satisfies
 from contrasim.lts import Lts, TAU, act
 
-from conftest import FIXTURES, INSTABLE_AUT, LOCKED_AUT, PHIL_AUT, make_random_lts
+from conftest import (
+    FIXTURES, INSTABLE_AUT, LOCKED_AUT, PHIL_AUT, make_random_lts, two_chains_aut,
+)
 
 TESTS = Path(__file__).resolve().parent
 
@@ -59,16 +61,6 @@ JSON_FIELDS = [
 
 def run_main(args):
     return main([str(a) for a in args])
-
-
-def chain_aut(path: Path, n: int, ends: tuple[str, str] = ("b", "c")) -> Path:
-    """Write two n-step a-chains, state 0's ending in ``ends[0]`` and state
-    n+1's in ``ends[1]``, both into state 2n+2, as an .aut file."""
-    records = [f'({i},"a",{i + 1})' for i in range(n)]
-    records += [f'({n + 1 + i},"a",{n + 2 + i})' for i in range(n)]
-    records += [f'({n},"{ends[0]}",{2 * n + 2})', f'({2 * n + 1},"{ends[1]}",{2 * n + 2})']
-    path.write_text("\n".join([f"des (0,{len(records)},{2 * n + 3})", *records]) + "\n")
-    return path
 
 
 # -- exit codes on the shipped fixtures ------------------------------------------
@@ -215,8 +207,10 @@ def test_pair_games_fit_the_position_budget(notion, direction, tmp_path, capsys)
     queried pairs only, so a budget linear in n decides them, and a tiny one
     stops the query."""
     n = 500
+    chain = tmp_path / "chain.aut"
+    chain.write_text(two_chains_aut(n))
     query = ["check", "--lhs", 0, "--rhs", n + 1, "--notion", notion,
-             "--direction", direction, chain_aut(tmp_path / "chain.aut", n)]
+             "--direction", direction, chain]
     assert run_main([*query, "--max-positions", 10]) == 2
     assert capsys.readouterr().err == (
         "error: position budget of 10 game positions exceeded; "
@@ -625,7 +619,8 @@ def test_deep_chain_certificate(tmp_path, capsys):
     """A 3,000-step a-chain ending in b against one ending in c: the formula
     is 3,000 observations deep, far past the recursion limit."""
     n = 3000
-    chain = chain_aut(tmp_path / "chain.aut", n)
+    chain = tmp_path / "chain.aut"
+    chain.write_text(two_chains_aut(n))
     lhs, rhs = 0, n + 1
 
     code = run_main(
@@ -670,7 +665,8 @@ def test_gameless_notions_on_long_chain(tmp_path, capsys):
     holding weak-sim check prints the greatest weak simulation, which is
     computed whole, outside the position budget that bounds its game."""
     n = 300
-    chain = chain_aut(tmp_path / "chain.aut", n)
+    chain = tmp_path / "chain.aut"
+    chain.write_text(two_chains_aut(n))
     for notion in ("weak-sim", "weak-bisim", "strong-bisim", "naive-contrasim-1step"):
         code = run_main(
             ["check", "--lhs", 0, "--rhs", n + 1, "--notion", notion,
@@ -678,7 +674,8 @@ def test_gameless_notions_on_long_chain(tmp_path, capsys):
         )
         assert code == 1, notion
 
-    twins = chain_aut(tmp_path / "twins.aut", n, ("b", "b"))
+    twins = tmp_path / "twins.aut"
+    twins.write_text(two_chains_aut(n, ("b", "b")))
     capsys.readouterr()
     code = run_main(
         ["check", "--lhs", 0, "--rhs", n + 1, "--notion", "weak-sim",
@@ -1020,7 +1017,8 @@ def test_checks_leave_no_cyclic_garbage(tmp_path, collector, capsys):
     makes is freed by reference counting, ``--emit-json``'s report
     included."""
     n = 600
-    chain = chain_aut(tmp_path / "chain.aut", n)
+    chain = tmp_path / "chain.aut"
+    chain.write_text(two_chains_aut(n))
     chain_ccs = tmp_path / "chain.ccs"
     chain_ccs.write_text(f"L = {'a.' * n}b.0;\nR = {'a.' * n}c.0;\n")
     phil2 = tmp_path / "phil2.ccs"

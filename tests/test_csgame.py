@@ -31,19 +31,13 @@ from conftest import (
     make_random_lts,
     make_tau_free_lts,
     phil_shape,
+    random_lts,
     transcript_play,
     transcript_states,
     weak_enabled,
 )
 
 OP, A_EATS, B_EATS = act("op"), act("aEats"), act("bEats")
-
-
-@st.composite
-def random_lts_strategy(draw, max_states=5):
-    seed = draw(st.integers(0, 2**32 - 1))
-    n = draw(st.integers(1, max_states))
-    return make_random_lts(random.Random(seed), n_states=n)
 
 
 # -- move generation -----------------------------------------------------------
@@ -158,7 +152,7 @@ def reference_game(lts, p, q, word_bound=None):
     return positions, moves
 
 
-@given(random_lts_strategy(), st.data())
+@given(random_lts(), st.data())
 @settings(max_examples=60, deadline=None)
 def test_builder_matches_reference_bfs(lts, data):
     """Index for index in the set game.  In the word game at bounds 1-3 the
@@ -251,7 +245,7 @@ def test_word_game_walks_past_the_word_count(k, bound, explored):
     assert game.graph.position_count == explored
 
 
-@given(random_lts_strategy())
+@given(random_lts())
 @settings(max_examples=40, deadline=None)
 def test_reachable_positions_within_exponential_bound(lts):
     n = lts.state_count
@@ -398,7 +392,7 @@ def check_local_against_eager(lts: Lts, p: int, q: int, word_bound: int | None =
                 assert not hml_satisfies(lts, right, phi)
 
 
-@given(random_lts_strategy(), st.data())
+@given(random_lts(), st.data())
 @settings(max_examples=80, deadline=None)
 def test_local_solving_matches_eager(lts, data):
     p = data.draw(st.integers(0, lts.state_count - 1))
@@ -475,7 +469,7 @@ def test_local_solving_explores_part_of_a_holding_game():
     assert is_contrasimulation(lts, relation)
 
 
-@given(random_lts_strategy(), st.data())
+@given(random_lts(), st.data())
 @settings(max_examples=60, deadline=None)
 def test_defender_wins_are_upward_closed(lts, data):
     """Monotonicity: for attacker positions ``(p, Q)`` and ``(p, Q')`` of
@@ -492,7 +486,7 @@ def test_defender_wins_are_upward_closed(lts, data):
             assert winner[i] is Player.DEFENDER
 
 
-@given(random_lts_strategy(), st.data())
+@given(random_lts(), st.data())
 @settings(max_examples=60, deadline=None)
 def test_defender_wins_where_the_attacker_state_is_in_the_set(lts, data):
     """Reflexivity, which copied positions and mirror answers rely on: the
@@ -617,7 +611,7 @@ def test_formula_separates_locked_example(locked):
     assert not hml_satisfies(lts, pl, phi)
 
 
-@given(random_lts_strategy())
+@given(random_lts())
 @settings(max_examples=60, deadline=None)
 def test_certificates_sound_on_random_instances(lts):
     """Defender wins yield relations the independent checker accepts;
@@ -637,7 +631,7 @@ def test_certificates_sound_on_random_instances(lts):
         assert not hml_satisfies(lts, q, phi)
 
 
-@given(random_lts_strategy())
+@given(random_lts())
 @settings(max_examples=60, deadline=None)
 def test_formulas_have_no_repeated_disjuncts(lts):
     """Every formula extracted at a lost root separates its pair, and no
@@ -662,7 +656,7 @@ def test_formulas_have_no_repeated_disjuncts(lts):
                     todo.append(node.body)
 
 
-@given(random_lts_strategy(), st.data())
+@given(random_lts(), st.data())
 @settings(max_examples=60, deadline=None)
 def test_one_game_decides_both_directions(lts, data):
     """The reflexive swap, which in the word game is the empty-word
@@ -701,7 +695,7 @@ def test_one_game_decides_both_directions(lts, data):
 # -- agreement with the independent oracle --------------------------------------------
 
 
-@given(random_lts_strategy(max_states=4))
+@given(random_lts(max_states=4))
 @settings(max_examples=40, deadline=None)
 def test_game_agrees_with_oracle(lts):
     oracle = contrasim_preorder(lts)
@@ -788,7 +782,7 @@ def assert_word_verdicts_match_reference(lts, p, q, bound):
     assert [whole_winner[r] is Player.DEFENDER for r in whole_roots] == expected
 
 
-@given(random_lts_strategy(), st.data())
+@given(random_lts(), st.data())
 @settings(max_examples=40, deadline=None)
 def test_word_game_matches_reference(lts, data):
     p = data.draw(st.integers(0, lts.state_count - 1))
@@ -859,7 +853,7 @@ def test_bounded_game_exact_on_acyclic_fixtures(fixture_name, request):
             ), (p, q)
 
 
-@given(random_lts_strategy(max_states=4))
+@given(random_lts(max_states=4))
 @settings(max_examples=20, deadline=None)
 def test_bounded_game_over_approximates(lts):
     """A shorter bound can only flip verdicts from false to true."""

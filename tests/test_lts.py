@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 from contrasim.lts import Action, Lts, StateNames, TAU, act
 from contrasim.relations import strong_classes
 
-from conftest import make_random_lts
+from conftest import random_lts
 
 OP = act("op")
 A_EATS = act("aEats")
@@ -88,13 +88,6 @@ def reference_tables(n: int, transitions):
 
 
 # -- hypothesis strategy -------------------------------------------------------
-
-
-@st.composite
-def small_lts(draw, max_states=5, acyclic=False):
-    seed = draw(st.integers(0, 2**32 - 1))
-    n = draw(st.integers(1, max_states))
-    return make_random_lts(random.Random(seed), n_states=n, acyclic=acyclic)
 
 
 # -- Action / construction ------------------------------------------------------
@@ -221,7 +214,7 @@ def test_strong_successors_of_deadlock_empty():
     assert lts.strong_successors(0, TAU) == frozenset()
 
 
-@given(small_lts())
+@given(random_lts())
 def test_strong_successors_match_edge_scan(lts):
     for s in range(lts.state_count):
         for a in lts.visible_actions + (TAU,):
@@ -246,13 +239,13 @@ def test_closure_of_tau_prefix_state(phil):
     assert len(closure) == 2 and ta in closure
 
 
-@given(small_lts())
+@given(random_lts())
 def test_closure_matches_bfs_oracle(lts):
     for s in range(lts.state_count):
         assert lts.internal_closure(frozenset({s})) == closure_oracle(lts, {s})
 
 
-@given(small_lts())
+@given(random_lts())
 def test_closure_idempotent_monotone_extensive(lts):
     full = frozenset(range(lts.state_count))
     sub = frozenset(range(0, lts.state_count, 2))
@@ -287,7 +280,7 @@ def test_delay_with_tau_is_a_usage_error(phil):
         lts.delay_successors(frozenset({0}), TAU)
 
 
-@given(small_lts(acyclic=True))
+@given(random_lts(acyclic=True))
 def test_delay_matches_path_enumeration_on_acyclic(lts):
     for s in range(lts.state_count):
         for a in lts.visible_actions:
@@ -308,7 +301,7 @@ def test_weak_successors_on_instable_example(instable):
     assert delay <= weak
 
 
-@given(small_lts())
+@given(random_lts())
 def test_delay_contained_in_weak(lts):
     for s in range(lts.state_count):
         for a in lts.visible_actions:
@@ -342,7 +335,7 @@ def test_word_with_tau_rejected(phil):
         lts.word_successors((TAU,), frozenset({0}))
 
 
-@given(small_lts(), st.integers(0, 2**32 - 1))
+@given(random_lts(), st.integers(0, 2**32 - 1))
 def test_word_successors_distribute_over_union(lts, seed):
     rng = random.Random(seed)
     states = list(range(lts.state_count))
@@ -376,7 +369,7 @@ def all_words(actions, up_to):
     return set(frontier)
 
 
-@given(small_lts(max_states=4, acyclic=True))
+@given(random_lts(max_states=4, acyclic=True))
 @settings(max_examples=40)
 def test_weak_word_round_trip_on_acyclic(lts):
     """Weak word steps coincide with the closure of the delay-word frontier,
@@ -409,7 +402,7 @@ def test_locked_root_is_stable(locked):
     assert lts.is_stable(pl)
 
 
-@given(small_lts())
+@given(random_lts())
 def test_tau_free_collapse(lts):
     """Dropping tau edges makes delay steps strong and closures singletons."""
     visible_only = [t for t in lts.transitions if t[1].is_visible]
@@ -437,7 +430,7 @@ def test_quotient_merges_classes_named_by_smallest_member():
     assert q.visible_actions == (a, b)
 
 
-@given(small_lts(max_states=7))
+@given(random_lts(max_states=7))
 @settings(max_examples=100, deadline=None)
 def test_quotient_by_strong_classes_is_the_merged_system(lts):
     """Each class takes its members' steps and closure; that is the system

@@ -33,7 +33,10 @@ from contrasim.relations import (
     weak_simulation_violation,
 )
 
-from conftest import PHIL_AUT, fixture_text, make_random_lts, make_tau_free_lts, phil_shape
+from conftest import (
+    PHIL_AUT, fixture_text, make_random_lts, make_tau_free_lts, phil_shape, random_lts,
+    two_chains_aut,
+)
 
 OP, A_EATS, B_EATS = act("op"), act("aEats"), act("bEats")
 
@@ -47,16 +50,6 @@ def phil_drawing():
     """The merged philosopher diagram with both roots sharing states."""
     lts, _ = parse_aut(fixture_text("phil.aut"))
     return lts
-
-
-@st.composite
-def random_lts_strategy(draw, max_states=5, tau_free=False, acyclic=False):
-    seed = draw(st.integers(0, 2**32 - 1))
-    n = draw(st.integers(1, max_states))
-    rng = random.Random(seed)
-    if tau_free:
-        return make_tau_free_lts(rng, n_states=n)
-    return make_random_lts(rng, n_states=n, acyclic=acyclic)
 
 
 # -- weak simulation -------------------------------------------------------------
@@ -92,7 +85,7 @@ def test_word_condition_agrees_with_single_step(phil_drawing):
     assert is_weak_simulation_words(phil_drawing, identity(phil_drawing), 3)
 
 
-@given(random_lts_strategy(max_states=4))
+@given(random_lts(max_states=4))
 @settings(max_examples=40, deadline=None)
 def test_word_reformulation_matches_on_random_relations(lts):
     """The single-step and word-based weak simulation conditions agree."""
@@ -148,7 +141,7 @@ def _word_violated(lts: Lts, rel) -> bool:
     return False
 
 
-@given(random_lts_strategy(max_states=6, acyclic=True), st.data())
+@given(random_lts(max_states=6, acyclic=True), st.data())
 @settings(max_examples=150, deadline=None)
 def test_contrasimulation_check_matches_the_word_definition(lts, data):
     """One walk over the configurations of all pairs decides what the word
@@ -221,7 +214,7 @@ def test_oracle_contains_internal_reachability(phil_drawing):
             assert (p2, p) in oracle
 
 
-@given(random_lts_strategy())
+@given(random_lts())
 @settings(max_examples=30, deadline=None)
 def test_oracle_is_reflexive_transitive_and_a_contrasimulation(lts):
     oracle = contrasim_preorder(lts)
@@ -235,7 +228,7 @@ def test_oracle_is_reflexive_transitive_and_a_contrasimulation(lts):
     assert check_coupling(lts, oracle)
 
 
-@given(random_lts_strategy())
+@given(random_lts())
 @settings(max_examples=30, deadline=None)
 def test_symmetric_contrasimulations_are_weak_simulations(lts):
     """Whenever a symmetric relation passes the contrasimulation check, it
@@ -251,7 +244,7 @@ def test_symmetric_contrasimulations_are_weak_simulations(lts):
     assert seen_nontrivial  # at least the identity always qualifies
 
 
-@given(random_lts_strategy())
+@given(random_lts())
 @settings(max_examples=30, deadline=None)
 def test_compose_of_contrasimulations_is_contrasimulation(lts):
     oracle = contrasim_preorder(lts)
@@ -289,7 +282,7 @@ def test_weak_sim_preorder_on_philosophers(phil_drawing):
     assert (PHIL_AUT["Pc"], PHIL_AUT["Pp"]) not in ws
 
 
-@given(random_lts_strategy(tau_free=True))
+@given(random_lts(tau_free=True))
 @settings(max_examples=30, deadline=None)
 def test_tau_free_collapse_to_strong_bisimilarity(lts):
     """Without internal steps the contrasimulation preorder is symmetric and
@@ -299,13 +292,13 @@ def test_tau_free_collapse_to_strong_bisimilarity(lts):
     assert oracle == strong_bisimilarity(lts) == weak_bisimilarity(lts)
 
 
-@given(random_lts_strategy())
+@given(random_lts())
 @settings(max_examples=30, deadline=None)
 def test_hierarchy_weak_bisim_implies_contrasim(lts):
     assert weak_bisimilarity(lts) <= contrasim_preorder(lts)
 
 
-@given(random_lts_strategy(max_states=4))
+@given(random_lts(max_states=4))
 @settings(max_examples=25, deadline=None)
 def test_preorder_implies_bounded_weak_trace_inclusion(lts):
     """Below in the preorder means every weak word of the left process is a
@@ -398,7 +391,7 @@ def assert_engine_matches_reference(lts: Lts) -> None:
         assert naive_single_step_preorder(lts, p, q) == ((p, q) in naive)
 
 
-@given(random_lts_strategy(max_states=7))
+@given(random_lts(max_states=7))
 @settings(max_examples=100, deadline=None)
 def test_fixed_points_match_reference_loops(lts):
     assert_engine_matches_reference(lts)
@@ -425,9 +418,9 @@ def test_fixed_points_match_reference_on_cyclic_corpus(tau_share):
 
 @given(
     st.one_of(
-        random_lts_strategy(max_states=7),
+        random_lts(max_states=7),
         # acyclic systems are classed in the one successors-first pass
-        random_lts_strategy(max_states=9, acyclic=True),
+        random_lts(max_states=9, acyclic=True),
     )
 )
 @settings(max_examples=150, deadline=None)
@@ -467,19 +460,6 @@ def _limit_signatures(limit: int):
         sys.setprofile(previous)
 
 
-def _two_chains_aut(k: int, looped: bool) -> str:
-    """Two k-step a-chains, one ending in b and one in c, into one final
-    state (2k + 3 states); looped, the ends loop on b and c instead."""
-    lines = [f"des (0,{2 * k + 2},{2 * k + 3})"]
-    for i in range(k):
-        lines += [f'({i},"a",{i + 1})', f'({k + 1 + i},"a",{k + 2 + i})']
-    if looped:
-        lines += [f'({k},"b",{k})', f'({2 * k + 1},"c",{2 * k + 1})']
-    else:
-        lines += [f'({k},"b",{2 * k + 2})', f'({2 * k + 1},"c",{2 * k + 2})']
-    return "\n".join(lines) + "\n"
-
-
 @pytest.mark.parametrize("looped", [False, True])
 def test_strong_classes_of_a_long_chain_take_linear_work(looped):
     """20,003 states, far deeper than the recursion limit.  Without loops
@@ -488,7 +468,7 @@ def test_strong_classes_of_a_long_chain_take_linear_work(looped):
     and signed afresh as final classes (one more each), and the chains are
     then signed once each, successors first."""
     k = 10_000
-    lts, _ = parse_aut(_two_chains_aut(k, looped))
+    lts, _ = parse_aut(two_chains_aut(k, looped=looped))
     n = lts.state_count
     with _limit_signatures(n + 2 if looped else n):
         classes = strong_classes(lts)
@@ -503,7 +483,7 @@ def test_strong_classes_of_a_long_cycle_take_linear_work():
     and signing only their predecessors keeps the total linear (signing
     every state per round would take 10,000 rounds)."""
     k = 10_000
-    lines = _two_chains_aut(k, looped=False).splitlines()
+    lines = two_chains_aut(k).splitlines()
     lines[-2:] = [f'({k},"b",0)', f'({2 * k + 1},"c",{k + 1})']
     lts, _ = parse_aut("\n".join(lines) + "\n")
     n = lts.state_count
@@ -517,8 +497,8 @@ def test_strong_classes_of_a_long_cycle_take_linear_work():
 
 @given(
     st.one_of(
-        random_lts_strategy(max_states=7),
-        random_lts_strategy(max_states=8, acyclic=True),
+        random_lts(max_states=7),
+        random_lts(max_states=8, acyclic=True),
     )
 )
 @settings(max_examples=150, deadline=None)
