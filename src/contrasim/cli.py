@@ -17,17 +17,16 @@ Dropping it from ``PARTITIONS`` moves it onto the weak classes.
 Each query but the bisimilarities decides on one game: under
 ``--direction equivalence`` the backward verdict is read off the same
 game, at its reverse root.  The game notions run one driver,
-:func:`contrasim.csgame.solve_cs_game_locally`: ``contrasim`` the set
-game, ``bounded-word-game`` its word mode at ``--word-bound``, and
-``naive-contrasim-1step`` the word mode at bound 1, whose words are single
-weak steps.  The driver explores the game locally and stops once the
-attacker wins every queried root, so ``game_positions`` and
-``game_moves`` count the explored part, for the word games on the
-quotient.  ``--emit-game-dot`` only draws: it builds the whole reachable
-game, writes it and leaves the verdict, the certificate and the counts as
-they are.  ``weak-sim`` builds a pair game on the quotient from the
-queried pairs (:func:`contrasim.relations.solve_pair_game`) and reports no
-counts.  A holding ``weak-sim`` check prints the greatest weak
+:func:`contrasim.csgame.solve_cs_game_locally`, for ``contrasim`` on the
+set game, for ``bounded-word-game`` on its word mode and for
+``naive-contrasim-1step`` on its word mode at bound 1, whose words are
+single steps.  It explores the game locally and stops once the attacker
+wins every queried root, so ``game_positions`` and ``game_moves`` count
+the explored part.  ``--emit-game-dot`` only draws: it builds the whole
+reachable game, writes it and leaves the verdict, the certificate and the
+counts as they are.  ``weak-sim`` builds a pair game on the quotient from
+the queried pairs (:func:`contrasim.relations.solve_pair_game`) and
+reports no counts.  A holding ``weak-sim`` check prints the greatest weak
 simulation, computed whole on the pair game's step tables by a counter
 refinement, outside the game.  ``--max-positions`` bounds every game, and
 the pairs a relation certificate names, counted before any is named.
@@ -205,7 +204,6 @@ def run_check(args: argparse.Namespace) -> CheckReport:
 
     model, lhs, rhs = _load_model(args)
     equivalence = args.direction == "equivalence"
-    # The naive fixed point is the word game whose words are single steps.
     word_bound = {"bounded-word-game": args.word_bound, "naive-contrasim-1step": 1}.get(notion)
     positions = moves = None
     t0 = time.perf_counter()
@@ -243,8 +241,7 @@ def run_check(args: argparse.Namespace) -> CheckReport:
         if notion in GAME_NOTIONS:
             related = csgame.extract_contrasimulation(game, solution, roots)
         elif notion == "weak-sim":
-            # The greatest weak simulation, by the counter refinement,
-            # counted before its pairs are built.
+            # The greatest weak simulation, counted before it is built.
             related = relations._greatest_fixed_point(left, weak, args.max_positions)
         certificate = _lifted_certificate(model, classes, related, args.max_positions)
     elif args.emit_certificate and notion == "contrasim":

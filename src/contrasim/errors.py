@@ -35,9 +35,8 @@ class StateBudgetError(RuntimeError):
 
 class PositionBudgetError(RuntimeError):
     """Raised when a game, the set game, its word mode or a pair game,
-    grows past the position budget, or, given ``pairs``, when a relation
-    certificate would name more pairs than it (``at_least`` that many, when
-    only a lower bound was counted)."""
+    grows past the position budget, or, given ``pairs`` (``at_least`` if a
+    lower bound), when a relation certificate would name more pairs than it."""
 
     def __init__(self, budget: int, pairs: int | None = None, at_least: bool = False):
         self.budget = budget

@@ -45,8 +45,9 @@ transferring weak steps has the same answer:
 The command line decides weak similarity, the naive fixed point and the
 bounded word game on ``S/≈``, each on a game built from the queried pairs
 only (the naive fixed point is the word game at bound 1), and the
-bisimilarities by class; contrasimilarity stays on the model.  The library deciders run on the system they are given and are the
-oracles it is tested against.
+bisimilarities by class; contrasimilarity stays on the model.  The
+library deciders run on the system they are given and are the oracles it
+is tested against.
 """
 
 from collections import deque
@@ -291,15 +292,13 @@ def _weak_steps(lts: Lts, classes: Sequence[int]) -> list[dict[Action, AbstractS
 
 
 def _greatest_fixed_point(
-    left: list[list[StateSet]], right: list[list[StateSet]], max_pairs: Optional[int] = None
+    left: list[list[StateSet]], right: list[list[StateSet]], max_pairs: float = float("inf")
 ) -> frozenset[Pair]:
     """The greatest relation ``R`` in which, for every ``(x, y)`` in ``R``,
     every action ``a`` and every ``x2`` in ``left[a][x]``, some ``y2`` in
     ``right[a][y]`` has ``(x2, y2)`` in ``R``: on the strong and the weak
     step tables, the greatest weak simulation.  More than ``max_pairs``
-    pairs raise :class:`PositionBudgetError`, counted before any pair is
-    built; the pairs of a quotient lift to at least as many, hence "at
-    least".
+    pairs raise :class:`PositionBudgetError` before any pair is built.
 
     Counter-based refinement (Henzinger, Henzinger & Kopke, FOCS 1995):
     ``count[t][a*n + q]`` is the number of q's right ``a``-answers still
@@ -363,10 +362,9 @@ def _greatest_fixed_point(
                     if row[q]:
                         row[q] = 0
                         work.append((p, q))
-    if max_pairs is not None:
-        size = sum(map(sum, rel))
-        if size > max_pairs:
-            raise PositionBudgetError(max_pairs, size, at_least=True)
+    size = sum(map(sum, rel))
+    if size > max_pairs:  # lifted from classes, the pairs are at least as many
+        raise PositionBudgetError(max_pairs, size, at_least=True)
     return frozenset((x, y) for x in states for y in compress(states, rel[x]))
 
 
@@ -380,9 +378,8 @@ def solve_pair_game(
     every ``(x, y)`` in ``R``, every action index ``a`` and every ``x2`` in
     ``left[a][x]``, some ``y2`` in ``right[a][y]`` has ``(x2, y2)`` in ``R``:
     the defender's wins of a game built breadth-first from the roots and
-    solved by :func:`solve`.  That relation is the one
-    :func:`_greatest_fixed_point` computes whole; on the strong and the weak
-    step tables, the greatest weak simulation.
+    solved by :func:`solve`.  :func:`_greatest_fixed_point` computes that
+    relation whole.
 
     The attacker at ``(x, y)`` picks ``a`` and ``x2`` and moves to the
     defender position ``(a, x2, y)``, which every ``x`` shares; the defender
