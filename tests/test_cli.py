@@ -203,9 +203,10 @@ def test_position_budget_error_names_what_passed_it(args, counted, capsys):
 @pytest.mark.parametrize("direction", ["preorder", "equivalence"])
 @pytest.mark.parametrize("notion", ["weak-sim", "naive-contrasim-1step"])
 def test_pair_games_fit_the_position_budget(notion, direction, tmp_path, capsys):
-    """Two 500-step chains (1,003 states): the pair game is built from the
-    queried pairs only, so a budget linear in n decides them, and a tiny one
-    stops the query."""
+    """Two 500-step chains (1,003 states): the pair game of weak-sim and
+    the naive notion's word game at bound 1 are built from the queried pairs
+    only, so a budget linear in n decides them, and a tiny one stops the
+    query."""
     n = 500
     chain = tmp_path / "chain.aut"
     chain.write_text(two_chains_aut(n))
@@ -660,10 +661,11 @@ def test_deep_ccs_chain_certificate(tmp_path, capsys):
 
 
 def test_gameless_notions_on_long_chain(tmp_path, capsys):
-    """300-step chains (603 states) under the four gameless notions, where
-    re-sweeping every remaining pair after each deletion took minutes; a
-    holding weak-sim check prints the greatest weak simulation, which is
-    computed whole, outside the position budget that bounds its game."""
+    """300-step chains (603 states) under the three gameless notions and
+    the naive one, once gameless too, where re-sweeping every remaining pair
+    after each deletion took minutes; a holding weak-sim check prints the
+    greatest weak simulation, which is computed whole, outside the position
+    budget that bounds its game."""
     n = 300
     chain = tmp_path / "chain.aut"
     chain.write_text(two_chains_aut(n))
