@@ -27,10 +27,11 @@ reachable game, writes it and leaves the verdict, the certificate and the
 counts as they are.  ``weak-sim`` builds a pair game on the quotient from
 the queried pairs (:func:`contrasim.relations.solve_pair_game`) and
 reports no counts.  A holding ``weak-sim`` check prints the greatest weak
-simulation, computed whole on the pair game's step tables by a counter
-refinement, outside the game.  ``--max-positions`` bounds every game, and
-the pairs a relation certificate names, counted before any is named.
-``solve_ms`` times the game, for a bisimilarity the classes.
+simulation of the quotient, computed whole by a counter refinement outside
+the game (:func:`contrasim.relations.weak_sim_preorder`).
+``--max-positions`` bounds every game, and the pairs a relation
+certificate names, counted before any is named.  ``solve_ms`` times the
+game, for a bisimilarity the classes.
 
 Exit codes: 0 when the checked relation holds, 1 when it fails, 2 on usage,
 parse, file, or budget errors (states, game positions or certificate
@@ -222,12 +223,8 @@ def run_check(args: argparse.Namespace) -> CheckReport:
                 lts, p, q, swapped=equivalence, max_positions=args.max_positions,
                 word_bound=word_bound,
             )
-        else:
-            # weak-sim: a pair game from the queried pairs, strong steps
-            # against weak ones.
-            left = relations.step_tables(lts, weak=False)
-            weak = relations.step_tables(lts, weak=True)
-            related = relations.solve_pair_game(left, weak, directions, args.max_positions)
+        else:  # weak-sim: a pair game from the queried pairs
+            related = relations.solve_pair_game(lts, directions, args.max_positions)
     solve_ms = (time.perf_counter() - t0) * 1000.0
     if notion in GAME_NOTIONS:
         results = [solution.winner[root] is Player.DEFENDER for root in roots]
@@ -242,7 +239,7 @@ def run_check(args: argparse.Namespace) -> CheckReport:
             related = csgame.extract_contrasimulation(game, solution, roots)
         elif notion == "weak-sim":
             # The greatest weak simulation, counted before it is built.
-            related = relations._greatest_fixed_point(left, weak, args.max_positions)
+            related = relations.weak_sim_preorder(lts, args.max_positions)
         certificate = _lifted_certificate(model, classes, related, args.max_positions)
     elif args.emit_certificate and notion == "contrasim":
         first_lost = roots[results.index(False)]

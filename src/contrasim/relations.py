@@ -7,13 +7,14 @@ game procedures are checked against: exhaustive configuration enumeration
 and a pair-deletion fixed point, written to be audited.  All of them treat
 relations as plain sets of ordered state-index pairs over one LTS.
 
-Queried pairs of weak similarity are decided by a pair game,
-:func:`solve_pair_game`, built from those pairs only and solved by
-:func:`contrasim.game.solve`.  The whole weak simulation preorder, which
-:func:`weak_sim_preorder` and a holding ``weak-sim`` certificate need,
-comes from a counter-based refinement, :func:`_greatest_fixed_point`,
-which handles each deleted pair once and keeps a byte per pair, where the
-pair game with every pair a root would hold (|actions| + 2)·n² positions.
+Weak similarity has two engines, and both take the system itself; only
+this module knows how its strong and weak steps are tabulated.  Queried
+pairs are decided by a pair game, :func:`solve_pair_game`, built from
+those pairs only and solved by :func:`contrasim.game.solve`.  The whole
+preorder, :func:`weak_sim_preorder`, which a holding ``weak-sim``
+certificate prints, comes from a counter-based refinement that handles
+each deleted pair once and keeps a byte per pair, where the pair game
+with every pair a root would hold (|actions| + 2)·n² positions.
 Pair-deletion loops are kept in the tests as the reference of both.
 Strong and weak bisimilarity come from partition refinement instead:
 :func:`strong_classes` and :func:`weak_classes` class the states, and the
@@ -249,15 +250,15 @@ def contrasim_preorder(lts: Lts) -> frozenset[Pair]:
     return frozenset(rel)
 
 
-def step_tables(lts: Lts, *, weak: bool) -> list[list[AbstractSet[int]]]:
+def _step_tables(lts: Lts) -> tuple[list[list[StateSet]], list[list[AbstractSet[int]]]]:
     """Per action of ``visible_actions + (TAU,)``, every state's strong
-    successors, or its weak ones (for tau, its internal closure)."""
+    successors, the challenges of weak simulation, and its weak ones (for
+    tau, its internal closure), the answers."""
     empty: StateSet = frozenset()
-    if not weak:
-        rows: Sequence[Mapping[Action, AbstractSet[int]]] = lts._strong
-        return [[row.get(a, empty) for row in rows] for a in lts.visible_actions + (TAU,)]
     rows = _weak_steps(lts, range(lts.state_count))
-    return [[row.get(a, empty) for row in rows] for a in lts.visible_actions] + [list(lts._closure)]
+    strong = [[row.get(a, empty) for row in lts._strong] for a in lts.visible_actions + (TAU,)]
+    weak = [[row.get(a, empty) for row in rows] for a in lts.visible_actions]
+    return strong, weak + [list(lts._closure)]
 
 
 def _weak_steps(lts: Lts, classes: Sequence[int]) -> list[dict[Action, AbstractSet[int]]]:
@@ -291,73 +292,70 @@ def _weak_steps(lts: Lts, classes: Sequence[int]) -> list[dict[Action, AbstractS
     return rows
 
 
-def _greatest_fixed_point(
-    left: list[list[StateSet]], right: list[list[StateSet]], max_pairs: float = float("inf")
-) -> frozenset[Pair]:
-    """The greatest relation ``R`` in which, for every ``(x, y)`` in ``R``,
-    every action ``a`` and every ``x2`` in ``left[a][x]``, some ``y2`` in
-    ``right[a][y]`` has ``(x2, y2)`` in ``R``: on the strong and the weak
-    step tables, the greatest weak simulation.  More than ``max_pairs``
-    pairs raise :class:`PositionBudgetError` before any pair is built.
+def weak_sim_preorder(lts: Lts, max_pairs: float = float("inf")) -> frozenset[Pair]:
+    """The weak simulation preorder: the greatest relation ``R`` in which,
+    for every ``(x, y)`` in ``R``, every action ``a`` and every strong
+    ``a``-step of ``x`` to ``x2``, some weak ``a``-step of ``y`` to ``y2``
+    has ``(x2, y2)`` in ``R``.  More than ``max_pairs`` pairs raise
+    :class:`PositionBudgetError` before any pair is built.
 
     Counter-based refinement (Henzinger, Henzinger & Kopke, FOCS 1995):
-    ``count[t][a*n + q]`` is the number of q's right ``a``-answers still
+    ``count[t][a*n + q]`` is the number of q's weak ``a``-answers still
     related to ``t``.  Every pair leaves the relation once and is then
-    popped from the worklist once, decrementing the counters of the right
-    predecessors of its answer side; a counter that reaches zero deletes the
-    left predecessors of ``t`` paired with ``q``.  Cost is O(n * m) for n
+    popped from the worklist once, decrementing the counters of the weak
+    predecessors of its answer side (every state is its own, by its
+    internal closure); a counter that reaches zero deletes the strong
+    predecessors of ``t`` paired with ``q``.  Cost is O(n * m) for n
     states and m table entries: every pair is decided.
     """
-    n = len(left[0])
-    actions = range(len(left))
-    left_pred = [[[] for _ in range(n)] for _ in actions]
-    # right_pred[y2]: (counter index a*n + q, q, left_pred[a]) for each q
+    strong, weak = _step_tables(lts)
+    n = lts.state_count
+    actions = range(len(strong))
+    strong_pred = [[[] for _ in range(n)] for _ in actions]
+    # weak_pred[y2]: (counter index a*n + q, q, strong_pred[a]) for each q
     # that answers an a-step with y2.
-    right_pred: list[list[tuple[int, int, list[list[int]]]]] = [[] for _ in range(n)]
-    degree = [0] * (len(left) * n)
-    left_mask = [0] * n
-    right_mask = [0] * n
+    weak_pred: list[list[tuple[int, int, list[list[int]]]]] = [[] for _ in range(n)]
+    degree = [0] * (len(strong) * n)
+    strong_mask = [0] * n
+    weak_mask = [0] * n
     for a in actions:
         bit = 1 << a
-        for x, succ in enumerate(left[a]):
+        for x, succ in enumerate(strong[a]):
             if succ:
-                left_mask[x] |= bit
+                strong_mask[x] |= bit
                 for t in succ:
-                    left_pred[a][t].append(x)
-        for q, succ in enumerate(right[a]):
+                    strong_pred[a][t].append(x)
+        for q, succ in enumerate(weak[a]):
             if succ:
-                right_mask[q] |= bit
+                weak_mask[q] |= bit
                 degree[a * n + q] = len(succ)
                 for y2 in succ:
-                    right_pred[y2].append((a * n + q, q, left_pred[a]))
+                    weak_pred[y2].append((a * n + q, q, strong_pred[a]))
 
     # Start from the pairs whose right side answers every action the left
     # side can take; per left action mask, a byte per right state.
     states = range(n)
-    covers = {m: bytes([not m & ~r for r in right_mask]) for m in set(left_mask)}
-    gaps = {m: bytes([bool(m & ~r) for r in right_mask]) for m in covers}
-    rel = [bytearray(covers[m]) for m in left_mask]
+    covers = {m: bytes([not m & ~r for r in weak_mask]) for m in set(strong_mask)}
+    gaps = {m: bytes([bool(m & ~r) for r in weak_mask]) for m in covers}
+    rel = [bytearray(covers[m]) for m in strong_mask]
 
     # The worklist holds each deleted pair.  The pairs missing from the start
     # are fed in one row at a time, which keeps the list short.
     count: list[Optional[list[int]]] = [None] * n
     work: list[Pair] = []
     for x in states:
-        work.extend(zip(repeat(x), compress(states, gaps[left_mask[x]])))
+        work.extend(zip(repeat(x), compress(states, gaps[strong_mask[x]])))
         while work:
             t, y2 = work.pop()
-            preds = right_pred[y2]
-            if not preds:
-                continue
             counts = count[t]
             if counts is None:
                 counts = count[t] = degree[:]
-            for c, q, left_pred_a in preds:
+            for c, q, strong_pred_a in weak_pred[y2]:
                 remaining = counts[c] - 1
                 counts[c] = remaining
                 if remaining:
                     continue
-                for p in left_pred_a[t]:
+                for p in strong_pred_a[t]:
                     row = rel[p]
                     if row[q]:
                         row[q] = 0
@@ -369,25 +367,21 @@ def _greatest_fixed_point(
 
 
 def solve_pair_game(
-    left: Sequence[Sequence[AbstractSet[int]]],
-    right: Sequence[Sequence[AbstractSet[int]]],
-    roots: Iterable[Pair],
-    max_positions: int = DEFAULT_MAX_POSITIONS,
+    lts: Lts, roots: Iterable[Pair], max_positions: int = DEFAULT_MAX_POSITIONS
 ) -> frozenset[Pair]:
-    """The pairs of ``roots`` in the greatest relation ``R`` in which, for
-    every ``(x, y)`` in ``R``, every action index ``a`` and every ``x2`` in
-    ``left[a][x]``, some ``y2`` in ``right[a][y]`` has ``(x2, y2)`` in ``R``:
-    the defender's wins of a game built breadth-first from the roots and
-    solved by :func:`solve`.  :func:`_greatest_fixed_point` computes that
-    relation whole.
+    """The pairs of ``roots`` in :func:`weak_sim_preorder`: the defender's
+    wins of a game built breadth-first from the roots and solved by
+    :func:`solve`.
 
-    The attacker at ``(x, y)`` picks ``a`` and ``x2`` and moves to the
-    defender position ``(a, x2, y)``, which every ``x`` shares; the defender
-    answers with ``y2`` and moves to ``(x2, y2)``, and is stuck without
-    answers.  More than ``max_positions`` positions raise
+    The attacker at ``(x, y)`` picks an action ``a`` and a strong
+    ``a``-step of ``x`` to ``x2`` and moves to the defender position
+    ``(a, x2, y)``, which every ``x`` shares; the defender answers with a
+    weak ``a``-step of ``y`` to ``y2`` and moves to ``(x2, y2)``, and is
+    stuck without answers.  More than ``max_positions`` positions raise
     :class:`PositionBudgetError`.
     """
-    n = len(left[0])
+    strong, weak = _step_tables(lts)
+    n = lts.state_count
     square = n * n  # (x, y) is keyed x*n + y, (a, x2, y) (a+1)*n*n + x2*n + y
     index: dict[int, int] = {}  # position key -> position index
     keys: list[int] = []
@@ -410,10 +404,11 @@ def solve_pair_game(
         a, rest = divmod(key, square)
         x, y = divmod(rest, n)
         if a:
-            moves.append([add(x * n + y2) for y2 in right[a - 1][y]])
+            moves.append([add(x * n + y2) for y2 in weak[a - 1][y]])
         else:
             moves.append(
-                [add(a2 * square + x2 * n + y) for a2, row in enumerate(left, 1) for x2 in row[x]]
+                [add(a2 * square + x2 * n + y) for a2, row in enumerate(strong, 1)
+                 for x2 in row[x]]
             )
     owner = [Player.ATTACKER if key < square else Player.DEFENDER for key in keys]
     # Distinct choices lead to distinct positions, so no row holds a duplicate.
@@ -645,11 +640,6 @@ def _same_class(classes: Sequence[int]) -> frozenset[Pair]:
     for s, c in enumerate(classes):
         members.setdefault(c, []).append(s)
     return frozenset((p, q) for group in members.values() for p in group for q in group)
-
-
-def weak_sim_preorder(lts: Lts) -> frozenset[Pair]:
-    """The weak simulation preorder (the greatest weak simulation)."""
-    return _greatest_fixed_point(step_tables(lts, weak=False), step_tables(lts, weak=True))
 
 
 def weak_bisimilarity(lts: Lts) -> frozenset[Pair]:

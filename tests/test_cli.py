@@ -575,25 +575,35 @@ def test_weak_quotient_verdicts_and_lifted_certificates(seed, tmp_path):
         ("contrasim", "solve_cs_game_locally"),
         ("bounded-word-game", "solve_cs_game_locally"),
         ("naive-contrasim-1step", "solve_cs_game_locally"),
+        pytest.param(
+            "weak-sim", "solve_pair_game weak_sim_preorder",
+            id="weak-sim-solve_pair_game-weak_sim_preorder",
+        ),
     ],
 )
 def test_equivalence_does_the_work_once(notion, work, monkeypatch, capsys):
     """Both directions are read off one game: the set game or its word mode,
-    at ``--word-bound`` or, for the naive fixed point, at bound 1."""
+    at ``--word-bound`` or, for the naive fixed point, at bound 1, or the
+    pair game of weak similarity.  Pc and Pl are weakly similar both ways
+    and fail every game notion, so a weak-sim certificate is one refinement
+    and a failing game's formula needs no second game."""
     calls = []
-    original = getattr(csgame, work)
+    for name in work.split():
+        module = csgame if hasattr(csgame, name) else relations
+        original = getattr(module, name)
 
-    def counted(*args, **kwargs):
-        calls.append(args)
-        return original(*args, **kwargs)
+        def counted(*args, original=original, **kwargs):
+            calls.append(original.__name__)
+            return original(*args, **kwargs)
 
-    monkeypatch.setattr(csgame, work, counted)
+        monkeypatch.setattr(module, name, counted)
     run_main(
         ["check", "--notion", notion, "--direction", "equivalence",
-         "--lhs", INSTABLE_AUT["bE"], "--rhs", INSTABLE_AUT["AB"], "--word-bound", 2,
-         "--emit-certificate", FIXTURES / "instable.aut"]
+         "--lhs", LOCKED_AUT["Pc"], "--rhs", LOCKED_AUT["Pl"], "--word-bound", 2,
+         "--emit-certificate", FIXTURES / "locked.aut"]
     )
-    assert len(calls) == 1
+    assert sorted(calls) == sorted(work.split())
+    assert capsys.readouterr().out.count("relation: ") == (notion == "weak-sim")
 
 
 # -- certificates through the CLI --------------------------------------------------

@@ -24,7 +24,6 @@ from contrasim.relations import (
     is_weak_simulation,
     is_weak_simulation_words,
     solve_pair_game,
-    step_tables,
     strong_bisimilarity,
     strong_classes,
     weak_bisimilarity,
@@ -381,10 +380,9 @@ def assert_engine_matches_reference(lts: Lts) -> None:
     # the command line decides an equivalence, and from the pair alone: the
     # pair game for weak similarity, the word game at bound 1 for the naive
     # fixed point.
-    strong, weak = step_tables(lts, weak=False), step_tables(lts, weak=True)
     for p, q in product(range(lts.state_count), repeat=2):
         roots = [(p, q), (q, p)]
-        assert solve_pair_game(strong, weak, roots) == weak_sim.intersection(roots)
+        assert solve_pair_game(lts, roots) == weak_sim.intersection(roots)
         _, solution, game_roots = solve_cs_game_locally(lts, p, q, swapped=True, word_bound=1)
         won = [solution.winner[root] is Player.DEFENDER for root in game_roots]
         assert won == [pair in naive for pair in roots]
