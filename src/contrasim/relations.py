@@ -13,9 +13,10 @@ pairs are decided by a pair game, :func:`solve_pair_game`, built from
 those pairs only and solved by :func:`contrasim.game.solve`.  The whole
 preorder, :func:`weak_sim_preorder`, which a holding ``weak-sim``
 certificate prints, comes from a counter-based refinement that handles
-each deleted pair once and keeps a byte per pair, where the pair game
-with every pair a root would hold (|actions| + 2)·n² positions.
-Pair-deletion loops are kept in the tests as the reference of both.
+each deleted pair once and keeps a byte per pair and, while the counts
+fit in one, per counter, where the pair game with every pair a root would
+hold (|actions| + 2)·n² positions.  Pair-deletion loops are kept in the
+tests as the reference of both.
 Strong and weak bisimilarity come from partition refinement instead:
 :func:`strong_classes` and :func:`weak_classes` class the states, and the
 bisimilarity relates the states of one class.
@@ -51,6 +52,7 @@ library deciders run on the system they are given and are the oracles it
 is tested against.
 """
 
+from array import array
 from collections import deque
 from itertools import compress, repeat
 from typing import AbstractSet, Hashable, Iterable, Mapping, Optional, Sequence
@@ -305,8 +307,10 @@ def weak_sim_preorder(lts: Lts, max_pairs: float = float("inf")) -> frozenset[Pa
     popped from the worklist once, decrementing the counters of the weak
     predecessors of its answer side (every state is its own, by its
     internal closure); a counter that reaches zero deletes the strong
-    predecessors of ``t`` paired with ``q``.  Cost is O(n * m) for n
-    states and m table entries: every pair is decided.
+    predecessors of ``t`` paired with ``q``.  A counter never exceeds its
+    degree, so the counters are bytes while every degree fits in one.
+    Cost is O(n * m) for n states and m table entries: every pair is
+    decided.
     """
     strong, weak = _step_tables(lts)
     n = lts.state_count
@@ -331,6 +335,7 @@ def weak_sim_preorder(lts: Lts, max_pairs: float = float("inf")) -> frozenset[Pa
                 degree[a * n + q] = len(succ)
                 for y2 in succ:
                     weak_pred[y2].append((a * n + q, q, strong_pred[a]))
+    degree = array("B" if max(degree, default=0) < 256 else "I", degree)
 
     # Start from the pairs whose right side answers every action the left
     # side can take; per left action mask, a byte per right state.
@@ -341,7 +346,7 @@ def weak_sim_preorder(lts: Lts, max_pairs: float = float("inf")) -> frozenset[Pa
 
     # The worklist holds each deleted pair.  The pairs missing from the start
     # are fed in one row at a time, which keeps the list short.
-    count: list[Optional[list[int]]] = [None] * n
+    count: list[Optional[array]] = [None] * n
     work: list[Pair] = []
     for x in states:
         work.extend(zip(repeat(x), compress(states, gaps[strong_mask[x]])))

@@ -255,25 +255,28 @@ def test_weak_sim_certificate_is_counted_before_it_is_built(tmp_path, capsys):
     greatest weak simulation relates each state to every state at least as
     far from the end, (n + 1)(n + 2)/2 pairs.  Over ``--max-positions`` they
     are counted on the refinement's bytes, before any pair is built.  As a
-    frozenset of tuples those pairs alone take about 5 MB; the whole check,
-    refinement included, peaks near 2.3 MB, where building them first
-    peaked near 7 MB."""
-    n = 300
-    chain = tmp_path / "chain.aut"
-    chain.write_text(f"des (0,{n},{n + 1})\n" + "".join(f'({i},"a",{i + 1})\n' for i in range(n)))
-    tracemalloc.start()
-    try:
-        code = run_main(["check", "--lhs", 1, "--rhs", 0, "--notion", "weak-sim",
-                         "--emit-certificate", "--max-positions", 20_000, chain])
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert code == 2
-    assert capsys.readouterr().err == (
-        "error: the relation certificate, not a game, exceeds the position budget of 20000: "
-        f"it names at least {(n + 1) * (n + 2) // 2} pairs; raise max_positions to print it\n"
-    )
-    assert peak < 4_000_000
+    frozenset of tuples those pairs alone take about 5 MB at n = 300; the
+    whole check, refinement included, peaks near 0.8 MB at n = 300 and
+    2.1 MB at n = 600, where counters held as int lists peaked near 2.1 and
+    7.2 MB."""
+    for n in (300, 600):
+        chain = tmp_path / "chain.aut"
+        chain.write_text(
+            f"des (0,{n},{n + 1})\n" + "".join(f'({i},"a",{i + 1})\n' for i in range(n))
+        )
+        tracemalloc.start()
+        try:
+            code = run_main(["check", "--lhs", 1, "--rhs", 0, "--notion", "weak-sim",
+                             "--emit-certificate", "--max-positions", 20_000, chain])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "error: the relation certificate, not a game, exceeds the position budget of 20000: "
+            f"it names at least {(n + 1) * (n + 2) // 2} pairs; raise max_positions to print it\n"
+        )
+        assert peak < 4_000_000
 
 
 def test_cli_import_loads_no_dataclasses_inspect_or_json():

@@ -281,6 +281,40 @@ def test_weak_sim_preorder_on_philosophers(phil_drawing):
     assert (PHIL_AUT["Pc"], PHIL_AUT["Pp"]) not in ws
 
 
+def test_weak_sim_preorder_counts_past_a_byte(monkeypatch):
+    """A tau-fan of 300 leaves: its root has 301 weak tau-answers, its
+    internal closure, so the refinement's counters no longer fit a byte and
+    are held as ``"I"`` ints.  The relation is still a weak simulation, and
+    the pair game agrees with it pair by pair."""
+    leaves = range(1, 301)
+    sink, other = 301, 303  # other is a second fan, over half the leaves
+    steps = [(0, "tau", i) for i in leaves] + [(other, "tau", i) for i in leaves[:150]]
+    steps += [(i, "abc"[i % 3], sink if i % 3 < 2 else 302) for i in leaves]
+    steps += [(302, "a", sink), (other, "c", 302), (304, "a", sink), (304, "b", sink)]
+    lts, _ = parse_aut(f"des (0,{len(steps)},305)\n" + "".join(
+        f'({s},"{a}",{t})\n' for s, a, t in steps
+    ))
+    typecodes = []
+    array = relations.array
+
+    def recorded(typecode, *args):
+        typecodes.append(typecode)
+        return array(typecode, *args)
+
+    monkeypatch.setattr(relations, "array", recorded)
+    ws = weak_sim_preorder(lts)
+    assert typecodes == ["I"]
+    assert is_weak_simulation(lts, ws)
+    assert (0, other) in ws and (other, 0) in ws and (0, 304) not in ws
+    rng = random.Random(29)
+    roots = (0, other, 302, 304)
+    pairs = [(p, q) for p in roots for q in rng.sample(range(305), 20)]
+    pairs += [(q, p) for p, q in pairs]
+    pairs += [(rng.randrange(305), rng.randrange(305)) for _ in range(40)]
+    for pair in pairs:
+        assert solve_pair_game(lts, [pair]) == ws.intersection([pair])
+
+
 @given(random_lts(tau_free=True))
 @settings(max_examples=30, deadline=None)
 def test_tau_free_collapse_to_strong_bisimilarity(lts):
