@@ -52,7 +52,6 @@ library deciders run on the system they are given and are the oracles it
 is tested against.
 """
 
-from array import array
 from collections import deque
 from itertools import compress, repeat
 from typing import AbstractSet, Hashable, Iterable, Mapping, Optional, Sequence
@@ -312,6 +311,8 @@ def weak_sim_preorder(lts: Lts, max_pairs: float = float("inf")) -> frozenset[Pa
     Cost is O(n * m) for n states and m table entries: every pair is
     decided.
     """
+    from array import array  # here: every query imports this module, few need it
+
     strong, weak = _step_tables(lts)
     n = lts.state_count
     actions = range(len(strong))

@@ -281,7 +281,8 @@ def test_weak_sim_certificate_is_counted_before_it_is_built(tmp_path, capsys):
 
 def test_cli_import_loads_no_dataclasses_inspect_or_json():
     """Every query pays for importing the CLI; a module that only one option
-    needs is imported on that option's path."""
+    needs is imported on that option's path, and ``array`` only by a
+    ``weak-sim`` certificate."""
     code = (
         "import sys; sys.path.insert(0, sys.argv[1]); before = set(sys.modules); "
         "import contrasim.cli; print(*sorted(set(sys.modules) - before))"
@@ -292,7 +293,7 @@ def test_cli_import_loads_no_dataclasses_inspect_or_json():
     )
     loaded = set(done.stdout.split())
     assert "contrasim.cli" in loaded
-    assert not loaded & {"dataclasses", "inspect", "json"}
+    assert not loaded & {"array", "dataclasses", "inspect", "json"}
 
 
 def test_internal_error_exits_three(monkeypatch, capsys):

@@ -1,3 +1,4 @@
+import array
 import random
 import sys
 from contextlib import contextmanager
@@ -295,13 +296,13 @@ def test_weak_sim_preorder_counts_past_a_byte(monkeypatch):
         f'({s},"{a}",{t})\n' for s, a, t in steps
     ))
     typecodes = []
-    array = relations.array
+    original = array.array
 
     def recorded(typecode, *args):
         typecodes.append(typecode)
-        return array(typecode, *args)
+        return original(typecode, *args)
 
-    monkeypatch.setattr(relations, "array", recorded)
+    monkeypatch.setattr(array, "array", recorded)
     ws = weak_sim_preorder(lts)
     assert typecodes == ["I"]
     assert is_weak_simulation(lts, ws)
