@@ -573,27 +573,37 @@ def test_weak_quotient_verdicts_and_lifted_certificates(seed, tmp_path):
                 assert relations.is_weak_simulation(lts, pairs)
 
 
+def _work_case(notion, module, work, fixture, lhs, rhs):
+    return pytest.param(
+        notion, module, work, fixture, lhs, rhs, id=f"{notion}-{'-'.join(work)}"
+    )
+
+
 @pytest.mark.parametrize(
-    "notion, work",
+    "notion, module, work, fixture, lhs, rhs",
     [
-        ("contrasim", "solve_cs_game_locally"),
-        ("bounded-word-game", "solve_cs_game_locally"),
-        ("naive-contrasim-1step", "solve_cs_game_locally"),
-        pytest.param(
-            "weak-sim", "solve_pair_game weak_sim_preorder",
-            id="weak-sim-solve_pair_game-weak_sim_preorder",
-        ),
+        _work_case("contrasim", csgame, ["solve_cs_game_locally"],
+                   "instable.aut", INSTABLE_AUT["bE"], INSTABLE_AUT["AB"]),
+        _work_case("bounded-word-game", csgame, ["solve_cs_game_locally"],
+                   "instable.aut", INSTABLE_AUT["bE"], INSTABLE_AUT["AB"]),
+        _work_case("naive-contrasim-1step", csgame, ["solve_cs_game_locally"],
+                   "instable.aut", INSTABLE_AUT["bE"], INSTABLE_AUT["AB"]),
+        _work_case("weak-sim", relations, ["solve_pair_game", "weak_sim_preorder"],
+                   "locked.aut", LOCKED_AUT["Pc"], LOCKED_AUT["Pl"]),
     ],
 )
-def test_equivalence_does_the_work_once(notion, work, monkeypatch, capsys):
+def test_equivalence_does_the_work_once(
+    notion, module, work, fixture, lhs, rhs, monkeypatch, capsys
+):
     """Both directions are read off one game: the set game or its word mode,
     at ``--word-bound`` or, for the naive fixed point, at bound 1, or the
-    pair game of weak similarity.  Pc and Pl are weakly similar both ways
-    and fail every game notion, so a weak-sim certificate is one refinement
-    and a failing game's formula needs no second game."""
+    pair game of weak similarity.  bE is below AB but not above it under each
+    game notion, so the verdict, and under contrasim the formula, for the
+    second, lost direction come from the game that won the first.  Pc and Pl
+    are weakly similar both ways, so their certificate is one refinement
+    after one pair game."""
     calls = []
-    for name in work.split():
-        module = csgame if hasattr(csgame, name) else relations
+    for name in work:
         original = getattr(module, name)
 
         def counted(*args, original=original, **kwargs):
@@ -601,13 +611,19 @@ def test_equivalence_does_the_work_once(notion, work, monkeypatch, capsys):
             return original(*args, **kwargs)
 
         monkeypatch.setattr(module, name, counted)
-    run_main(
+    code = run_main(
         ["check", "--notion", notion, "--direction", "equivalence",
-         "--lhs", LOCKED_AUT["Pc"], "--rhs", LOCKED_AUT["Pl"], "--word-bound", 2,
-         "--emit-certificate", FIXTURES / "locked.aut"]
+         "--lhs", lhs, "--rhs", rhs, "--word-bound", 2,
+         "--emit-certificate", FIXTURES / fixture]
     )
-    assert sorted(calls) == sorted(work.split())
-    assert capsys.readouterr().out.count("relation: ") == (notion == "weak-sim")
+    assert calls == work
+    out = capsys.readouterr().out
+    if notion == "weak-sim":
+        assert (code, out.count("relation: ")) == (0, 1)
+    else:
+        assert code == 1
+        assert "forward:   holds" in out and "backward:  fails" in out
+        assert out.count("formula: ") == (notion == "contrasim")
 
 
 # -- certificates through the CLI --------------------------------------------------
