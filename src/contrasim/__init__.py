@@ -34,7 +34,6 @@ from .csgame import (
     decide_preorder,
     extract_contrasimulation,
     extract_distinguishing_formula,
-    fc_pairs,
     naive_single_step_preorder,
     solve_cs_game_locally,
     strategy_from_fc,
@@ -56,6 +55,7 @@ from .relations import (
     check_coupling,
     contrasim_preorder,
     contrasimulation_violation,
+    fc_pairs,
     interleaved_compose,
     is_contrasimulation,
     is_weak_simulation,

@@ -14,9 +14,9 @@ whose system is the model itself: the benchmark's traced pass
 game gives, and lifted from the quotient it would relate more pairs.
 Dropping it from ``PARTITIONS`` moves it onto the weak classes.
 
-Each query but the bisimilarities decides on one game: under
-``--direction equivalence`` the backward verdict is read off the same
-game, at its reverse root.  The game notions run one driver,
+Each query but the bisimilarities decides on one game, rooted at the
+queried pairs of classes: that of lhs and rhs and, under ``--direction
+equivalence``, also the reverse one.  The game notions run one driver,
 :func:`contrasim.csgame.solve_cs_game_locally`, for ``contrasim`` on the
 set game, for ``bounded-word-game`` on its word mode and for
 ``naive-contrasim-1step`` on its word mode at bound 1, whose words are
@@ -204,13 +204,12 @@ def run_check(args: argparse.Namespace) -> CheckReport:
         raise UsageError(f"notion {notion!r} builds no game graph to export")
 
     model, lhs, rhs = _load_model(args)
-    equivalence = args.direction == "equivalence"
     word_bound = {"bounded-word-game": args.word_bound, "naive-contrasim-1step": 1}.get(notion)
     positions = moves = None
     t0 = time.perf_counter()
     classes = PARTITIONS.get(notion, relations.weak_classes)(model)
     p, q = classes[lhs], classes[rhs]
-    directions = [(p, q), (q, p)] if equivalence else [(p, q)]
+    directions = [(p, q), (q, p)] if args.direction == "equivalence" else [(p, q)]
     if notion in BISIMILARITIES:
         # Bisimilar means in one class, so solve_ms times the classes.
         related = {(c, c) for c in range(max(classes) + 1)}
@@ -220,8 +219,7 @@ def run_check(args: argparse.Namespace) -> CheckReport:
         if notion in GAME_NOTIONS:
             # Expansion and solving interleave, so solve_ms times both.
             game, solution, roots = csgame.solve_cs_game_locally(
-                lts, p, q, swapped=equivalence, max_positions=args.max_positions,
-                word_bound=word_bound,
+                lts, directions, args.max_positions, word_bound
             )
         else:  # weak-sim: a pair game from the queried pairs
             related = relations.solve_pair_game(lts, directions, args.max_positions)

@@ -20,8 +20,8 @@ preorder, and the certificate extractors below turn winning strategies into
 either a checkable relation (defender) or a distinguishing formula
 (attacker).  The attacker's reflexive swap leads from ``AttackerPos(p, {q})``
 to ``AttackerPos(q, {p})``, so one game decides both directions of an
-equivalence, the reverse one at the second root of
-:func:`solve_cs_game_locally`.
+equivalence: :func:`solve_cs_game_locally` is asked for the pairs
+``[(p, q), (q, p)]`` and returns one root per pair.
 
 One expander does the per-position work: it keys positions by ints over
 interned defender sets, generates each position's moves, and records the
@@ -57,9 +57,8 @@ point, which is unsound for the preorder.
 from collections import deque
 from functools import cached_property
 from types import SimpleNamespace
-from typing import AbstractSet, Iterable, Mapping, Union
+from typing import AbstractSet, Iterable, Mapping, Sequence, Union
 
-from . import relations
 from .errors import PositionBudgetError
 from .game import (
     DEFAULT_MAX_POSITIONS,
@@ -417,16 +416,18 @@ def build_cs_game(
 
 
 def solve_cs_game_locally(
-    lts: Lts, p: int, q: int, swapped: bool = False,
+    lts: Lts, pairs: Sequence[tuple[int, int]],
     max_positions: int = DEFAULT_MAX_POSITIONS, word_bound: int | None = None,
 ) -> tuple[CsGame, GameSolution, tuple[int, ...]]:
-    """Decide the set game at ``AttackerPos(p, {q})`` (with ``swapped``, also
-    at ``AttackerPos(q, {p})``), expanding only the positions it needs; with
-    ``word_bound``, the bounded word game, whose attacker challenges with
-    words (:func:`cs_successors`), walked as delay steps over configurations
-    and bounded by the same ``max_positions``.
+    """Decide the set game at ``AttackerPos(p, {q})`` for each queried pair
+    ``(p, q)`` of ``pairs``, in one game, expanding only the positions they
+    need; with ``word_bound``, the bounded word game, whose attacker
+    challenges with words (:func:`cs_successors`), walked as delay steps
+    over configurations and bounded by the same ``max_positions``.  Both
+    directions of an equivalence are the pairs ``[(p, q), (q, p)]``.
 
-    Returns the explored game, its solution and the indices of the roots.
+    Returns the explored game, its solution and the roots, one position
+    index per pair, in order (a repeated pair repeats its root).
     This is the local algorithm of Liu & Smolka (ICALP 1998): once a
     position's moves are known, attacker wins propagate backward over the
     known edges, with one pending counter per defender position as in
@@ -435,8 +436,8 @@ def solve_cs_game_locally(
     positions are queued, each by the size of its own set, so that its first
     move comes first.  A smaller set only helps the attacker, and at the
     empty set the reflexive swap wins at once, so it is expanded next.
-    Exploration stops when the attacker has won every root, or when no
-    unexpanded position is left.
+    Exploration stops when the attacker has won every root but the copied
+    ones (below), or when no unexpanded position is left.
 
     From any attacker position ``(p, Q)`` with ``p`` in ``Q`` the defender
     keeps ``p`` in ``Q``: a simulation answer contains ``p``'s own delay
@@ -456,13 +457,12 @@ def solve_cs_game_locally(
     found won, which is that game's attractor, since each win is propagated
     over the known moves before the next position is expanded.
     """
-    lts._check_state(p)
-    lts._check_state(q)
+    for p, q in pairs:
+        lts._check_state(p)
+        lts._check_state(q)
     n = lts.state_count
     expander = _expander(lts, max_positions, word_bound)
-    roots = (expander.attacker(p, q),)
-    if swapped:
-        roots += (expander.attacker(q, p),)
+    roots = tuple([expander.attacker(p, q) for p, q in pairs])
     kinds, states, q_ids, q_sets = expander.kinds, expander.states, expander.q_ids, expander.q_sets
     closed, row_of, attacker = expander.closed, expander.row, expander.attacker
     count = len(kinds)
@@ -474,7 +474,8 @@ def solve_cs_game_locally(
     buckets: list[list[int]] = [[] for _ in range(n + 1)]
     buckets[1] += reversed(roots)
     lowest = 1
-    undecided = set(roots)
+    # A copied root, (p, {p}), is the defender's: the search waits for the others only.
+    undecided = {root for root, (p, q) in zip(roots, pairs) if p != q}
 
     while undecided:
         bucket = buckets[lowest]
@@ -555,13 +556,13 @@ def solve_cs_game_locally(
 
 def decide_preorder(lts: Lts, p: int, q: int) -> bool:
     """True iff the defender wins the set game started at ``(p, {q})``."""
-    _, solution, (root,) = solve_cs_game_locally(lts, p, q)
+    _, solution, (root,) = solve_cs_game_locally(lts, [(p, q)])
     return solution.winner[root] is Player.DEFENDER
 
 
 def decide_equivalence(lts: Lts, p: int, q: int) -> bool:
     """Both preorders, read off one game at its two roots."""
-    _, solution, roots = solve_cs_game_locally(lts, p, q, swapped=True)
+    _, solution, roots = solve_cs_game_locally(lts, [(p, q), (q, p)])
     return all(solution.winner[root] is Player.DEFENDER for root in roots)
 
 
@@ -630,10 +631,9 @@ def extract_contrasimulation(
     return frozenset(pairs)
 
 
-def extract_distinguishing_formula(
-    game: CsGame, solution: GameSolution, pos: CsPosition | int
-) -> HmlFormula:
-    """Turn the attacker's winning strategy at an attacker position into a formula.
+def extract_distinguishing_formula(game: CsGame, solution: GameSolution, idx: int) -> HmlFormula:
+    """Turn the attacker's winning strategy at the attacker position with
+    index ``idx`` into a formula.
 
     A simulation challenge becomes a delayed observation over the unique
     defender answer; a swap challenge becomes a delayed nor over the distinct
@@ -647,7 +647,6 @@ def extract_distinguishing_formula(
     """
     if game.word_bound is not None:
         raise ValueError("no distinguishing formula is extracted from a word game")
-    idx = pos if isinstance(pos, int) else game.index[pos]
     if game.kinds[idx] != ATTACKER:
         raise ValueError("formulas are extracted at attacker positions")
     if solution.winner[idx] is not Player.ATTACKER:
@@ -714,30 +713,19 @@ def bounded_word_game_preorder(lts: Lts, p: int, q: int, max_word_length: int) -
     only removes attacker options, so the verdict over-approximates the
     preorder; it is exact on acyclic systems once the bound reaches the
     state count."""
-    _, solution, (root,) = solve_cs_game_locally(lts, p, q, word_bound=max_word_length)
+    _, solution, (root,) = solve_cs_game_locally(lts, [(p, q)], word_bound=max_word_length)
     return solution.winner[root] is Player.DEFENDER
 
 
 # -- defender strategies from a known preorder ---------------------------------
 
 
-def fc_pairs(lts: Lts, relation: Iterable[tuple[int, int]]) -> set[tuple[int, StateSet]]:
-    """The configurations (state, answer set) that the relation's pairs
-    reach by synchronized delay words (:func:`relations._configs`), each
-    with every state internally reachable from its state: ``(p, Q)`` is in
-    it iff it arises from the relation, internal steps of ``p`` included."""
-    return {
-        (p2, q_set)
-        for p1, q_set, _, _ in relations._configs(lts, relation)
-        for p2 in lts._closure[p1]
-    }
-
-
 def strategy_from_fc(
     game: CsGame, configs: AbstractSet[tuple[int, StateSet]]
 ) -> PositionalStrategy:
     """A positional defender strategy built from a contrasimulation preorder,
-    given as its configurations ``configs = fc_pairs(game.lts, preorder)``.
+    given as its configurations ``configs``, as
+    :func:`contrasim.relations.fc_pairs` lists them for ``game.lts``.
 
     Simulation positions take their unique answer.  Swap positions commit to
     their first answer, in state order, whose swapped pair still arises

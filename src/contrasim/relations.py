@@ -5,7 +5,11 @@ The checkers (``is_weak_simulation``, ``is_contrasimulation``,
 ``check_coupling``) and ``contrasim_preorder`` are the ground truth the
 game procedures are checked against: exhaustive configuration enumeration
 and a pair-deletion fixed point, written to be audited.  All of them treat
-relations as plain sets of ordered state-index pairs over one LTS.
+relations as plain sets of ordered state-index pairs over one LTS.  The
+contrasimulation checker, the oracle and :func:`fc_pairs`, whose
+configurations :func:`contrasim.csgame.strategy_from_fc` turns into a
+defender strategy, share one walk over the configurations (state, answer
+set) that related pairs reach by synchronized delay words.
 
 Weak similarity has two engines, and both take the system itself; only
 this module knows how its strong and weak steps are tabulated.  Queried
@@ -169,6 +173,14 @@ def _configs(lts: Lts, seeds: Iterable[Pair]):
                     if key not in seen:
                         seen.add(key)
                         todo.append((p2, next_set, word + (a,)))
+
+
+def fc_pairs(lts: Lts, relation: Iterable[Pair]) -> set[tuple[int, StateSet]]:
+    """The configurations (state, answer set) that the relation's pairs
+    reach by synchronized delay words (:func:`_configs`), each with every
+    state internally reachable from its state: ``(p, Q)`` is in it iff it
+    arises from the relation, internal steps of ``p`` included."""
+    return {(p2, q_set) for p1, q_set, _, _ in _configs(lts, relation) for p2 in lts._closure[p1]}
 
 
 def contrasimulation_violation(

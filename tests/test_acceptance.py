@@ -24,7 +24,6 @@ from contrasim.csgame import (
     decide_preorder,
     extract_contrasimulation,
     extract_distinguishing_formula,
-    fc_pairs,
     naive_single_step_preorder,
     strategy_from_fc,
 )
@@ -34,6 +33,7 @@ from contrasim.lts import Lts, TAU, act
 from contrasim.relations import (
     check_coupling,
     contrasim_preorder,
+    fc_pairs,
     interleaved_compose,
     is_contrasimulation,
     is_weak_simulation,

@@ -389,11 +389,16 @@ ORACLES = {
 }
 
 
+def queried(direction, p, q):
+    """The pairs a check in ``direction`` queries, as the CLI lists them."""
+    return [(p, q), (q, p)] if direction == "equivalence" else [(p, q)]
+
+
 def library_verdict(lts, notion, direction, p, q):
     if notion == "contrasim":
         decide = decide_equivalence if direction == "equivalence" else decide_preorder
         return decide(lts, p, q)
-    pairs = [(p, q), (q, p)] if direction == "equivalence" else [(p, q)]
+    pairs = queried(direction, p, q)
     if notion in ORACLES:
         related = ORACLES[notion](lts)
         return all(pair in related for pair in pairs)
@@ -447,9 +452,7 @@ def test_every_notion_matches_library(model, lhs, rhs, notion, direction, tmp_pa
     if cert is not None and cert["kind"] == "formula":
         # The formula comes from the lhs-vs-rhs game, at the root of the
         # first failing direction.
-        game, solution, roots = solve_cs_game_locally(
-            lts, lhs, rhs, swapped=direction == "equivalence"
-        )
+        game, solution, roots = solve_cs_game_locally(lts, queried(direction, lhs, rhs))
         forward = solution.winner[roots[0]] is Player.DEFENDER
         root, left, right = (roots[1], rhs, lhs) if forward else (roots[0], lhs, rhs)
         phi = extract_distinguishing_formula(game, solution, root)
@@ -504,9 +507,7 @@ def test_quotient_verdicts_and_lifted_certificates(seed, tmp_path):
                 continue
             # contrasim is decided on the model, so its certificate is the
             # model game's own
-            game, solution, roots = solve_cs_game_locally(
-                lts, lhs, rhs, swapped=direction == "equivalence"
-            )
+            game, solution, roots = solve_cs_game_locally(lts, queried(direction, lhs, rhs))
             if cert["kind"] == "relation":
                 pairs = {(int(p), int(q)) for p, q in cert["pairs"]}
                 assert pairs == csgame.extract_contrasimulation(game, solution, roots)
@@ -601,13 +602,14 @@ def test_equivalence_does_the_work_once(
     game notion, so the verdict, and under contrasim the formula, for the
     second, lost direction come from the game that won the first.  Pc and Pl
     are weakly similar both ways, so their certificate is one refinement
-    after one pair game."""
+    after one pair game.  Each game is handed one list of both queried
+    pairs of classes, the forward one first."""
     calls = []
     for name in work:
         original = getattr(module, name)
 
         def counted(*args, original=original, **kwargs):
-            calls.append(original.__name__)
+            calls.append((original.__name__, args))
             return original(*args, **kwargs)
 
         monkeypatch.setattr(module, name, counted)
@@ -616,7 +618,9 @@ def test_equivalence_does_the_work_once(
          "--lhs", lhs, "--rhs", rhs, "--word-bound", 2,
          "--emit-certificate", FIXTURES / fixture]
     )
-    assert calls == work
+    assert [name for name, _ in calls] == work
+    pairs = calls[0][1][1]
+    assert pairs == [pairs[0], pairs[0][::-1]]
     out = capsys.readouterr().out
     if notion == "weak-sim":
         assert (code, out.count("relation: ")) == (0, 1)
@@ -662,7 +666,7 @@ def test_deep_chain_certificate(tmp_path, capsys):
     assert match is not None
 
     lts, _ = parse_aut(chain.read_text())
-    game, solution, (root,) = solve_cs_game_locally(lts, lhs, rhs)
+    game, solution, (root,) = solve_cs_game_locally(lts, [(lhs, rhs)])
     phi = extract_distinguishing_formula(game, solution, root)
     assert format_formula(phi) == match.group(1)
     assert hml_satisfies(lts, lhs, phi)
@@ -683,7 +687,7 @@ def test_deep_ccs_chain_certificate(tmp_path, capsys):
 
     lts, (lhs, rhs) = expand_ccs_roots(parse_ccs(chain.read_text()), ["L", "R"])
     assert lts.state_count == 2 * n + 3
-    game, solution, (root,) = solve_cs_game_locally(lts, lhs, rhs)
+    game, solution, (root,) = solve_cs_game_locally(lts, [(lhs, rhs)])
     phi = extract_distinguishing_formula(game, solution, root)
     assert format_formula(phi) == match.group(1)
     assert hml_satisfies(lts, lhs, phi)
@@ -965,8 +969,8 @@ def test_word_game_counts_are_the_quotients(locked, tmp_path):
     classes = relations.weak_classes(lts)
     quotient = lts.quotient(classes)
     assert quotient.state_count < max(relations.strong_classes(lts)) + 1
-    game, _, _ = solve_cs_game_locally(quotient, classes[pc], classes[pl], word_bound=2)
-    model_game, _, _ = solve_cs_game_locally(lts, pc, pl, word_bound=2)
+    game, _, _ = solve_cs_game_locally(quotient, [(classes[pc], classes[pl])], word_bound=2)
+    model_game, _, _ = solve_cs_game_locally(lts, [(pc, pl)], word_bound=2)
     assert game.graph.position_count < model_game.graph.position_count
     whole = build_cs_game(quotient, classes[pc], classes[pl], word_bound=2).graph
     report, dot = tmp_path / "r.json", tmp_path / "g.dot"

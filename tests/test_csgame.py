@@ -16,7 +16,6 @@ from contrasim.csgame import (
     decide_preorder,
     extract_contrasimulation,
     extract_distinguishing_formula,
-    fc_pairs,
     naive_single_step_preorder,
     solve_cs_game_locally,
     strategy_from_fc,
@@ -25,7 +24,7 @@ from contrasim.errors import PositionBudgetError
 from contrasim.game import GameGraph, Player, PlayOutcome, simulate_play, solve, validate_play
 from contrasim.hml import DelayNor, DelayObs, hml_satisfies
 from contrasim.lts import TAU, Lts, act
-from contrasim.relations import contrasim_preorder, is_contrasimulation
+from contrasim.relations import contrasim_preorder, fc_pairs, is_contrasimulation
 
 from conftest import (
     make_random_lts,
@@ -201,7 +200,7 @@ def test_position_budget():
     with pytest.raises(PositionBudgetError, match=f"budget of {size - 1} "):
         build_cs_game(lts, 0, 1, max_positions=size - 1)
     with pytest.raises(PositionBudgetError):
-        solve_cs_game_locally(lts, 0, 1, max_positions=10)
+        solve_cs_game_locally(lts, [(0, 1)], max_positions=10)
     words = build_cs_game(lts, 0, 1, word_bound=2).graph.position_count
     with pytest.raises(PositionBudgetError):
         build_cs_game(lts, 0, 1, max_positions=words - 1, word_bound=2)
@@ -209,7 +208,7 @@ def test_position_budget():
     # most 40 letters, but they reach few configurations: both searches
     # decide within a budget of 1000.
     game, solution, (root,) = solve_cs_game_locally(
-        blow(1), 1, 0, max_positions=1000, word_bound=40
+        blow(1), [(1, 0)], max_positions=1000, word_bound=40
     )
     assert solution.winner[root] is Player.ATTACKER
     assert game.graph.position_count == 9
@@ -240,7 +239,7 @@ def test_word_game_walks_past_the_word_count(k, bound, explored):
     """blow(k) has exponentially many words of up to ``bound`` letters
     (2^1001 - 1 from state 1 of blow(1)), but the word game walks its
     configurations and decides within the default budget."""
-    game, solution, (root,) = solve_cs_game_locally(blow(k), 1, 0, word_bound=bound)
+    game, solution, (root,) = solve_cs_game_locally(blow(k), [(1, 0)], word_bound=bound)
     assert solution.winner[root] is Player.ATTACKER
     assert game.graph.position_count == explored
 
@@ -308,14 +307,14 @@ def copied_states_in_play(game, solution, root: int) -> set[int]:
 
 
 def check_local_against_eager(lts: Lts, p: int, q: int, word_bound: int | None = None) -> None:
-    """Local solving at both roots agrees with the solved full game: the
-    same verdicts, and no more positions or moves than the full game.  Each
-    position the local run gives to the attacker is attacker-won in the
-    full game, and when every root holds, so is every expanded position's
-    winner the full game's.  The solution is the one ``solve`` gives on the
-    explored game, its least ranks included.  Each unexpanded position moves
-    to itself, and
-    it is copied or left behind once the attacker has won every root.  A
+    """Local solving from ``[(p, q)]`` and from ``[(p, q), (q, p)]`` agrees
+    with the solved full game: one root per pair, the same verdicts, and no
+    more positions or moves than the full game.  Each position the local
+    run gives to the attacker is attacker-won in the full game, and when
+    every root holds, so is every expanded position's winner the full
+    game's.  The solution is the one ``solve`` gives on the explored game,
+    its least ranks included.  Each unexpanded position moves to itself,
+    and it is copied or left behind once the attacker has won every root.  A
     copied position is an attacker position ``(p, Q)`` with ``p`` in ``Q``
     that the full game gives to the defender.  Each swap to a state in
     the closure of its set is mirrored: its one move leads to the
@@ -329,13 +328,12 @@ def check_local_against_eager(lts: Lts, p: int, q: int, word_bound: int | None =
     eager_solution = solve(eager.graph)
     eager_roots = (eager.graph.initial, eager.index[AttackerPos(q, frozenset({p}))])
     expected = [eager_solution.winner[r] is Player.DEFENDER for r in eager_roots]
-    for swapped in (False, True):
-        game, solution, roots = solve_cs_game_locally(
-            lts, p, q, swapped=swapped, word_bound=word_bound
-        )
-        assert len(roots) == 1 + swapped
+    for pairs in ([(p, q)], [(p, q), (q, p)]):
+        game, solution, roots = solve_cs_game_locally(lts, pairs, word_bound=word_bound)
         assert solution == solve(game.graph)
-        assert game.positions[roots[0]] == AttackerPos(p, frozenset({q}))
+        assert [game.positions[r] for r in roots] == [
+            AttackerPos(x, frozenset({y})) for x, y in pairs
+        ]
         assert game.graph.position_count <= eager.graph.position_count
         assert game.move_count <= eager.graph.move_count
         frontier = set(game.frontier)
@@ -373,8 +371,7 @@ def check_local_against_eager(lts: Lts, p: int, q: int, word_bound: int | None =
                     AttackerPos(q2, single) for q2 in answers
                 ]
         assert_solution_sound(game.graph, solution)
-        sides = ((p, q), (q, p))
-        for root, eager_root, (left, right), holds in zip(roots, eager_roots, sides, expected):
+        for root, eager_root, (left, right), holds in zip(roots, eager_roots, pairs, expected):
             assert (solution.winner[root] is Player.DEFENDER) == holds
             if word_bound is not None:
                 continue  # the certificates are those of the set game
@@ -418,19 +415,24 @@ def test_local_solving_decides_blow_twelve_early():
     """The full blow(12) game has 16,487 positions.  Smallest sets first,
     the attacker's win is found among 59 to 64, in both directions (a plain
     last-in-first-out search finds it among 155), and the attacker's
-    strategy on them is as short as on the full game."""
+    strategy on them is as short as on the full game.  A copied root
+    queried beside it, which the defender wins unexpanded, does not keep
+    the search going."""
     lts = blow(12)
     eager = build_cs_game(lts, 0, 1)
     eager_rank = solve(eager.graph).attacker_rank
     back = eager.index[AttackerPos(1, frozenset({0}))]
     full_ranks = (eager_rank[eager.graph.initial], eager_rank[back])
     for (p, q), full_rank in zip(((0, 1), (1, 0)), full_ranks):
-        game, solution, (root,) = solve_cs_game_locally(lts, p, q)
+        game, solution, (root,) = solve_cs_game_locally(lts, [(p, q)])
         assert solution.winner[root] is Player.ATTACKER
         assert game.graph.position_count <= 100
         assert solution.attacker_rank[root] == full_rank
         phi = extract_distinguishing_formula(game, solution, root)
         assert hml_satisfies(lts, p, phi) and not hml_satisfies(lts, q, phi)
+        both, solution, roots = solve_cs_game_locally(lts, [(q, q), (p, q)])
+        assert [solution.winner[r] for r in roots] == [Player.DEFENDER, Player.ATTACKER]
+        assert both.graph.position_count <= game.graph.position_count + 1
 
 
 def test_local_formula_on_chain_as_short_as_on_full_game():
@@ -445,7 +447,7 @@ def test_local_formula_on_chain_as_short_as_on_full_game():
     lts = Lts(2 * n + 3, edges)
     eager = build_cs_game(lts, 0, n + 1)
     eager_solution = solve(eager.graph)
-    game, solution, (root,) = solve_cs_game_locally(lts, 0, n + 1)
+    game, solution, (root,) = solve_cs_game_locally(lts, [(0, n + 1)])
     assert game.graph.position_count < eager.graph.position_count
     assert solution.attacker_rank[root] == eager_solution.attacker_rank[0]
     phi = extract_distinguishing_formula(game, solution, root)
@@ -461,7 +463,7 @@ def test_local_solving_explores_part_of_a_holding_game():
     p, q = 0, 5
     full = build_cs_game(lts, p, q).graph.position_count
     assert full == 501
-    game, solution, roots = solve_cs_game_locally(lts, p, q, swapped=True)
+    game, solution, roots = solve_cs_game_locally(lts, [(p, q), (q, p)])
     assert all(solution.winner[r] is Player.DEFENDER for r in roots)
     assert game.graph.position_count <= full // 2
     relation = extract_contrasimulation(game, solution, roots)
@@ -514,7 +516,7 @@ def test_copied_positions_keep_holding_checks_constant():
     counts = set()
     for k in (4, 8, 12, 16):
         lts, pc, pp = phil_shape(k)
-        game, solution, roots = solve_cs_game_locally(lts, pc, pp, swapped=True)
+        game, solution, roots = solve_cs_game_locally(lts, [(pc, pp), (pp, pc)])
         assert all(solution.winner[r] is Player.DEFENDER for r in roots)
         counts.add(game.graph.position_count)
         relation = extract_contrasimulation(game, solution, roots)
@@ -537,7 +539,7 @@ def test_phil_equivalence(phil, monkeypatch):
         lambda *args, **kwargs: builds.append(args) or solve_cs_game_locally(*args, **kwargs),
     )
     assert decide_equivalence(lts, pc, pp)
-    assert builds == [(lts, pc, pp)]
+    assert builds == [(lts, [(pc, pp), (pp, pc)])]
 
 
 def test_locked_fails_one_direction(locked):
@@ -638,7 +640,7 @@ def test_formulas_have_no_repeated_disjuncts(lts):
     delayed nor in it has two equal branches."""
     for p in range(lts.state_count):
         for q in range(lts.state_count):
-            game, solution, (root,) = solve_cs_game_locally(lts, p, q)
+            game, solution, (root,) = solve_cs_game_locally(lts, [(p, q)])
             if solution.winner[root] is Player.DEFENDER:
                 continue
             phi = extract_distinguishing_formula(game, solution, root)
@@ -690,6 +692,30 @@ def test_one_game_decides_both_directions(lts, data):
         assert (solve(words.graph).winner[back] is Player.DEFENDER) == bounded_word_game_preorder(
             lts, q, p, bound
         )
+
+
+@given(random_lts(), st.data())
+@settings(max_examples=60, deadline=None)
+def test_one_game_decides_every_queried_pair(lts, data):
+    """One local game asked for 1 to 3 pairs, which may repeat a pair or
+    pair a state with itself, has one root per pair, in order, at that
+    pair's attacker position, and its winner there is that of the pair's
+    own check: in the set game and in the word game at bounds 1 and 2."""
+    state = st.integers(0, lts.state_count - 1)
+    p, q = data.draw(state), data.draw(state)
+    pair = st.one_of(st.just((p, q)), st.just((q, p)), st.just((p, p)), st.tuples(state, state))
+    pairs = data.draw(st.lists(pair, min_size=1, max_size=3))
+    for bound in (None, 1, 2):
+        game, solution, roots = solve_cs_game_locally(lts, pairs, word_bound=bound)
+        assert solution == solve(game.graph)
+        assert len(roots) == len(pairs) and len(set(roots)) == len(set(pairs))
+        for root, (x, y) in zip(roots, pairs):
+            assert game.positions[root] == AttackerPos(x, frozenset({y}))
+            if bound is None:
+                holds = decide_preorder(lts, x, y)
+            else:
+                holds = bounded_word_game_preorder(lts, x, y, bound)
+            assert (solution.winner[root] is Player.DEFENDER) == holds
 
 
 # -- agreement with the independent oracle --------------------------------------------
@@ -774,7 +800,7 @@ def assert_word_verdicts_match_reference(lts, p, q, bound):
     graph, positions = reference_word_game(lts, p, q, bound)
     winner = solve(graph).winner
     expected = [winner[positions.index(root)] is Player.DEFENDER for root in ((p, q), (q, p))]
-    game, solution, roots = solve_cs_game_locally(lts, p, q, swapped=True, word_bound=bound)
+    game, solution, roots = solve_cs_game_locally(lts, [(p, q), (q, p)], word_bound=bound)
     assert [solution.winner[r] is Player.DEFENDER for r in roots] == expected
     whole = build_cs_game(lts, p, q, word_bound=bound)
     whole_roots = (whole.graph.initial, whole.index[AttackerPos(q, frozenset({p}))])
@@ -812,17 +838,17 @@ def test_extractors_refuse_word_games(instable):
     set-game challenge, the attacker's win at bound 2 would give ``<e>~()``,
     which both sides satisfy.  Both extractors refuse word games."""
     lts, pab, pb = instable
-    game, solution, (root,) = solve_cs_game_locally(lts, pab, pb, word_bound=2)
+    game, solution, (root,) = solve_cs_game_locally(lts, [(pab, pb)], word_bound=2)
     assert solution.winner[root] is Player.ATTACKER
     with pytest.raises(ValueError):
         extract_distinguishing_formula(game, solution, root)
     assert game.word_bound == 2
-    game, solution, (root,) = solve_cs_game_locally(lts, pab, pb, word_bound=1)
+    game, solution, (root,) = solve_cs_game_locally(lts, [(pab, pb)], word_bound=1)
     assert solution.winner[root] is Player.DEFENDER
     with pytest.raises(ValueError):
         extract_contrasimulation(game, solution, (root,))
     # the set game keeps both extractors
-    game, solution, (root,) = solve_cs_game_locally(lts, pab, pb)
+    game, solution, (root,) = solve_cs_game_locally(lts, [(pab, pb)])
     assert game.word_bound is None
     formula = extract_distinguishing_formula(game, solution, root)
     assert hml_satisfies(lts, pab, formula) and not hml_satisfies(lts, pb, formula)

@@ -169,7 +169,7 @@ def test_checking_a_relation_computes_each_delay_step_once(monkeypatch):
     state's delay step per action once (4,085 calls; one walk per pair
     made 10,410)."""
     lts, pc, pp = phil_shape(8)
-    game, solution, roots = solve_cs_game_locally(lts, pc, pp, swapped=True)
+    game, solution, roots = solve_cs_game_locally(lts, [(pc, pp), (pp, pc)])
     relation = extract_contrasimulation(game, solution, roots)
     configs = {(p, frozenset({q})) for p, q in relation}
     todo = list(configs)
@@ -418,7 +418,7 @@ def assert_engine_matches_reference(lts: Lts) -> None:
     for p, q in product(range(lts.state_count), repeat=2):
         roots = [(p, q), (q, p)]
         assert solve_pair_game(lts, roots) == weak_sim.intersection(roots)
-        _, solution, game_roots = solve_cs_game_locally(lts, p, q, swapped=True, word_bound=1)
+        _, solution, game_roots = solve_cs_game_locally(lts, roots, word_bound=1)
         won = [solution.winner[root] is Player.DEFENDER for root in game_roots]
         assert won == [pair in naive for pair in roots]
         assert naive_single_step_preorder(lts, p, q) == ((p, q) in naive)

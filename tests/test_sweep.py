@@ -10,13 +10,11 @@ state names that certificates print.  Each run is one line of
 
     <fixture>:<lhs>:<rhs>:<notion>:<direction> <exit> <positions> <moves> <stdout> <json>
 
-where ``<fixture>`` is ``phil`` for ``phil.aut`` and ``phil.ccs`` for
-``phil.ccs``.
-
 with the exit code, the report's ``game_positions`` and ``game_moves``, and
 short sha256 hashes of stdout and of the ``--emit-json`` report, their
-times masked (``-`` where a field is missing).  A change that alters any
-output shows up as the ids of the runs it alters.
+times masked (``-`` where a field is missing).  ``<fixture>`` is ``phil``
+for ``phil.aut`` and ``phil.ccs`` for ``phil.ccs``.  A change that alters
+any output shows up as the ids of the runs it alters.
 
 After an intended change, regenerate the file and name the changed runs::
 
