@@ -5,16 +5,18 @@ every ordered pair of the two processes each ``.ccs`` twin defines, is
 checked under all six notions and both directions, with
 ``--emit-certificate`` and ``--word-bound 2``: 2,952 + 144 = 3,096 runs of
 :func:`contrasim.cli.main` in process.  The ``.ccs`` runs pin the CCS
-state names that certificates print.  Each run is one line of
-``tests/data/sweep.txt``::
+state names that certificates print.  Each run of a game notion runs once
+more with ``--emit-game-dot``, 1,548 runs, to pin the drawing.  Each query
+is one line of ``tests/data/sweep.txt``::
 
-    <fixture>:<lhs>:<rhs>:<notion>:<direction> <exit> <positions> <moves> <stdout> <json>
+    <fixture>:<lhs>:<rhs>:<notion>:<direction> <exit> <positions> <moves> <stdout> <json> <dot>
 
 with the exit code, the report's ``game_positions`` and ``game_moves``, and
-short sha256 hashes of stdout and of the ``--emit-json`` report, their
-times masked (``-`` where a field is missing).  ``<fixture>`` is ``phil``
-for ``phil.aut`` and ``phil.ccs`` for ``phil.ccs``.  A change that alters
-any output shows up as the ids of the runs it alters.
+short sha256 hashes of stdout, of the ``--emit-json`` report, their times
+masked, and of the DOT text (``-`` where a field is missing).
+``<fixture>`` is ``phil`` for ``phil.aut`` and ``phil.ccs`` for
+``phil.ccs``.  A change that alters any output shows up as the ids of the
+runs it alters.
 
 After an intended change, regenerate the file and name the changed runs::
 
@@ -30,7 +32,7 @@ from contextlib import redirect_stderr, redirect_stdout
 from itertools import product
 from pathlib import Path
 
-from contrasim.cli import NOTIONS, main
+from contrasim.cli import GAME_NOTIONS, NOTIONS, main
 
 TESTS = Path(__file__).resolve().parent
 FIXTURES = TESTS.parent / "fixtures"
@@ -62,27 +64,38 @@ def _run_ids():
             yield f"{path.name}:{lhs}:{rhs}:{notion}:{direction}", path, lhs, rhs, notion, direction
 
 
+def _run(argv: list[str]) -> tuple[int, str]:
+    out = io.StringIO()
+    with redirect_stdout(out), redirect_stderr(io.StringIO()):
+        code = main(argv)
+    return code, out.getvalue()
+
+
 def sweep_lines() -> list[str]:
-    """One line per run, in the order of :func:`_run_ids`."""
+    """One line per query, in the order of :func:`_run_ids`."""
     lines = []
     with tempfile.TemporaryDirectory() as tmp:
-        report = Path(tmp) / "report.json"
+        report, dot = Path(tmp) / "report.json", Path(tmp) / "game.dot"
         for run_id, path, lhs, rhs, notion, direction in _run_ids():
             report.unlink(missing_ok=True)
-            out = io.StringIO()
-            with redirect_stdout(out), redirect_stderr(io.StringIO()):
-                code = main([
-                    "check", str(path), "--lhs", str(lhs), "--rhs", str(rhs),
-                    "--notion", notion, "--direction", direction, "--word-bound", "2",
-                    "--emit-certificate", "--emit-json", str(report),
-                ])
-            fields = [run_id, str(code), "-", "-", _digest(out.getvalue()), "-"]
+            dot.unlink(missing_ok=True)
+            argv = [
+                "check", str(path), "--lhs", str(lhs), "--rhs", str(rhs),
+                "--notion", notion, "--direction", direction, "--word-bound", "2",
+                "--emit-certificate",
+            ]
+            code, out = _run(argv + ["--emit-json", str(report)])
+            fields = [run_id, str(code), "-", "-", _digest(out), "-", "-"]
             if report.exists():
                 text = report.read_text()
                 payload = json.loads(text)
                 fields[2] = json.dumps(payload["game_positions"])
                 fields[3] = json.dumps(payload["game_moves"])
                 fields[5] = _digest(text)
+            if notion in GAME_NOTIONS:
+                _run(argv + ["--emit-game-dot", str(dot)])
+                if dot.exists():
+                    fields[6] = _digest(dot.read_text())
             lines.append(" ".join(fields))
     return lines
 
