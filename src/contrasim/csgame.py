@@ -32,24 +32,21 @@ graph the DOT export draws, and the reference the local search is tested
 against.  :func:`solve_cs_game_locally`, which decides every query, expands
 positions over the smallest defender sets first, propagates attacker wins
 as soon as a position's moves are known, and stops once the attacker wins
-every queried root.  The defender wins every attacker position ``(p, Q)``
-with ``p`` in ``Q``, by copying the attacker: a simulation answer contains
-``p``'s own delay step, which keeps ``p`` in ``Q``, and a swap to ``p'`` is
-answered by ``p'``.  So the local search leaves each such position, once
-taken, to the defender without expanding it (it is copied), and answers a
-swap ``SwapPos(p', Q)`` with ``p'`` in the internal closure of ``Q`` by
-that mirror answer alone, ``AttackerPos(p', {p'})``, which is copied in
-turn.  A holding check thus explores only part of the game.  The
-certificate extractors read the lists directly; the relation takes the
-identity on the states reachable from each copied position.
+every queried root.  If some state of ``Q`` reaches ``p`` by internal
+steps, the defender wins the attacker position ``(p, Q)`` and the swap
+``SwapPos(p, Q)`` by copying the attacker, since ``{(p, q) | q => p}`` is a
+contrasimulation.  So the local search leaves each such position, once
+taken, to the defender without expanding it (it is copied), and a holding
+check explores only part of the game.  The certificate extractors read the
+lists directly; the relation takes the identity on the states reachable
+from each copied position.
 
 The module also carries a deliberately weaker procedure kept for
 comparison: a word mode of the same game, in which the attacker challenges
 with a word of at most a given length and a swap (see
 :func:`cs_successors`).  Its empty-word challenges are the reflexive
-swaps, so it too decides both directions in one game.  Its swaps are
-mirrored and its positions copied the same way; the certificate extractors
-raise ``ValueError`` on it (:attr:`CsGame.word_bound`).  At bound 1 its
+swaps, so it too decides both directions in one game.  Its positions are
+copied the same way; the certificate extractors raise ``ValueError`` on it (:attr:`CsGame.word_bound`).  At bound 1 its
 words are single weak steps, and it decides the naive single-step fixed
 point, which is unsound for the preorder.
 """
@@ -165,9 +162,9 @@ class CsGame(Record):
     reachable game: ``frontier`` lists the positions whose moves were never
     generated, and in ``graph`` each of them is a defender position whose
     one move leads to itself.  Among them are the copied positions, the
-    attacker positions ``(p, Q)`` with ``p`` in ``Q``, which the defender
-    wins by copying the attacker.  ``word_bound`` is the bound of a word
-    game, ``None`` for the set game.
+    attacker and swap positions whose state lies in the internal closure of
+    their set, which the defender wins by copying the attacker.
+    ``word_bound`` is the bound of a word game, ``None`` for the set game.
     """
 
     _fields = (
@@ -439,16 +436,16 @@ def solve_cs_game_locally(
     Exploration stops when the attacker has won every root but the copied
     ones (below), or when no unexpanded position is left.
 
-    From any attacker position ``(p, Q)`` with ``p`` in ``Q`` the defender
-    keeps ``p`` in ``Q``: a simulation answer contains ``p``'s own delay
-    step, and a swap to ``p'`` is answered by ``p'``; in the word game the
-    defender answers every word with the attacker's own path.  So such a
-    position is copied: when it is taken, it is left unexpanded, a defender
-    position that moves to itself.  A swap ``SwapPos(p', Q)`` whose ``p'``
-    lies in the internal closure of ``Q`` is expanded to one move, the
-    mirror answer ``AttackerPos(p', {p'})``, which is copied.  Copied positions and
-    mirrored swaps are defender wins in the whole game and in the pruned
-    one, and every other position keeps its winner.
+    If some state of ``Q`` reaches ``p`` by internal steps, the defender
+    wins the attacker position ``(p, Q)`` and the swap ``SwapPos(p, Q)``:
+    ``{(p, q) | q => p}`` is a contrasimulation, as the defender answers
+    every challenge with the attacker's own moves, a swap to ``p'`` with
+    ``p'`` itself, and in the word game every word with the attacker's own
+    path.  So such a position is copied: when it is taken, it is left
+    unexpanded, a defender position that moves to itself, and a copied
+    root is not waited for.  Copied positions are defender wins in the
+    whole game and in the pruned one, and every other position keeps its
+    winner.
 
     In the explored game every unexpanded position, listed in
     :attr:`CsGame.frontier`, is a defender position whose only move leads to
@@ -464,7 +461,11 @@ def solve_cs_game_locally(
     expander = _expander(lts, max_positions, word_bound)
     roots = tuple([expander.attacker(p, q) for p, q in pairs])
     kinds, states, q_ids, q_sets = expander.kinds, expander.states, expander.q_ids, expander.q_sets
-    closed, row_of, attacker = expander.closed, expander.row, expander.attacker
+    closed, row_of = expander.closed, expander.row
+
+    def copied(i: int) -> bool:  # the defender reaches the attacker's state internally
+        return kinds[i] != SIM and states[i] in closed(q_ids[i])
+
     count = len(kinds)
     moves: list[tuple[int, ...] | None] = [None] * count  # None until expanded
     preds: list[list[int] | None] = [[] for _ in range(count)]  # expanded predecessors
@@ -474,8 +475,7 @@ def solve_cs_game_locally(
     buckets: list[list[int]] = [[] for _ in range(n + 1)]
     buckets[1] += reversed(roots)
     lowest = 1
-    # A copied root, (p, {p}), is the defender's: the search waits for the others only.
-    undecided = {root for root, (p, q) in zip(roots, pairs) if p != q}
+    undecided = {root for root in roots if not copied(root)}
 
     while undecided:
         bucket = buckets[lowest]
@@ -485,16 +485,10 @@ def solve_cs_game_locally(
             lowest += 1
             continue
         at = bucket.pop()
-        if moves[at] is not None:
+        if moves[at] is not None or copied(at):
             continue
         kind = kinds[at]
-        if kind == ATTACKER and states[at] in q_sets[q_ids[at]]:
-            continue  # copied: the defender wins by copying the attacker
-        if kind == SWAP and states[at] in closed(q_ids[at]):
-            # The mirror answer: the defender swaps to the attacker's own state.
-            row = moves[at] = (attacker(states[at], states[at]),)
-        else:
-            row = moves[at] = row_of(at)
+        row = moves[at] = row_of(at)
         if len(kinds) > count:
             for i in range(len(kinds) - 1, count - 1, -1):
                 k = len(q_sets[q_ids[i]])
@@ -550,7 +544,7 @@ def solve_cs_game_locally(
     for i in frontier:
         moves[i] = (i,)
     game = expander.game(moves, frontier)
-    del expander, row_of, attacker  # frees the position index before solving
+    del expander, row_of  # frees the position index before solving
     return game, solve(game.graph, won), roots
 
 
@@ -578,10 +572,10 @@ def extract_contrasimulation(
     default the initial position.  The result contains the pair of each
     root plus, for every swap answer inside the play subgraph from the
     roots (all attacker moves, only the strategy's defender moves), the
-    swapped pair it commits to.  A copied position, an attacker position that moves to itself, adds
-    ``(s, s)`` for every state ``s`` reachable from its state, since from
-    there the defender copies the attacker; one walk over the system's
-    steps covers all of them.  The relation always passes the independent
+    swapped pair it commits to.  A copied position, an attacker or swap
+    position that moves to itself, adds ``(s, s)`` for every state ``s``
+    reachable from its state, since from there the defender copies the
+    attacker; one walk over the system's steps covers all of them.  The relation always passes the independent
     contrasimulation check.  A word game raises ``ValueError``: a defender
     win there gives no contrasimulation.
     """
@@ -603,11 +597,10 @@ def extract_contrasimulation(
     copied = []  # states of the copied positions met
     while todo:
         idx = todo.popleft()
-        if kinds[idx] == ATTACKER:
-            targets: Iterable[int] = game.graph.moves[idx]
-            if targets == (idx,):
-                copied.append(states[idx])
-        else:
+        targets: Iterable[int] = game.graph.moves[idx]
+        if targets == (idx,):
+            copied.append(states[idx])
+        elif kinds[idx] != ATTACKER:
             chosen = solution.defender_strategy.move_from(idx)
             if chosen is None:
                 # Unreachable for a winning strategy from a won position.

@@ -123,15 +123,16 @@ def test_aut_input_uses_state_indices(capsys):
          FIXTURES / "phil.aut"],
         ["check", "--lhs", "1", "--rhs", "2", "--max-positions", "0",
          FIXTURES / "phil.aut"],
-        # local solving explores 46 positions (61 without copied positions,
-        # 113 without mirror answers either)
-        ["check", "--lhs", "1", "--rhs", "2", "--max-positions", "40",
+        # local solving explores 34 positions: each attacker or swap position
+        # whose state the defender reaches internally is left unexpanded, and
+        # a search that expands those outside the set itself (46) exits 2 too
+        ["check", "--lhs", "1", "--rhs", "2", "--max-positions", "30",
          FIXTURES / "phil.aut"],
         # the whole game, which --emit-game-dot draws, has 119 positions
         ["check", "--lhs", "1", "--rhs", "2", "--max-positions", "100",
          "--emit-game-dot", "/dev/null", FIXTURES / "phil.aut"],
-        # local solving explores 27 positions on the weak quotient
-        ["check", "--lhs", "1", "--rhs", "2", "--max-positions", "20",
+        # local solving explores 20 positions on the weak quotient
+        ["check", "--lhs", "1", "--rhs", "2", "--max-positions", "15",
          "--notion", "bounded-word-game", "--word-bound", "3", FIXTURES / "phil.aut"],
         ["check", "--lhs", "X", "--rhs", "X", "/nonexistent/file.ccs"],
         ["check", "--lhs", "0", "--rhs", "1", TESTS / "data" / "not_utf8.aut"],
@@ -188,8 +189,8 @@ def test_budget_error_exits_two(tmp_path, capsys):
 @pytest.mark.parametrize(
     "args, counted",
     [
-        (["--lhs", "1", "--rhs", "2", "--max-positions", "40", FIXTURES / "phil.aut"],
-         "40 game positions"),
+        (["--lhs", "1", "--rhs", "2", "--max-positions", "30", FIXTURES / "phil.aut"],
+         "30 game positions"),
     ],
 )
 def test_position_budget_error_names_what_passed_it(args, counted, capsys):
@@ -1030,7 +1031,7 @@ def _broken(args):
     [
         (["--lhs", "1", "--rhs", "2", FIXTURES / "phil.aut"], None, 0),
         (["--lhs", "Pc", "--rhs", "Pl", FIXTURES / "locked.ccs"], None, 1),
-        (["--lhs", "1", "--rhs", "2", "--max-positions", 40, FIXTURES / "phil.aut"], None, 2),
+        (["--lhs", "1", "--rhs", "2", "--max-positions", 30, FIXTURES / "phil.aut"], None, 2),
         (["--lhs", "1", "--rhs", "2", FIXTURES / "phil.aut"], _broken, 3),
     ],
 )

@@ -314,16 +314,14 @@ def check_local_against_eager(lts: Lts, p: int, q: int, word_bound: int | None =
     every root holds, so is every expanded position's winner the full
     game's.  The solution is the one ``solve`` gives on the explored game,
     its least ranks included.  Each unexpanded position moves to itself,
-    and it is copied or left behind once the attacker has won every root.  A
-    copied position is an attacker position ``(p, Q)`` with ``p`` in ``Q``
-    that the full game gives to the defender.  Each swap to a state in
-    the closure of its set is mirrored: its one move leads to the
-    attacker's own state, ``AttackerPos(p', {p'})``, which is copied;
-    every other expanded swap has all its answers.  In the set game,
-    relations and formulas are sound, each relation contains the identity
-    on the states reachable from every copied position its play meets,
-    and without mirrored or copied positions the relations are those of
-    the full game."""
+    and it is copied or left behind once the attacker has won every root
+    but the copied ones.  A copied position is an attacker or swap position
+    whose state lies in the internal closure of its set, and the full game
+    gives it to the defender; no expanded position is one, and every
+    expanded swap has all its answers.  In the set game, relations and
+    formulas are sound, each relation contains the identity on the states
+    reachable from every copied position its play meets, and without
+    copied positions the relations are those of the full game."""
     eager = build_cs_game(lts, p, q, word_bound=word_bound)
     eager_solution = solve(eager.graph)
     eager_roots = (eager.graph.initial, eager.index[AttackerPos(q, frozenset({p}))])
@@ -339,36 +337,31 @@ def check_local_against_eager(lts: Lts, p: int, q: int, word_bound: int | None =
         frontier = set(game.frontier)
         eager_winner = [eager_solution.winner[eager.index[pos]] for pos in game.positions]
         held = all(solution.winner[r] is Player.DEFENDER for r in roots)
-        lost = all(solution.winner[r] is Player.ATTACKER for r in roots)
+        lost = all(
+            solution.winner[r] is Player.ATTACKER
+            for r, (x, y) in zip(roots, pairs)
+            if x not in lts.internal_closure(frozenset({y}))
+        )
         for i, winner in enumerate(solution.winner):
             if winner is Player.ATTACKER or (held and i not in frontier):
                 assert winner is eager_winner[i]
         copied = False
-        for i in game.frontier:
-            assert game.graph.moves[i] == (i,)
-            assert solution.winner[i] is Player.DEFENDER
-            pos = game.positions[i]
-            if isinstance(pos, AttackerPos) and pos.p in pos.q_set:
-                copied = True
-                assert eager_winner[i] is Player.DEFENDER
-            else:
-                assert lost
-        mirrored = False
         for i, pos in enumerate(game.positions):
+            in_closure = not isinstance(pos, SimPos) and pos.p in lts.internal_closure(pos.q_set)
             if i in frontier:
+                assert game.graph.moves[i] == (i,)
+                assert solution.winner[i] is Player.DEFENDER
+                if in_closure:
+                    copied = True
+                    assert eager_winner[i] is Player.DEFENDER
+                else:
+                    assert lost
                 continue
-            assert not (isinstance(pos, AttackerPos) and pos.p in pos.q_set)
-            if not isinstance(pos, SwapPos):
-                continue
-            answers = sorted(lts.internal_closure(pos.q_set))
-            if pos.p in answers:
-                mirrored = True
-                mirror = AttackerPos(pos.p, frozenset({pos.p}))
-                assert game.graph.moves[i] == (game.index[mirror],)
-            else:
+            assert not in_closure
+            if isinstance(pos, SwapPos):
                 single = frozenset({pos.p})
                 assert [game.positions[t] for t in game.graph.moves[i]] == [
-                    AttackerPos(q2, single) for q2 in answers
+                    AttackerPos(q2, single) for q2 in sorted(lts.internal_closure(pos.q_set))
                 ]
         assert_solution_sound(game.graph, solution)
         for root, eager_root, (left, right), holds in zip(roots, eager_roots, pairs, expected):
@@ -381,7 +374,7 @@ def check_local_against_eager(lts: Lts, p: int, q: int, word_bound: int | None =
                 assert is_contrasimulation(lts, relation)
                 for s in copied_states_in_play(game, solution, root):
                     assert {(r, r) for r in reachable_states(lts, s)} <= relation
-                if not (mirrored or copied):
+                if not copied:
                     assert relation == extract_contrasimulation(eager, eager_solution, (eager_root,))
             else:
                 phi = extract_distinguishing_formula(game, solution, root)
@@ -433,6 +426,22 @@ def test_local_solving_decides_blow_twelve_early():
         both, solution, roots = solve_cs_game_locally(lts, [(q, q), (p, q)])
         assert [solution.winner[r] for r in roots] == [Player.DEFENDER, Player.ATTACKER]
         assert both.graph.position_count <= game.graph.position_count + 1
+
+
+def test_copied_root_beside_a_failing_pair_does_not_keep_the_search_going():
+    """``0 -tau-> 1``, so the root ``(1, {0})`` is copied: the defender
+    reaches the attacker's state internally.  Queried beside the failing
+    pair ``(4, 6)``, it adds one position to the five that pair explores
+    alone, where waiting for it to be decided expanded its whole game."""
+    a, b, c = act("a"), act("b"), act("c")
+    lts = Lts(8, [(0, TAU, 1), (1, a, 2), (2, b, 3), (1, c, 0), (4, a, 5), (6, b, 7)])
+    alone, _, _ = solve_cs_game_locally(lts, [(4, 6)])
+    game, solution, roots = solve_cs_game_locally(lts, [(1, 0), (4, 6)])
+    assert [solution.winner[r] for r in roots] == [Player.DEFENDER, Player.ATTACKER]
+    assert alone.graph.position_count == 5
+    assert game.graph.position_count <= alone.graph.position_count + 1
+    relation = extract_contrasimulation(game, solution, roots[:1])
+    assert (1, 0) in relation and is_contrasimulation(lts, relation)
 
 
 def test_local_formula_on_chain_as_short_as_on_full_game():
@@ -491,28 +500,28 @@ def test_defender_wins_are_upward_closed(lts, data):
 @given(random_lts(), st.data())
 @settings(max_examples=60, deadline=None)
 def test_defender_wins_where_the_attacker_state_is_in_the_set(lts, data):
-    """Reflexivity, which copied positions and mirror answers rely on: the
-    defender wins every attacker position ``(p, Q)`` with ``p`` in ``Q``,
-    so the local search leaves each such position to the defender without
-    expanding it.  Copying keeps ``p`` in ``Q``: a simulation answer
-    contains ``p``'s own delay step, and a swap to ``p'`` is answered by
-    ``p'`` itself."""
+    """The lemma the copied positions rest on: if ``q`` reaches ``p`` by
+    internal steps, then ``{(p, q) | q => p}`` is a contrasimulation, as the
+    defender answers every challenge with the attacker's own moves.  So the
+    defender wins every attacker position and every swap whose state lies
+    in the internal closure of its set, in the set game and in the word
+    game at bounds 1 and 2, and the local search leaves each such position
+    to the defender without expanding it."""
     p = data.draw(st.integers(0, lts.state_count - 1))
     q = data.draw(st.integers(0, lts.state_count - 1))
-    game = build_cs_game(lts, p, q)
-    winner = solve(game.graph).winner
-    for i, pos in enumerate(game.positions):
-        if isinstance(pos, AttackerPos) and pos.p in pos.q_set:
-            assert winner[i] is Player.DEFENDER
+    for word_bound in (None, 1, 2):
+        game = build_cs_game(lts, p, q, word_bound=word_bound)
+        winner = solve(game.graph).winner
+        for i, pos in enumerate(game.positions):
+            if not isinstance(pos, SimPos) and pos.p in lts.internal_closure(pos.q_set):
+                assert winner[i] is Player.DEFENDER
 
 
 def test_copied_positions_keep_holding_checks_constant():
-    """The full phil(k) game grows as 2^k.  Mirror answers alone keep the
-    holding check linear in k (133 positions for k = 4, 277 for k = 12);
-    leaving every attacker position whose state lies in the defender's set
-    to the defender, unexpanded, decides both directions within the same
-    positions for every k, and the relation read off them is a
-    contrasimulation."""
+    """The full phil(k) game grows as 2^k.  Leaving every attacker or swap
+    position whose state the defender reaches internally to the defender,
+    unexpanded, decides both directions within the same 37 positions for
+    every k, and the relation read off them is a contrasimulation."""
     counts = set()
     for k in (4, 8, 12, 16):
         lts, pc, pp = phil_shape(k)
@@ -523,7 +532,7 @@ def test_copied_positions_keep_holding_checks_constant():
         assert {(pc, pp), (pp, pc)} <= relation
         if k == 8:
             assert is_contrasimulation(lts, relation)
-    assert len(counts) == 1
+    assert len(counts) == 1 and max(counts) <= 37
 
 
 # -- deciding the preorder ----------------------------------------------------------
