@@ -46,9 +46,10 @@ comparison: a word mode of the same game, in which the attacker challenges
 with a word of at most a given length and a swap (see
 :func:`cs_successors`).  Its empty-word challenges are the reflexive
 swaps, so it too decides both directions in one game.  Its positions are
-copied the same way; the certificate extractors raise ``ValueError`` on it (:attr:`CsGame.word_bound`).  At bound 1 its
-words are single weak steps, and it decides the naive single-step fixed
-point, which is unsound for the preorder.
+copied the same way; the certificate extractors raise ``ValueError`` on it
+(:attr:`CsGame.word_bound`).  At bound 1 its words are single weak steps,
+and it decides the naive single-step fixed point, which is unsound for the
+preorder.
 """
 
 from collections import deque
@@ -575,9 +576,10 @@ def extract_contrasimulation(
     swapped pair it commits to.  A copied position, an attacker or swap
     position that moves to itself, adds ``(s, s)`` for every state ``s``
     reachable from its state, since from there the defender copies the
-    attacker; one walk over the system's steps covers all of them.  The relation always passes the independent
-    contrasimulation check.  A word game raises ``ValueError``: a defender
-    win there gives no contrasimulation.
+    attacker; one walk over the system's steps covers all of them.  The
+    relation always passes the independent contrasimulation check.  A word
+    game raises ``ValueError``: a defender win there gives no
+    contrasimulation.
     """
     if game.word_bound is not None:
         raise ValueError("no contrasimulation to extract from a word game")
