@@ -13,9 +13,9 @@ from typing import Optional
 from .errors import ParseError, StateBudgetError
 from .lts import Action, Lts, TAU
 
-_HEADER_RE = re.compile(r"^des\s*\(\s*(\d+)\s*,\s*(\d+)\s*,\s*(\d+)\s*\)\s*$")
-# matched whole against an unstripped line
-_EDGE_RE = re.compile(r'\s*\(\s*(\d+)\s*,\s*"([^"]*)"\s*,\s*(\d+)\s*\)\s*')
+_HEADER_RE = re.compile(r"^des\s*\(\s*([0-9]+)\s*,\s*([0-9]+)\s*,\s*([0-9]+)\s*\)\s*$")
+# matched whole against an unstripped line; [0-9], as \d also takes "١"
+_EDGE_RE = re.compile(r'\s*\(\s*([0-9]+)\s*,\s*"([^"]*)"\s*,\s*([0-9]+)\s*\)\s*')
 
 _INTERNAL_LABELS = ("tau", "i")
 
@@ -42,7 +42,10 @@ def parse_aut(text: str, max_states: Optional[int] = None) -> tuple[Lts, int]:
             f"expected des (<initial>, <#transitions>, <#states>)",
             line=header_idx + 1,
         )
-    initial, n_edges, n_states = (int(g) for g in m.groups())
+    try:
+        initial, n_edges, n_states = (int(g) for g in m.groups())
+    except ValueError:  # past the digit limit of int()
+        raise ParseError("header number too long", line=header_idx + 1) from None
     if initial >= n_states:
         raise ParseError(
             f"initial state {initial} not below state count {n_states}",
@@ -63,7 +66,10 @@ def parse_aut(text: str, max_states: Optional[int] = None) -> tuple[Lts, int]:
                 continue
             raise ParseError(f"malformed transition record {line!r}", line=lineno)
         src, label, dst = m.groups()
-        src, dst = int(src), int(dst)
+        try:
+            src, dst = int(src), int(dst)
+        except ValueError:  # past the digit limit of int(), so past any state count
+            raise ParseError("state number too long", line=lineno) from None
         if src >= n_states or dst >= n_states:
             raise ParseError(
                 f"transition ({src}, {label!r}, {dst}) exceeds state count {n_states}",

@@ -22,16 +22,16 @@ set game, for ``bounded-word-game`` on its word mode and for
 ``naive-contrasim-1step`` on its word mode at bound 1, whose words are
 single steps.  It explores the game locally and stops once the attacker
 wins every queried root, so ``game_positions`` and ``game_moves`` count
-the explored part.  ``--emit-game-dot`` only draws: it builds the whole
-reachable game, writes it and leaves the verdict, the certificate and the
-counts as they are.  ``weak-sim`` builds a pair game on the quotient from
-the queried pairs (:func:`contrasim.relations.solve_pair_game`) and
-reports no counts.  A holding ``weak-sim`` check prints the greatest weak
-simulation of the quotient, computed whole by a counter refinement outside
-the game (:func:`contrasim.relations.weak_sim_preorder`).
-``--max-positions`` bounds every game, and the pairs a relation
-certificate names, counted before any is named.  ``solve_ms`` times the
-game, for a bisimilarity the classes.
+the explored part, which ``--emit-game-dot`` draws, each frontier
+position as a defender position that moves to itself.  ``weak-sim``
+builds a pair game on the quotient from the queried pairs
+(:func:`contrasim.relations.solve_pair_game`) and reports no counts.  A
+holding ``weak-sim`` check prints the greatest weak simulation of the
+quotient, computed whole by a counter refinement outside the game
+(:func:`contrasim.relations.weak_sim_preorder`).  ``--max-positions``
+bounds every game, and the pairs a relation certificate names, counted
+before any is named.  ``solve_ms`` times the game, for a bisimilarity the
+classes.
 
 Exit codes: 0 when the checked relation holds, 1 when it fails, 2 on usage,
 parse, file, or budget errors (states, game positions or certificate
@@ -141,7 +141,10 @@ def _load_model(args: argparse.Namespace) -> tuple[Lts, int, int]:
         # ASCII digits only: int() also takes "1_0", "+1", " 1" and "١"
         if not all(d.isascii() and d.isdigit() for d in (args.lhs, args.rhs)):
             raise UsageError("for .aut input the designators are state indices")
-        lhs, rhs = int(args.lhs), int(args.rhs)
+        try:
+            lhs, rhs = int(args.lhs), int(args.rhs)
+        except ValueError:  # past the digit limit of int(), so past any state count
+            raise UsageError("state index too long") from None
         for s in (lhs, rhs):
             if not (0 <= s < lts.state_count):
                 raise UsageError(f"state {s} outside 0..{lts.state_count - 1}")
@@ -226,8 +229,7 @@ def run_check(args: argparse.Namespace) -> CheckReport:
     solve_ms = (time.perf_counter() - t0) * 1000.0
     if notion in GAME_NOTIONS:
         results = [solution.winner[root] is Player.DEFENDER for root in roots]
-        positions = game.graph.position_count
-        moves = game.move_count
+        positions, moves = game.graph.position_count, game.move_count
     else:
         results = [pair in related for pair in directions]
 
@@ -245,10 +247,8 @@ def run_check(args: argparse.Namespace) -> CheckReport:
         certificate = Certificate(kind="formula", formula=format_formula(formula))
 
     if args.emit_game_dot is not None:
-        # The local game may stop short: draw the whole reachable game.
-        drawn = csgame.build_cs_game(lts, p, q, args.max_positions, word_bound)
-        labels = [csgame.format_position(lts, pos) for pos in drawn.positions]
-        Path(args.emit_game_dot).write_text(export_game_dot(drawn.graph, labels))
+        labels = [csgame.format_position(lts, pos) for pos in game.positions]
+        Path(args.emit_game_dot).write_text(export_game_dot(game.graph, labels))
 
     return CheckReport(
         verdict=all(results),

@@ -27,9 +27,9 @@ One expander does the per-position work: it keys positions by ints over
 interned defender sets, generates each position's moves, and records the
 positions in the parallel lists of :class:`CsGame`, which decodes them into
 the position records above on demand.  Two searches run it.
-:func:`build_cs_game` expands the whole reachable game breadth-first: the
-graph the DOT export draws, and the reference the local search is tested
-against.  :func:`solve_cs_game_locally`, which decides every query, expands
+:func:`build_cs_game` expands the whole reachable game breadth-first, the
+reference the local search is tested against.
+:func:`solve_cs_game_locally`, which decides and draws every query, expands
 positions over the smallest defender sets first, propagates attacker wins
 as soon as a position's moves are known, and stops once the attacker wins
 every queried root.  If some state of ``Q`` reaches ``p`` by internal
@@ -744,21 +744,15 @@ def strategy_from_fc(
 # -- presentation helpers ------------------------------------------------------
 
 
-def format_state_set(lts: Lts, states: StateSet) -> str:
-    return "{" + ", ".join(lts.name_of(s) for s in sorted(states)) + "}"
-
-
 def format_position(lts: Lts, pos: CsPosition) -> str:
+    if not isinstance(pos, (AttackerPos, SimPos, SwapPos)):
+        raise TypeError(f"unknown position {pos!r}")
+    q_set = "{" + ", ".join(lts.name_of(s) for s in sorted(pos.q_set)) + "}"
     if isinstance(pos, AttackerPos):
-        return f"({lts.name_of(pos.p)}, {format_state_set(lts, pos.q_set)})"
+        return f"({lts.name_of(pos.p)}, {q_set})"
     if isinstance(pos, SimPos):
-        return (
-            f"Sim({pos.action}, {lts.name_of(pos.p)}, "
-            f"{format_state_set(lts, pos.q_set)})"
-        )
-    if isinstance(pos, SwapPos):
-        return f"Swap({lts.name_of(pos.p)}, {format_state_set(lts, pos.q_set)})"
-    raise TypeError(f"unknown position {pos!r}")
+        return f"Sim({pos.action}, {lts.name_of(pos.p)}, {q_set})"
+    return f"Swap({lts.name_of(pos.p)}, {q_set})"
 
 
 format_word_position = format_position  # kept for ``perfbench/spans.py``

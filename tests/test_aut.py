@@ -85,6 +85,16 @@ def test_expanded_instable_process_writes_four_records(instable_single):
         ('des (0,2,2)\n(0,"a",1)\n', "declares 2 transitions"),
         ('des (0,1,2)\n(0,a,1)\n', "malformed transition"),
         ('des (0,1,2)\n(0,"a b",1)\n', "whitespace"),
+        # numbers past the digit limit of int(), and digits that are not ASCII
+        pytest.param(
+            f'des (0,1,2)\n(0,"a",{"1" * 5000})\n', "line 2: state number too long",
+            id="5000-digit record",
+        ),
+        pytest.param(
+            f"des (0,0,{'1' * 5000})\n", "line 1: header number too long",
+            id="5000-digit header",
+        ),
+        ('des (0,1,\u0662)\n(0,"a",\u0661)\n', "line 1: malformed header"),
     ],
 )
 def test_parse_errors(text, fragment):

@@ -112,6 +112,8 @@ def test_aut_input_uses_state_indices(capsys):
         ["check", "--lhs", "+1", "--rhs", "2", FIXTURES / "phil.aut"],
         ["check", "--lhs", "1", "--rhs", " 1", FIXTURES / "phil.aut"],
         ["check", "--lhs", "\u0661", "--rhs", "2", FIXTURES / "phil.aut"],
+        # past the digit limit of int()
+        ["check", "--lhs", "1" * 5000, "--rhs", "2", FIXTURES / "phil.aut"],
         ["check", "--lhs", "1", "--rhs", "99", FIXTURES / "phil.aut"],
         ["check", "--lhs", "Pab", "--rhs", "Pb", "--notion", "bounded-word-game",
          FIXTURES / "instable.ccs"],
@@ -128,9 +130,6 @@ def test_aut_input_uses_state_indices(capsys):
         # a search that expands those outside the set itself (46) exits 2 too
         ["check", "--lhs", "1", "--rhs", "2", "--max-positions", "30",
          FIXTURES / "phil.aut"],
-        # the whole game, which --emit-game-dot draws, has 119 positions
-        ["check", "--lhs", "1", "--rhs", "2", "--max-positions", "100",
-         "--emit-game-dot", "/dev/null", FIXTURES / "phil.aut"],
         # local solving explores 20 positions on the weak quotient
         ["check", "--lhs", "1", "--rhs", "2", "--max-positions", "15",
          "--notion", "bounded-word-game", "--word-bound", "3", FIXTURES / "phil.aut"],
@@ -822,6 +821,16 @@ def lint_dot(text: str) -> tuple[int, int]:
     return nodes, edges
 
 
+def drawn_counts(text: str) -> tuple[int, int]:
+    """The nodes of a drawing and its edges less self-loops: a query's
+    ``game_positions`` and ``game_moves``, since each frontier position is
+    drawn as a defender circle with one move to itself."""
+    nodes, edges = lint_dot(text)
+    looped = re.findall(r"^  n(\d+) -> n\1;$", text, re.MULTILINE)
+    assert all(f"  n{i} [shape=circle" in text for i in looped)
+    return nodes, edges - len(looped)
+
+
 def test_empty_game_renders_header_only():
     graph = GameGraph([], [])
     assert export_game_dot(graph, []) == "digraph game {\n}\n"
@@ -862,7 +871,8 @@ def test_cli_writes_dot_file(notion, tmp_path):
 
 def test_game_counts_local_and_full(locked, tmp_path):
     """A failing check counts the part of the game it explored, with or
-    without --emit-game-dot; the drawing holds the whole game."""
+    without --emit-game-dot, and the drawing is that part, smaller than the
+    whole game."""
     lts, pc, pl = locked
     full = build_cs_game(lts, pc, pl).graph
     args = ["check", "--lhs", "Pc", "--rhs", "Pl", "--emit-certificate", FIXTURES / "locked.ccs"]
@@ -872,7 +882,7 @@ def test_game_counts_local_and_full(locked, tmp_path):
     local, drawn = json.loads(local_json.read_text()), json.loads(drawn_json.read_text())
     counts = ("game_positions", "game_moves")
     assert [drawn[key] for key in counts] == [local[key] for key in counts]
-    assert lint_dot(dot.read_text()) == (full.position_count, full.move_count)
+    assert drawn_counts(dot.read_text()) == (local["game_positions"], local["game_moves"])
     assert local["game_positions"] < full.position_count
     assert local["game_moves"] < full.move_count
 
@@ -894,7 +904,7 @@ FIXTURE_PAIRS = [
 def test_game_dot_only_draws(model, lhs, rhs, direction, tmp_path, capsys):
     """--emit-game-dot changes no verdict, certificate or count: stdout is
     the same without it once times are masked, and so is the JSON less
-    solve_ms.  The drawing holds the whole reachable game."""
+    solve_ms.  The drawing is the game the query solved."""
     args = ["check", "--lhs", lhs, "--rhs", rhs, "--direction", direction,
             "--emit-certificate", FIXTURES / model]
     dot = tmp_path / "g.dot"
@@ -907,13 +917,42 @@ def test_game_dot_only_draws(model, lhs, rhs, direction, tmp_path, capsys):
         del payload["solve_ms"]
         runs.append((code, out, payload))
     assert runs[0] == runs[1]
-    if model.endswith(".aut"):
-        lts, _ = parse_aut((FIXTURES / model).read_text())
-        p, q = lhs, rhs
-    else:
-        lts, (p, q) = expand_ccs_roots(parse_ccs((FIXTURES / model).read_text()), [lhs, rhs])
-    full = build_cs_game(lts, p, q).graph
-    assert lint_dot(dot.read_text()) == (full.position_count, full.move_count)
+    payload = runs[1][2]
+    assert drawn_counts(dot.read_text()) == (payload["game_positions"], payload["game_moves"])
+
+
+def test_drawing_fits_the_budget_its_query_fits(tmp_path, capsys):
+    """The philosopher check explores 34 positions, and its drawing is
+    that game, so it fits a budget of 34; the whole game has 119."""
+    dot = tmp_path / "g.dot"
+    code = run_main(["check", "--lhs", "1", "--rhs", "2", "--max-positions", "34",
+                     "--emit-game-dot", dot, FIXTURES / "phil.aut"])
+    assert code == 0
+    assert lint_dot(dot.read_text())[0] == 34
+
+
+@pytest.mark.parametrize("notion", ["contrasim", "bounded-word-game", "naive-contrasim-1step"])
+def test_drawing_builds_no_second_game(notion, monkeypatch, tmp_path, capsys):
+    """A drawn query expands one game, the one it solves: with
+    build_cs_game made to fail, its exit code, report and drawing are
+    those of a run without the patch."""
+    args = ["check", "--lhs", "1", "--rhs", "2", "--notion", notion, "--word-bound", "3",
+            "--direction", "equivalence", "--emit-certificate", FIXTURES / "phil.aut"]
+
+    def drawn_run(dot):
+        code = run_main(args + ["--emit-game-dot", dot])
+        return code, re.sub(r"[0-9.]+ ms", "_ ms", capsys.readouterr().out), dot.read_text()
+
+    def failing(*_):
+        raise AssertionError("a second game")
+
+    plain = drawn_run(tmp_path / "plain.dot")
+    expanded = []
+    expander = csgame._expander
+    monkeypatch.setattr(csgame, "_expander", lambda *a: expanded.append(a) or expander(*a))
+    monkeypatch.setattr(csgame, "build_cs_game", failing)
+    assert drawn_run(tmp_path / "patched.dot") == plain
+    assert len(expanded) == 1
 
 
 PHIL2 = (
@@ -965,7 +1004,7 @@ def test_contrasim_relation_is_the_models_own(tmp_path, capsys):
 def test_word_game_counts_are_the_quotients(locked, tmp_path):
     """The word game is played on the weak quotient, which is smaller than
     the strong quotient for locked.ccs: the counts are those of the local
-    game on it, and the drawing holds its whole game."""
+    game on it, and so is the drawing, smaller than its whole game."""
     lts, pc, pl = locked
     classes = relations.weak_classes(lts)
     quotient = lts.quotient(classes)
@@ -982,7 +1021,8 @@ def test_word_game_counts_are_the_quotients(locked, tmp_path):
     assert (counts["game_positions"], counts["game_moves"]) == (
         game.graph.position_count, game.move_count
     )
-    assert lint_dot(dot.read_text()) == (whole.position_count, whole.move_count)
+    assert drawn_counts(dot.read_text()) == (counts["game_positions"], counts["game_moves"])
+    assert counts["game_positions"] < whole.position_count
 
 
 def test_dot_export_rejected_for_gameless_notions(tmp_path, capsys):
@@ -1092,6 +1132,8 @@ FIXTURE_TEXTS = {path.name: path.read_text() for path in sorted(FIXTURES.iterdir
 MUTATION_TOKENS = [
     "", "(", ")", ",", '"', ".", "|", "+", "\\", "{", "}", ";", "=", "'", " ", "\n",
     "0", "1", "-1", "99", "a", "tau", "des", "X", "Pc", "(X | X)",
+    # a digit that is not ASCII, and a number past the digit limit of int()
+    "\u0661", "1" * 5000,
 ]
 
 

@@ -6,8 +6,11 @@ checked under all six notions and both directions, with
 ``--emit-certificate`` and ``--word-bound 2``: 2,952 + 144 = 3,096 runs of
 :func:`contrasim.cli.main` in process.  The ``.ccs`` runs pin the CCS
 state names that certificates print.  Each run of a game notion runs once
-more with ``--emit-game-dot``, 1,548 runs, to pin the drawing.  Each query
-is one line of ``tests/data/sweep.txt``::
+more with ``--emit-game-dot``, 1,548 runs, to pin the drawing, the game
+the query solved: that run must give the same exit code and stdout, and
+the drawing as many nodes as ``game_positions`` and as many edges that
+are not self-loops as ``game_moves``.  Each query is one line of
+``tests/data/sweep.txt``::
 
     <fixture>:<lhs>:<rhs>:<notion>:<direction> <exit> <positions> <moves> <stdout> <json> <dot>
 
@@ -43,6 +46,7 @@ CCS_ROOTS = {"phil": ("Pc", "Pp"), "locked": ("Pc", "Pl"), "instable": ("Pab", "
 DIRECTIONS = ("preorder", "equivalence")
 
 _TIMES = re.compile(r"(solved in |total: +|\"solve_ms\": )[0-9.]+")
+_EDGE = re.compile(r"^  n(\d+) -> n(\d+);$", re.MULTILINE)
 
 
 def _digest(text: str) -> str:
@@ -93,9 +97,13 @@ def sweep_lines() -> list[str]:
                 fields[3] = json.dumps(payload["game_moves"])
                 fields[5] = _digest(text)
             if notion in GAME_NOTIONS:
-                _run(argv + ["--emit-game-dot", str(dot)])
+                drawn = _run(argv + ["--emit-game-dot", str(dot)])
+                assert (drawn[0], _digest(drawn[1])) == (code, fields[4]), run_id
                 if dot.exists():
-                    fields[6] = _digest(dot.read_text())
+                    text = dot.read_text()
+                    fields[6] = _digest(text)
+                    edges = sum(src != dst for src, dst in _EDGE.findall(text))
+                    assert [str(text.count("shape=")), str(edges)] == fields[2:4], run_id
             lines.append(" ".join(fields))
     return lines
 
