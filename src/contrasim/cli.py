@@ -23,15 +23,17 @@ set game, for ``bounded-word-game`` on its word mode and for
 single steps.  It explores the game locally and stops once the attacker
 wins every queried root, so ``game_positions`` and ``game_moves`` count
 the explored part, which ``--emit-game-dot`` draws, each frontier
-position as a defender position that moves to itself.  ``weak-sim``
-builds a pair game on the quotient from the queried pairs
-(:func:`contrasim.relations.solve_pair_game`) and reports no counts.  A
-holding ``weak-sim`` check prints the greatest weak simulation of the
-quotient, computed whole by a counter refinement outside the game
-(:func:`contrasim.relations.weak_sim_preorder`).  ``--max-positions``
-bounds every game, and the pairs a relation certificate names, counted
-before any is named.  ``solve_ms`` times the game, for a bisimilarity the
-classes.
+position as a defender position that moves to itself.  In the set game
+an attacker position may keep only the challenges the search took, up
+to the first one the attacker won, and ``game_moves`` counts the moves
+generated.  ``weak-sim`` builds a pair game on the quotient from the
+queried pairs (:func:`contrasim.relations.solve_pair_game`) and reports
+no counts.  A holding ``weak-sim`` check prints the greatest weak
+simulation of the quotient, computed whole by a counter refinement
+outside the game (:func:`contrasim.relations.weak_sim_preorder`).
+``--max-positions`` bounds every game, and the pairs a relation
+certificate names, counted before any is named.  ``solve_ms`` times the
+game, for a bisimilarity the classes.
 
 Exit codes: 0 when the checked relation holds, 1 when it fails, 2 on usage,
 parse, file, or budget errors (states, game positions or certificate

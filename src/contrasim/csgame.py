@@ -32,14 +32,16 @@ reference the local search is tested against.
 :func:`solve_cs_game_locally`, which decides and draws every query, expands
 positions over the smallest defender sets first, propagates attacker wins
 as soon as a position's moves are known, and stops once the attacker wins
-every queried root.  If some state of ``Q`` reaches ``p`` by internal
-steps, the defender wins the attacker position ``(p, Q)`` and the swap
-``SwapPos(p, Q)`` by copying the attacker, since ``{(p, q) | q => p}`` is a
-contrasimulation.  So the local search leaves each such position, once
-taken, to the defender without expanding it (it is copied), and a holding
-check explores only part of the game.  The certificate extractors read the
-lists directly; the relation takes the identity on the states reachable
-from each copied position.
+every queried root.  In the set game it takes an attacker's challenges
+one at a time and stops at the first won one, so an attacker position may
+keep only the challenges the search took.  If some state of ``Q`` reaches
+``p`` by internal steps, the defender wins the attacker position ``(p, Q)``
+and the swap ``SwapPos(p, Q)`` by copying the attacker, since ``{(p, q) |
+q => p}`` is a contrasimulation.  So the local search leaves each such
+position, once taken, to the defender without expanding it (it is
+copied), and a holding check explores only part of the game.  The
+certificate extractors read the lists directly; the relation takes the
+identity on the states reachable from each copied position.
 
 The module also carries a deliberately weaker procedure kept for
 comparison: a word mode of the same game, in which the attacker challenges
@@ -55,7 +57,7 @@ preorder.
 from collections import deque
 from functools import cached_property
 from types import SimpleNamespace
-from typing import AbstractSet, Iterable, Mapping, Sequence, Union
+from typing import AbstractSet, Iterable, Iterator, Mapping, Sequence, Union
 
 from .errors import PositionBudgetError
 from .game import (
@@ -164,7 +166,9 @@ class CsGame(Record):
     generated, and in ``graph`` each of them is a defender position whose
     one move leads to itself.  Among them are the copied positions, the
     attacker and swap positions whose state lies in the internal closure of
-    their set, which the defender wins by copying the attacker.
+    their set, which the defender wins by copying the attacker.  An
+    attacker position of the set game may keep only the challenges the
+    search took, a prefix of its :func:`cs_successors`.
     ``word_bound`` is the bound of a word game, ``None`` for the set game.
     """
 
@@ -203,8 +207,8 @@ class CsGame(Record):
 
     @property
     def move_count(self) -> int:
-        """Moves of the expanded positions: the one move of each frontier
-        position is not counted."""
+        """The moves generated: the one move of each frontier position is
+        not counted."""
         return self.graph.move_count - len(self.frontier)
 
 
@@ -327,6 +331,17 @@ def _expander(lts: Lts, max_positions: int, word_bound: int | None = None) -> Si
         idx = index.get(key)
         return add(key, ATTACKER, p, qid, -1) if idx is None else idx
 
+    def challenged(at: int, start: int = 0) -> Iterator[int]:
+        """The challenges of the set-game attacker position ``at`` from the
+        ``start``-th on, one at a time, each added when it is reached if it
+        is new."""
+        s, qid = states[at], q_ids[at]
+        base = qid * stride
+        for offset, kind, s2, ai in (challenges[s] or challenges_of(s))[start:]:
+            key = base + offset
+            idx = index.get(key)
+            yield add(key, kind, s2, qid, ai) if idx is None else idx
+
     def row(at: int) -> tuple[int, ...]:
         kind, s, qid = kinds[at], states[at], q_ids[at]
         out = []
@@ -351,11 +366,7 @@ def _expander(lts: Lts, max_positions: int, word_bound: int | None = None) -> Si
                             configs.append((s2, target, left - 1))
             out = list(dict.fromkeys(out))  # two configurations may offer one swap
         elif kind == ATTACKER:
-            base = qid * stride
-            for offset, kind2, s2, ai in challenges[s] or challenges_of(s):
-                key = base + offset
-                idx = index.get(key)
-                out.append(add(key, kind2, s2, qid, ai) if idx is None else idx)
+            return tuple(challenged(at))
         elif kind == SIM:
             ai = actions[at]
             target = delay[qid * width + ai]
@@ -383,7 +394,7 @@ def _expander(lts: Lts, max_positions: int, word_bound: int | None = None) -> Si
 
     return SimpleNamespace(
         kinds=kinds, states=states, q_ids=q_ids, q_sets=q_sets,
-        closed=closed, row=row, attacker=attacker, game=game,
+        closed=closed, row=row, challenged=challenged, attacker=attacker, game=game,
     )
 
 
@@ -437,6 +448,21 @@ def solve_cs_game_locally(
     Exploration stops when the attacker has won every root but the copied
     ones (below), or when no unexpanded position is left.
 
+    One won challenge wins an attacker position, so in the set game an
+    attacker over a non-empty set takes its challenges one at a time, in
+    :func:`cs_successors` order.  A challenge already won wins it at once;
+    one known but not won yet is waited on, and the next is taken; the
+    first new one is queued above a continuation, which takes the next
+    challenge when it is popped, unless the attacker has been won by then.
+    Every challenge lies over the attacker's set, so the new challenge and
+    the continuation share a bucket, and a row's new positions are still
+    expanded first move first.  The continuation resumes the row from its
+    length.  The attacker's row in the explored game is thus a prefix of
+    its whole row, and when no unexpanded position is left, every row the
+    attacker has not won is whole.  A word-game attacker keeps its
+    whole row, as its swaps lie over different sets, and so does an
+    attacker over the empty set, whose reflexive swap is expanded first.
+
     If some state of ``Q`` reaches ``p`` by internal steps, the defender
     wins the attacker position ``(p, Q)`` and the swap ``SwapPos(p, Q)``:
     ``{(p, q) | q => p}`` is a contrasimulation, as the defender answers
@@ -462,67 +488,26 @@ def solve_cs_game_locally(
     expander = _expander(lts, max_positions, word_bound)
     roots = tuple([expander.attacker(p, q) for p, q in pairs])
     kinds, states, q_ids, q_sets = expander.kinds, expander.states, expander.q_ids, expander.q_sets
-    closed, row_of = expander.closed, expander.row
+    closed, row_of, challenged = expander.closed, expander.row, expander.challenged
 
     def copied(i: int) -> bool:  # the defender reaches the attacker's state internally
         return kinds[i] != SIM and states[i] in closed(q_ids[i])
 
     count = len(kinds)
-    moves: list[tuple[int, ...] | None] = [None] * count  # None until expanded
+    moves: list[Sequence[int] | None] = [None] * count  # None until expanded
     preds: list[list[int] | None] = [[] for _ in range(count)]  # expanded predecessors
     pending = [0] * count  # moves not yet won, per expanded defender position
     won = [False] * count
-    # buckets[k]: positions over a set of k states, to be expanded last in, first out.
+    # buckets[k]: positions over a set of k states, to be expanded last in,
+    # first out, and continuations ~i, which resume attacker i's row.
     buckets: list[list[int]] = [[] for _ in range(n + 1)]
     buckets[1] += reversed(roots)
     lowest = 1
     undecided = {root for root in roots if not copied(root)}
 
-    while undecided:
-        bucket = buckets[lowest]
-        if not bucket:
-            if lowest == n:
-                break
-            lowest += 1
-            continue
-        at = bucket.pop()
-        if moves[at] is not None or copied(at):
-            continue
-        kind = kinds[at]
-        row = moves[at] = row_of(at)
-        if len(kinds) > count:
-            for i in range(len(kinds) - 1, count - 1, -1):
-                k = len(q_sets[q_ids[i]])
-                if k < lowest:
-                    lowest = k
-                buckets[k].append(i)
-                moves.append(None)
-                preds.append([])
-                pending.append(0)
-                won.append(False)
-            count = len(kinds)
-        if kind == ATTACKER:
-            for t in row:
-                if won[t]:
-                    won[at] = True
-                    break
-                preds[t].append(at)  # left behind if ``at`` is won: then skipped
-            else:
-                if not q_sets[q_ids[at]]:
-                    s = states[at]
-                    buckets[0].append(next(t for t in row if kinds[t] == SWAP and states[t] == s))
-                continue
-        else:
-            left = 0
-            for t in row:
-                if not won[t]:
-                    left += 1
-                    preds[t].append(at)
-            if left:
-                pending[at] = left
-                continue
-            won[at] = True
-        # Pass the new win back over the known edges.
+    def win(at: int) -> None:
+        """Give ``at`` to the attacker and pass the win back over the known edges."""
+        won[at] = True
         stack = [at]
         while stack:
             w = stack.pop()
@@ -540,12 +525,83 @@ def solve_cs_game_locally(
                         stack.append(u)
             preds[w] = None  # a won position gains no predecessors
 
+    while undecided:
+        bucket = buckets[lowest]
+        if not bucket:
+            if lowest == n:
+                break
+            lowest += 1
+            continue
+        at = bucket.pop()
+        if at < 0:  # a continuation: attacker ~at takes its next challenge
+            at = ~at
+            if won[at]:
+                continue
+        elif moves[at] is not None or copied(at):
+            continue
+        elif kinds[at] == ATTACKER and word_bound is None and q_sets[q_ids[at]]:
+            moves[at] = []
+        else:
+            # The whole row at once: a defender position, a word-game
+            # attacker or an attacker over the empty set.
+            row = moves[at] = row_of(at)
+            if len(kinds) > count:
+                for i in range(len(kinds) - 1, count - 1, -1):
+                    k = len(q_sets[q_ids[i]])
+                    if k < lowest:
+                        lowest = k
+                    buckets[k].append(i)
+                    moves.append(None)
+                    preds.append([])
+                    pending.append(0)
+                    won.append(False)
+                count = len(kinds)
+            if kinds[at] == ATTACKER:
+                if any(won[t] for t in row):
+                    win(at)
+                    continue
+                for t in row:
+                    preds[t].append(at)
+                if not q_sets[q_ids[at]]:
+                    s = states[at]
+                    buckets[0].append(next(t for t in row if kinds[t] == SWAP and states[t] == s))
+                continue
+            left = 0
+            for t in row:
+                if not won[t]:
+                    left += 1
+                    preds[t].append(at)
+            if left:
+                pending[at] = left
+            else:
+                win(at)
+            continue
+        # A set-game attacker row, one challenge at a time from the first
+        # not yet taken: a won challenge wins it, and a new one is queued
+        # above the rest of the row, in the same bucket, so that it is
+        # expanded first.
+        row = moves[at]
+        for t in challenged(at, len(row)):
+            row.append(t)
+            if t == count:
+                count += 1
+                moves.append(None)
+                preds.append([at])
+                pending.append(0)
+                won.append(False)
+                bucket += (~at, t)
+                break
+            if won[t]:
+                win(at)
+                break
+            preds[t].append(at)  # left behind if ``at`` is won: then skipped
+
     del preds, pending, buckets
     frontier = tuple(i for i, row in enumerate(moves) if row is None)
     for i in frontier:
         moves[i] = (i,)
     game = expander.game(moves, frontier)
-    del expander, row_of  # frees the position index before solving
+    del expander, row_of, challenged  # frees the position index before solving
     return game, solve(game.graph, won), roots
 
 

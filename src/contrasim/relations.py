@@ -9,7 +9,8 @@ relations as plain sets of ordered state-index pairs over one LTS.  The
 contrasimulation checker, the oracle and :func:`fc_pairs`, whose
 configurations :func:`contrasim.csgame.strategy_from_fc` turns into a
 defender strategy, share one walk over the configurations (state, answer
-set) that related pairs reach by synchronized delay words.
+set) that related pairs reach by synchronized delay words; the checker
+walks only the ⊆-minimal sets of each state.
 
 Weak similarity has two engines, and both take the system itself; only
 this module knows how its strong and weak steps are tabulated.  Queried
@@ -138,15 +139,23 @@ class ContrasimulationViolation(Record):
         self._set(p, q, word, config_state, config_set, p_after)
 
 
-def _configs(lts: Lts, seeds: Iterable[Pair]):
+def _configs(lts: Lts, seeds: Iterable[Pair], minimal: bool = False):
     """Each configuration (state, answer set) reached by synchronized delay
     steps from ``(p, {q})`` of a seed ``(p, q)``, once, as ``(state, set,
     seed, word)`` with the first seed and a shortest word that reach it.
     The seeds are walked breadth-first in order over one seen-set, so a
     walk stops where an earlier one has been; delay steps are computed once
-    per set and per state for the whole walk."""
+    per set and per state for the whole walk.
+
+    With ``minimal``, a configuration whose set contains a set already
+    walked for the same state is skipped, with all it would reach: the
+    walk keeps the ⊆-minimal sets per state, an antichain (De Wulf,
+    Doyen, Henzinger & Raskin, CAV 2006).  Delay steps and internal
+    closure are monotone in the set, so whatever a skipped configuration
+    would reach is reached over a subset from the walked one."""
     visible = lts.visible_actions
     seen: set[tuple[int, StateSet]] = set()
+    walked: dict[int, list[StateSet]] = {}  # with ``minimal``: the minimal sets per state
     # the delay step of each set and each state, per visible action
     steps: dict[StateSet, list[StateSet]] = {}
     moves: dict[int, list[list[int]]] = {}
@@ -159,6 +168,12 @@ def _configs(lts: Lts, seeds: Iterable[Pair]):
         todo = deque(((*start, ()),))
         while todo:
             p1, q_set, word = todo.popleft()
+            if minimal:
+                sets = walked.setdefault(p1, [])
+                if any(walked_set <= q_set for walked_set in sets):
+                    continue
+                sets[:] = [walked_set for walked_set in sets if not q_set <= walked_set]
+                sets.append(q_set)
             yield p1, q_set, seed, word
             next_sets = steps.get(q_set)
             if next_sets is None:
@@ -188,10 +203,15 @@ def contrasimulation_violation(
 ) -> Optional[ContrasimulationViolation]:
     """The first configuration of :func:`_configs` over the sorted relation
     with an internally reachable state that no related swapped pair answers
-    from the set's internal closure, named by the seed and word reaching it."""
+    from the set's internal closure, named by the seed and word reaching it.
+
+    Violations are downward-closed in the set: a smaller set has fewer
+    answers.  So the walk skips every configuration whose set contains one
+    already walked for its state, and it still finds the violation that
+    the whole walk finds first."""
     rel = _as_relation(lts, relation)
     closures: dict[StateSet, StateSet] = {}
-    for p1, q_set, (p, q), word in _configs(lts, sorted(rel)):
+    for p1, q_set, (p, q), word in _configs(lts, sorted(rel), minimal=True):
         answers = closures.get(q_set)
         if answers is None:
             answers = closures[q_set] = lts.internal_closure(q_set)

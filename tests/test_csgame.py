@@ -318,10 +318,15 @@ def check_local_against_eager(lts: Lts, p: int, q: int, word_bound: int | None =
     but the copied ones.  A copied position is an attacker or swap position
     whose state lies in the internal closure of its set, and the full game
     gives it to the defender; no expanded position is one, and every
-    expanded swap has all its answers.  In the set game, relations and
-    formulas are sound, each relation contains the identity on the states
-    reachable from every copied position its play meets, and without
-    copied positions the relations are those of the full game."""
+    expanded swap has all its answers.  In the set game, each expanded
+    attacker row over a non-empty set is a prefix of its
+    :func:`cs_successors`, the challenges the search took: a shorter row
+    ends in an attacker-won challenge, or the search stopped once the
+    attacker had won every root but the copied ones, so in a held game
+    every row the defender wins is whole.  Relations and formulas are
+    sound, each relation contains the identity on the states reachable
+    from every copied position its play meets, and without copied
+    positions the relations are those of the full game."""
     eager = build_cs_game(lts, p, q, word_bound=word_bound)
     eager_solution = solve(eager.graph)
     eager_roots = (eager.graph.initial, eager.index[AttackerPos(q, frozenset({p}))])
@@ -358,6 +363,13 @@ def check_local_against_eager(lts: Lts, p: int, q: int, word_bound: int | None =
                     assert lost
                 continue
             assert not in_closure
+            if isinstance(pos, AttackerPos) and word_bound is None:
+                row = game.graph.moves[i]
+                whole = cs_successors(lts, pos)
+                assert [game.positions[t] for t in row] == whole[: len(row)]
+                if len(row) < len(whole):
+                    assert lost or solution.winner[row[-1]] is Player.ATTACKER
+                    assert not held or solution.winner[i] is Player.ATTACKER
             if isinstance(pos, SwapPos):
                 single = frozenset({pos.p})
                 assert [game.positions[t] for t in game.graph.moves[i]] == [
@@ -406,11 +418,11 @@ def test_local_solving_on_cyclic_corpus(seed):
 
 def test_local_solving_decides_blow_twelve_early():
     """The full blow(12) game has 16,487 positions.  Smallest sets first,
-    the attacker's win is found among 59 to 64, in both directions (a plain
-    last-in-first-out search finds it among 155), and the attacker's
-    strategy on them is as short as on the full game.  A copied root
-    queried beside it, which the defender wins unexpanded, does not keep
-    the search going."""
+    the attacker's win is found among 34 to 39, in both directions (59 to
+    64 when every attacker generated its whole row, and 155 for a plain
+    last-in-first-out search), and the attacker's strategy on them is as
+    short as on the full game.  A copied root queried beside it, which the
+    defender wins unexpanded, does not keep the search going."""
     lts = blow(12)
     eager = build_cs_game(lts, 0, 1)
     eager_rank = solve(eager.graph).attacker_rank
@@ -419,7 +431,7 @@ def test_local_solving_decides_blow_twelve_early():
     for (p, q), full_rank in zip(((0, 1), (1, 0)), full_ranks):
         game, solution, (root,) = solve_cs_game_locally(lts, [(p, q)])
         assert solution.winner[root] is Player.ATTACKER
-        assert game.graph.position_count <= 100
+        assert game.graph.position_count <= 39
         assert solution.attacker_rank[root] == full_rank
         phi = extract_distinguishing_formula(game, solution, root)
         assert hml_satisfies(lts, p, phi) and not hml_satisfies(lts, q, phi)
@@ -431,14 +443,16 @@ def test_local_solving_decides_blow_twelve_early():
 def test_copied_root_beside_a_failing_pair_does_not_keep_the_search_going():
     """``0 -tau-> 1``, so the root ``(1, {0})`` is copied: the defender
     reaches the attacker's state internally.  Queried beside the failing
-    pair ``(4, 6)``, it adds one position to the five that pair explores
-    alone, where waiting for it to be decided expanded its whole game."""
+    pair ``(4, 6)``, it adds one position to the four that pair explores
+    alone (its root, the challenge by ``a``, its answer and the answer's
+    reflexive swap; the root's own swap is never taken), where waiting for
+    it to be decided expanded its whole game."""
     a, b, c = act("a"), act("b"), act("c")
     lts = Lts(8, [(0, TAU, 1), (1, a, 2), (2, b, 3), (1, c, 0), (4, a, 5), (6, b, 7)])
     alone, _, _ = solve_cs_game_locally(lts, [(4, 6)])
     game, solution, roots = solve_cs_game_locally(lts, [(1, 0), (4, 6)])
     assert [solution.winner[r] for r in roots] == [Player.DEFENDER, Player.ATTACKER]
-    assert alone.graph.position_count == 5
+    assert alone.graph.position_count == 4
     assert game.graph.position_count <= alone.graph.position_count + 1
     relation = extract_contrasimulation(game, solution, roots[:1])
     assert (1, 0) in relation and is_contrasimulation(lts, relation)
@@ -466,7 +480,7 @@ def test_local_formula_on_chain_as_short_as_on_full_game():
 def test_local_solving_explores_part_of_a_holding_game():
     """A random system of 8 states whose full game from states 0 and 5 has
     501 positions.  Both directions hold; the local search decides them
-    within half of those positions (it explores 227), and the relation
+    within half of those positions (it explores 202), and the relation
     read off the explored part is a contrasimulation."""
     lts = make_random_lts(random.Random(54), n_states=8, n_actions=2)
     p, q = 0, 5
@@ -530,8 +544,7 @@ def test_copied_positions_keep_holding_checks_constant():
         counts.add(game.graph.position_count)
         relation = extract_contrasimulation(game, solution, roots)
         assert {(pc, pp), (pp, pc)} <= relation
-        if k == 8:
-            assert is_contrasimulation(lts, relation)
+        assert is_contrasimulation(lts, relation)
     assert len(counts) == 1 and max(counts) <= 37
 
 
